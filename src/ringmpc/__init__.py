@@ -29,7 +29,6 @@ from .errors import (
 from .gates import and_n, fanin_schedule, mult_n, or_n
 from .ring import (
     BOOL,
-    BitPlaneShare,
     RingSpec,
     Share,
     SharePair,

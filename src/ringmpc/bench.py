@@ -19,11 +19,11 @@ from .editdist import (
     edit_distance_manifest,
     share_strings,
 )
-from .engine import CostModel, Session
-from .errors import CapabilityError, DomainError
+from .engine import CostModel, Session, derive_manifest
+from .errors import DomainError
 from .gates import and_n, mult_n, or_n
 from . import protocols as P
-from .ring import BOOL, RingSpec
+from .ring import BOOL, RingSpec, const_pair
 
 ROW_FIELDS = [
     "target",
@@ -74,94 +74,96 @@ def _gate_setup(sess, rng, name, ring, batch):
     return needs, gen
 
 
-def _protocol_setup(sess, rng, name, ring, batch, baseline, fanin_cap):
-    half = ring.modulus // 2  # comparison-safe plaintext domain
+# ---------------------------------------------------------------------------
+# Protocol registry: name -> (protocol, input builder, baseline protocol).
+# A builder ``(sess, rng, ring, batch) -> args`` shares random inputs for
+# ``protocol(store, *args)``.
 
-    maxn_match = re.fullmatch(r"max(\d+)", name)
-    tlu_match = re.fullmatch(r"tlu(\d+)", name)
+def _values(count: int, half: bool = False):
+    """Builder for ``count`` uniform ring values; below 2^(n-1) with
+    ``half``, comparison's plaintext domain."""
+    def build(sess, rng, ring, batch):
+        high = ring.modulus // 2 if half else None
+        return _rand_inputs(sess, rng, ring, batch, count, high=high)
+    return build
 
-    if name in ("equality", "comparison", "max3", "min3", "argmax3", "argmin3"):
-        if name == "equality":
-            proto = P.baseline_equality if baseline else P.equality
-            manifest = P.baseline_equality_manifest if baseline else P.equality_manifest
-            xs = _rand_inputs(sess, rng, ring, batch, 2)
-            return manifest(ring, batch), lambda store: proto(store, *xs)
-        if name == "comparison":
-            proto = P.baseline_comparison if baseline else P.comparison
-            manifest = (P.baseline_comparison_manifest if baseline
-                        else P.comparison_manifest)
-            xs = _rand_inputs(sess, rng, ring, batch, 2, high=half)
-            return manifest(ring, batch), lambda store: proto(store, *xs)
-        if baseline and name != "max3":
-            raise DomainError(f"no baseline variant of {name}")
-        xs = _rand_inputs(sess, rng, ring, batch, 3, high=half)
-        if name == "max3":
-            proto = P.baseline_max3 if baseline else P.max3
-            manifest = P.baseline_max3_manifest if baseline else P.max3_manifest
-        else:
-            proto = {"min3": P.min3, "argmax3": P.argmax3, "argmin3": P.argmin3}[name]
-            manifest = {"min3": P.min3_manifest, "argmax3": P.argmax3_manifest,
-                        "argmin3": P.argmin3_manifest}[name]
-        return manifest(ring, batch), lambda store: proto(store, xs)
 
-    if baseline:
-        raise DomainError(f"no baseline variant of {name}")
+def _listed(build):
+    """The same inputs passed as one list, as the N-input protocols take them."""
+    return lambda *spec: [build(*spec)]
 
-    if name == "overflow":
-        x = _rand_inputs(sess, rng, ring, batch, 1)[0]
-        k = ring.width_bits
-        return (P.overflow_manifest(ring, batch),
-                lambda store: P.overflow_2r(store, x, k))
-    if name == "overflow1r":
-        if ring.width_bits not in P.OVF1R_SPLITS:
-            raise CapabilityError(
-                f"overflow1r unavailable at width {ring.width_bits}; the gate "
-                "banks grow as 2**(low-half width)"
-            )
-        x = _rand_inputs(sess, rng, ring, batch, 1)[0]
-        return (P.overflow_1r_manifest(ring, batch),
-                lambda store: P.overflow_1r(store, x))
-    if name == "msnzb":
-        if ring.width_bits != 16:
-            raise CapabilityError("msnzb supports width 16 only")
-        vals = rng.integers(0, ring.modulus, size=batch, dtype=np.uint64)
-        planes = [
-            sess.share_input((vals >> np.uint64(j)) & np.uint64(1), BOOL)
-            for j in range(16)
-        ]
-        return P.msnzb_manifest(batch), lambda store: P.msnzb(store, planes)
-    if name == "b2a":
-        (b,) = _rand_bits(sess, rng, batch, 1)
-        return (P.b2a_manifest(ring, batch),
-                lambda store: P.b2a(store, b, ring))
-    if name == "bx2a":
-        (b,) = _rand_bits(sess, rng, batch, 1)
-        (x,) = _rand_inputs(sess, rng, ring, batch, 1)
-        return P.bx2a_manifest(ring, batch), lambda store: P.bx2a(store, b, x)
-    if name == "bc2a":
-        b, c = _rand_bits(sess, rng, batch, 2)
-        return (P.bc2a_manifest(ring, batch),
-                lambda store: P.bc2a(store, b, c, ring))
-    if name == "bcx2a":
-        b, c = _rand_bits(sess, rng, batch, 2)
-        (x,) = _rand_inputs(sess, rng, ring, batch, 1)
-        return P.bcx2a_manifest(ring, batch), lambda store: P.bcx2a(store, b, c, x)
-    if maxn_match:
-        n_vals = int(maxn_match.group(1))
-        xs = _rand_inputs(sess, rng, ring, batch, n_vals, high=half)
-        return (P.maxn_manifest(ring, n_vals, batch, fanin_cap),
-                lambda store: P.maxn(store, xs, fanin_cap))
-    if tlu_match:
-        n_keys = int(tlu_match.group(1))
+
+def _msnzb_inputs(sess, rng, ring, batch):
+    vals = rng.integers(0, ring.modulus, size=batch, dtype=np.uint64)
+    return [[sess.share_input((vals >> np.uint64(j)) & np.uint64(1), BOOL)
+             for j in range(ring.width_bits)]]
+
+
+def _tlu_inputs(n_keys: int):
+    def build(sess, rng, ring, batch):
         keys = rng.permutation(ring.modulus if ring.modulus < 2**20 else 2**20)[:n_keys]
-        key_shares = [sess.share_input(np.full(batch, k, np.uint64), ring)
-                      for k in keys]
+        key_shares = [sess.share_input(np.full(batch, k, np.uint64), ring) for k in keys]
         val_shares = _rand_inputs(sess, rng, ring, batch, n_keys)
         idx = sess.share_input(np.full(batch, keys[0], np.uint64), ring)
-        table = P.LookupTable(key_shares, val_shares)
-        return (P.tlu_manifest(ring, n_keys, batch),
-                lambda store: P.tlu(store, table, idx))
-    raise DomainError(f"unknown protocol {name!r}")
+        return [P.LookupTable(key_shares, val_shares), idx]
+    return build
+
+
+PROTOCOLS = {
+    "equality": (P.equality, _values(2), P.baseline_equality),
+    "comparison": (P.comparison, _values(2, half=True), P.baseline_comparison),
+    "max3": (P.max3, _listed(_values(3, half=True)), P.baseline_max3),
+    "min3": (P.min3, _listed(_values(3, half=True)), None),
+    "argmax3": (P.argmax3, _listed(_values(3, half=True)), None),
+    "argmin3": (P.argmin3, _listed(_values(3, half=True)), None),
+    "overflow": (P.overflow_2r, lambda sess, rng, ring, batch: [
+        *_rand_inputs(sess, rng, ring, batch, 1), ring.width_bits], None),
+    "overflow1r": (P.overflow_1r, _values(1), None),
+    "msnzb": (P.msnzb, _msnzb_inputs, None),
+    "b2a": (P.b2a, lambda sess, rng, ring, batch: [
+        *_rand_bits(sess, rng, batch, 1), ring], None),
+    "bx2a": (P.bx2a, lambda sess, rng, ring, batch: [
+        *_rand_bits(sess, rng, batch, 1), *_rand_inputs(sess, rng, ring, batch, 1)], None),
+    "bc2a": (P.bc2a, lambda sess, rng, ring, batch: [
+        *_rand_bits(sess, rng, batch, 2), ring], None),
+    "bcx2a": (P.bcx2a, lambda sess, rng, ring, batch: [
+        *_rand_bits(sess, rng, batch, 2), *_rand_inputs(sess, rng, ring, batch, 1)], None),
+}
+
+
+def _lookup(name: str, fanin_cap: int):
+    if name in PROTOCOLS:
+        return PROTOCOLS[name]
+    if m := re.fullmatch(r"max(\d+)", name):
+        xs = _values(int(m.group(1)), half=True)
+        return P.maxn, lambda *spec: [xs(*spec), fanin_cap], None
+    if m := re.fullmatch(r"tlu(\d+)", name):
+        return P.tlu, _tlu_inputs(int(m.group(1))), None
+    return None
+
+
+class _ZeroSharer:
+    """Stands in for the session when an input builder makes the batch-1
+    inputs of a manifest's recording run: every share is zero, so no dealer
+    randomness is drawn."""
+
+    @staticmethod
+    def share_input(x, ring: RingSpec):
+        return const_pair(0, ring, np.size(x))
+
+
+def _protocol_setup(sess, rng, name, ring, batch, baseline, fanin_cap):
+    proto, build, base = _lookup(name, fanin_cap) or (None, None, None)
+    if baseline:
+        if base is None:
+            raise DomainError(f"no baseline variant of {name}")
+        proto = base
+    if proto is None:
+        raise DomainError(f"unknown protocol {name!r}")
+    args = build(sess, rng, ring, batch)
+    zeros = build(_ZeroSharer(), np.random.default_rng(0), ring, 1)
+    return (derive_manifest(proto, *zeros, batch=batch),
+            lambda store: proto(store, *args))
 
 
 def run_bench(target: str, name: str = "", ring_width: int = 32, batch: int = 1,

@@ -7,9 +7,10 @@ simulation both halves live side by side in one MaterialStore.
 """
 from __future__ import annotations
 
+import os
 import struct
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -19,7 +20,7 @@ from .errors import (
     MaterialError,
     MaterialReuseError,
 )
-from .ring import RingSpec, SharePair, trivial, uniform
+from .ring import SUPPORTED_WIDTHS, RingSpec, SharePair, uniform
 
 DEFAULT_FANIN_CAP = 9
 
@@ -81,6 +82,10 @@ class Need:
     fan_in: int = 0  # bte only
     count: int = 1
 
+    def scaled(self, factor: int) -> "Need":
+        """The same need at ``factor`` times the batch."""
+        return replace(self, batch=self.batch * factor)
+
 
 class Dealer:
     """Generates BTE tables, B2A material, and input shares from one seeded
@@ -133,9 +138,6 @@ class Dealer:
         c = ring.wrap(a * b)
         return B2aMaterial(ring, batch, a=a, b=b, c0=r, c1=ring.wrap(c - r))
 
-    def trivial_share(self, holder: int, values, ring: RingSpec) -> SharePair:
-        return trivial(holder, values, ring)
-
     def share_input(self, x, ring: RingSpec) -> SharePair:
         from .ring import share
 
@@ -172,32 +174,50 @@ class MaterialStore:
             raise MaterialError(
                 f"no {fan_in}-fan-in table over width {ring.width_bits} provisioned"
             )
-        t0, t1 = pool.popleft()
-        if t0.batch != batch:
+        if pool[0][0].batch != batch:
             raise MaterialError(
-                f"table batch {t0.batch} does not match requested batch {batch}"
+                f"table batch {pool[0][0].batch} does not match requested batch {batch}"
             )
-        return t0, t1
+        return pool.popleft()
 
     def take_b2a(self, ring: RingSpec, batch: int) -> B2aMaterial:
         pool = self._b2a.get(ring.width_bits)
         if not pool:
             raise MaterialError(f"no b2a material over width {ring.width_bits} provisioned")
-        mat = pool.popleft()
-        if mat.batch != batch:
+        if pool[0].batch != batch:
             raise MaterialError(
-                f"b2a batch {mat.batch} does not match requested batch {batch}"
+                f"b2a batch {pool[0].batch} does not match requested batch {batch}"
             )
-        return mat
+        return pool.popleft()
 
     def is_empty(self) -> bool:
         return not any(self._bte.values()) and not any(self._b2a.values())
 
 
+class RecordingStore:
+    """Stand-in for a MaterialStore that serves any request with zero-filled
+    material of the requested shape and records one Need per take. Running
+    a protocol on it yields the protocol's manifest in consumption order."""
+
+    def __init__(self):
+        self.needs: list[Need] = []
+
+    def take_bte(self, fan_in: int, ring: RingSpec, batch: int) -> tuple[BteTable, BteTable]:
+        self.needs.append(Need("bte", ring.width_bits, batch, fan_in=fan_in))
+        entries = dict.fromkeys(range(1, 1 << fan_in), np.zeros(batch, ring.dtype))
+        return (BteTable(0, fan_in, ring, batch, entries),
+                BteTable(1, fan_in, ring, batch, entries))
+
+    def take_b2a(self, ring: RingSpec, batch: int) -> B2aMaterial:
+        self.needs.append(Need("b2a", ring.width_bits, batch))
+        zero = np.zeros(batch, ring.dtype)
+        return B2aMaterial(ring, batch, a=zero, b=zero, c0=zero, c1=zero)
+
+
 # ---------------------------------------------------------------------------
 # Material dump file: lets the CLI separate the offline and online phases.
 # Layout: magic, record count; per record a header (kind, ring width, fan-in,
-# batch) followed by the per-party entry arrays in ascending mask order,
+# batch >= 1) followed by the per-party entry arrays in ascending mask order,
 # little-endian fixed-width integers.
 
 _MAGIC = b"RMPCMAT1"
@@ -239,17 +259,39 @@ def dump_material(path: str, store: MaterialStore):
 
 
 def load_material(path: str) -> MaterialStore:
+    """Read a dump written by ``dump_material``. A malformed dump (unknown
+    kind, bad width, fan-in or batch, a record larger than the rest of the
+    file, trailing bytes) raises MaterialError before its arrays are read."""
     store = MaterialStore()
     with open(path, "rb") as fh:
-        if fh.read(8) != _MAGIC:
+        size = os.fstat(fh.fileno()).st_size
+
+        def left() -> int:
+            return size - fh.tell()
+
+        if fh.read(8) != _MAGIC or left() < 4:
             raise MaterialError(f"{path} is not a material dump")
         (count,) = struct.unpack("<I", fh.read(4))
         for _ in range(count):
-            kind_raw, width, fan_in, batch = struct.unpack("<4sIII", fh.read(16))
-            kind = kind_raw.rstrip(b"\x00").decode()
+            if left() < 16:
+                raise MaterialError(f"{path}: truncated record header")
+            kind, width, fan_in, batch = struct.unpack("<4sIII", fh.read(16))
+            kind = kind.rstrip(b"\x00")
+            if width not in SUPPORTED_WIDTHS or batch < 1:
+                raise MaterialError(f"{path}: bad record width {width} or batch {batch}")
             ring = RingSpec(width)
             nbytes = batch * _le_dtype(ring).itemsize
-            if kind == "bte":
+            if kind == b"bte" and 2 <= fan_in <= left().bit_length():
+                # The bit-length bound keeps 1 << fan_in small; the size
+                # check below is the exact one.
+                arrays = 2 * ((1 << fan_in) - 1)
+            elif kind == b"b2a" and fan_in == 0 and not ring.is_boolean:
+                arrays = 4
+            else:
+                raise MaterialError(f"{path}: bad {kind!r} record with fan-in {fan_in}")
+            if arrays * nbytes > left():
+                raise MaterialError(f"{path}: record larger than the rest of the file")
+            if kind == b"bte":
                 tables = []
                 for party in (0, 1):
                     entries = {}
@@ -258,9 +300,8 @@ def load_material(path: str) -> MaterialStore:
                     tables.append(BteTable(party, fan_in, ring, batch, entries))
                 store.put_bte(*tables)
             else:
-                a = _arr_from(fh.read(nbytes), ring, batch)
-                c0 = _arr_from(fh.read(nbytes), ring, batch)
-                b = _arr_from(fh.read(nbytes), ring, batch)
-                c1 = _arr_from(fh.read(nbytes), ring, batch)
+                a, c0, b, c1 = (_arr_from(fh.read(nbytes), ring, batch) for _ in range(4))
                 store.put_b2a(B2aMaterial(ring, batch, a=a, b=b, c0=c0, c1=c1))
+        if left():
+            raise MaterialError(f"{path}: {left()} trailing bytes")
     return store

@@ -13,15 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dealer import Dealer, MaterialStore, Need
+from .engine import derive_manifest
 from .errors import DomainError, ShapeError
-from .protocols import (
-    b2a,
-    b2a_manifest,
-    equality,
-    equality_manifest,
-    min3,
-    min3_manifest,
-)
+from .protocols import b2a, equality, min3, min3_manifest
 from .ring import (
     Share,
     SharePair,
@@ -98,8 +92,8 @@ def mismatch_matrix(store: MaterialStore, s: GenomeShareString,
 
 
 def mismatch_manifest(length: int, pairs: int = 1) -> list[Need]:
-    batch = length * length * pairs
-    return equality_manifest(RING, batch) + b2a_manifest(RING, batch)
+    one = GenomeShareString(1, 1, const_pair(0, RING, 1))  # a single cell
+    return derive_manifest(mismatch_matrix, one, one, batch=length * length * pairs)
 
 
 def edit_distance(store: MaterialStore, s: GenomeShareString,
@@ -131,9 +125,15 @@ def edit_distance(store: MaterialStore, s: GenomeShareString,
 
 
 def edit_distance_manifest(length: int, pairs: int = 1) -> list[Need]:
+    """Mismatch matrix plus one batched 3-Min per anti-diagonal. Material is
+    not linear in the length, so this composes per-phase manifests instead
+    of recording edit_distance itself; the 3-Min needs of one DP cell are
+    recorded once and scaled to each diagonal."""
     needs = mismatch_manifest(length, pairs)
+    cell = min3_manifest(RING, 1)
     for d in range(2, 2 * length + 1):
-        needs += min3_manifest(RING, len(_diag_cells(length, d)) * pairs)
+        cells = len(_diag_cells(length, d)) * pairs
+        needs += [need.scaled(cells) for need in cell]
     return needs
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dealer import DEFAULT_FANIN_CAP, Dealer, MaterialStore, Need
+from .dealer import DEFAULT_FANIN_CAP, Dealer, MaterialStore, Need, RecordingStore
 from .errors import MaterialError, ProtocolDesyncError, ShapeError
 from .ring import RingSpec, SUPPORTED_WIDTHS, _DTYPES
 
@@ -146,6 +146,18 @@ class Session:
             "cl_ms": cl,
             "online_total_ms": dtt + cl,
         }
+
+
+def derive_manifest(protocol, *args, batch: int = 1) -> list[Need]:
+    """The material manifest of ``protocol(store, *args)`` at ``batch``.
+
+    Protocols are data-oblivious and take material linear in their batch,
+    so ``args`` are batch-1 zero sharings: one recording run on a throwaway
+    session lists every take in order, and each is scaled by ``batch``.
+    """
+    store = RecordingStore()
+    Session().run(protocol(store, *args))
+    return [need.scaled(batch) for need in store.needs]
 
 
 def parallel(gens):

@@ -1,9 +1,11 @@
 """Round-efficient protocol suite built on multi-fan-in gates.
 
 Every protocol is a generator coroutine over the engine fabric and comes
-with a ``*_manifest`` companion describing exactly the correlated
-randomness it consumes, so a dealer can pre-provision the store and a test
-can assert the store drains to empty.
+with a ``*_manifest`` companion listing exactly the correlated randomness
+it consumes, so a dealer can pre-provision the store and a test can assert
+the store drains to empty. The generator is the only source of truth: each
+manifest is read off a batch-1 run on zero inputs against a recording store
+(``engine.derive_manifest``) and scaled to the real batch.
 
 Width-specific gate plans are data, not code. The 16-bit plans follow the
 block layouts spelled out for that width; the 32/64-bit plans use wider
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dealer import MaterialStore, Need
-from .engine import ExchangeItem, parallel
+from .engine import ExchangeItem, derive_manifest, parallel
 from .errors import CapabilityError, DomainError, ShapeError
 from .gates import and_n, fanin_schedule, mult_n, or_n
 from .ring import (
@@ -31,6 +33,7 @@ from .ring import (
     bits_of,
     concat_pairs,
     const_mult,
+    const_pair,
     not_,
     split_pair,
     sub,
@@ -63,6 +66,11 @@ OVF_BLOCKS = {
 OVF1R_SPLITS = {8: (4, 4), 16: (8, 8)}
 
 MAXN_CAP = 8
+
+
+def _zeros(ring: RingSpec, count: int) -> list[SharePair]:
+    """Batch-1 zero sharings: the inputs of a manifest's recording run."""
+    return [const_pair(0, ring, 1) for _ in range(count)]
 
 
 def _check_arith(pair: SharePair):
@@ -111,7 +119,7 @@ def equality(store: MaterialStore, x: SharePair, y: SharePair):
     batch = len(x[0])
 
     t = sub_mirror(x, y)  # t0 == t1 elementwise iff x == y
-    planes = bit_decompose_local(t).planes
+    planes = bit_decompose_local(t)
     blocks, pos = [], 0
     for width in plan:
         blocks.append(planes[pos:pos + width])
@@ -137,21 +145,14 @@ def equality(store: MaterialStore, x: SharePair, y: SharePair):
 
 
 def equality_manifest(ring: RingSpec, batch: int) -> list[Need]:
-    plan = EQ_PLANS[ring.width_bits]
-    needs = [
-        Need("bte", 1, plan.count(fan) * batch, fan_in=fan)
-        for fan in sorted(set(plan))
-    ]
-    needs.append(Need("bte", 1, batch, fan_in=len(plan)))
-    return needs
+    return derive_manifest(equality, *_zeros(ring, 2), batch=batch)
 
 
 def baseline_equality(store: MaterialStore, x: SharePair, y: SharePair):
     """Two-fan-in-only equality: a 2-OR tree over the difference bits."""
     _check_arith(x)
     batch = len(x[0])
-    planes = bit_decompose_local(sub_mirror(x, y)).planes
-    cur = list(planes)
+    cur = bit_decompose_local(sub_mirror(x, y))
     while len(cur) > 1:
         gates = len(cur) // 2
         lhs = concat_pairs([cur[2 * g] for g in range(gates)])
@@ -165,12 +166,7 @@ def baseline_equality(store: MaterialStore, x: SharePair, y: SharePair):
 
 
 def baseline_equality_manifest(ring: RingSpec, batch: int) -> list[Need]:
-    needs, width = [], ring.width_bits
-    while width > 1:
-        gates = width // 2
-        needs.append(Need("bte", 1, gates * batch, fan_in=2))
-        width = gates + width % 2
-    return needs
+    return derive_manifest(baseline_equality, *_zeros(ring, 2), batch=batch)
 
 
 # ---------------------------------------------------------------------------
@@ -222,9 +218,7 @@ def msnzb(store: MaterialStore, planes: list[SharePair]):
 
 
 def msnzb_manifest(batch: int) -> list[Need]:
-    return [
-        Need("bte", 1, 4 * batch, fan_in=fan, count=2) for fan in (2, 3, 4)
-    ]
+    return derive_manifest(msnzb, _zeros(BOOL, 16), batch=batch)
 
 
 # ---------------------------------------------------------------------------
@@ -319,16 +313,7 @@ def overflow_2r(store: MaterialStore, x: SharePair, k: int):
 
 
 def overflow_manifest(ring: RingSpec, batch: int) -> list[Need]:
-    blocks = OVF_BLOCKS[ring.width_bits]
-    needs = [
-        Need("bte", 1, sum(1 for w in blocks if w >= fan) * batch, fan_in=fan)
-        for fan in range(2, max(blocks) + 1)
-    ]
-    needs += [
-        Need("bte", 1, width * batch, fan_in=2 + i)
-        for i, width in enumerate(blocks)
-    ]
-    return needs
+    return derive_manifest(overflow_2r, *_zeros(ring, 1), ring.width_bits, batch=batch)
 
 
 def overflow_1r(store: MaterialStore, x: SharePair, n1: int | None = None,
@@ -407,14 +392,7 @@ def overflow_1r(store: MaterialStore, x: SharePair, n1: int | None = None,
 
 def overflow_1r_manifest(ring: RingSpec, batch: int, n1: int | None = None,
                          n2: int | None = None) -> list[Need]:
-    n = ring.width_bits
-    if n1 is None or n2 is None:
-        n1, n2 = OVF1R_SPLITS[n]
-    return [
-        Need("bte", 1, ((1 << n1) - 1) * batch, fan_in=2),
-        Need("bte", 1, ((1 << n2) - 1) * batch, fan_in=n1),
-        Need("bte", 1, ((1 << n2) - 1) * batch, fan_in=4),
-    ]
+    return derive_manifest(overflow_1r, *_zeros(ring, 1), n1, n2, batch=batch)
 
 
 def _msb_compare_tail(store, of: SharePair, stacked: SharePair, batch: int):
@@ -446,7 +424,7 @@ def comparison(store: MaterialStore, x: SharePair, y: SharePair):
 
 
 def comparison_manifest(ring: RingSpec, batch: int) -> list[Need]:
-    return overflow_manifest(ring, 3 * batch) + [Need("bte", 1, 2 * batch, fan_in=2)]
+    return derive_manifest(comparison, *_zeros(ring, 2), batch=batch)
 
 
 def baseline_overflow(store: MaterialStore, x: SharePair, k: int):
@@ -483,13 +461,8 @@ def baseline_overflow(store: MaterialStore, x: SharePair, k: int):
 
 
 def baseline_overflow_manifest(ring: RingSpec, batch: int) -> list[Need]:
-    n = ring.width_bits
-    needs, dist = [], 1
-    while dist < n:
-        needs.append(Need("bte", 1, (n - dist) * batch, fan_in=2))
-        dist *= 2
-    needs.append(Need("bte", 1, n * batch, fan_in=2))
-    return needs
+    return derive_manifest(baseline_overflow, *_zeros(ring, 1), ring.width_bits,
+                           batch=batch)
 
 
 def baseline_comparison(store: MaterialStore, x: SharePair, y: SharePair):
@@ -504,9 +477,7 @@ def baseline_comparison(store: MaterialStore, x: SharePair, y: SharePair):
 
 
 def baseline_comparison_manifest(ring: RingSpec, batch: int) -> list[Need]:
-    return baseline_overflow_manifest(ring, 3 * batch) + [
-        Need("bte", 1, 2 * batch, fan_in=2)
-    ]
+    return derive_manifest(baseline_comparison, *_zeros(ring, 2), batch=batch)
 
 
 # ---------------------------------------------------------------------------
@@ -541,7 +512,7 @@ def b2a(store: MaterialStore, x: SharePair, ring: RingSpec):
 
 
 def b2a_manifest(ring: RingSpec, batch: int) -> list[Need]:
-    return [Need("b2a", ring.width_bits, batch)]
+    return derive_manifest(b2a, *_zeros(BOOL, 1), ring, batch=batch)
 
 
 def _lifts(pair: SharePair, ring: RingSpec):
@@ -570,10 +541,7 @@ def bx2a(store: MaterialStore, b: SharePair, x: SharePair):
 
 
 def bx2a_manifest(ring: RingSpec, batch: int) -> list[Need]:
-    return [
-        Need("bte", ring.width_bits, batch, fan_in=2),
-        Need("bte", ring.width_bits, batch, fan_in=3),
-    ]
+    return derive_manifest(bx2a, *_zeros(BOOL, 1), *_zeros(ring, 1), batch=batch)
 
 
 def bc2a(store: MaterialStore, b: SharePair, c: SharePair, ring: RingSpec):
@@ -606,10 +574,7 @@ def bc2a(store: MaterialStore, b: SharePair, c: SharePair, ring: RingSpec):
 
 
 def bc2a_manifest(ring: RingSpec, batch: int) -> list[Need]:
-    return [
-        Need("bte", ring.width_bits, 3 * batch, fan_in=2),
-        Need("bte", ring.width_bits, 2 * batch, fan_in=4),
-    ]
+    return derive_manifest(bc2a, *_zeros(BOOL, 2), ring, batch=batch)
 
 
 def bcx2a(store: MaterialStore, b: SharePair, c: SharePair, x: SharePair):
@@ -646,10 +611,7 @@ def bcx2a(store: MaterialStore, b: SharePair, c: SharePair, x: SharePair):
 
 
 def bcx2a_manifest(ring: RingSpec, batch: int) -> list[Need]:
-    return [
-        Need("bte", ring.width_bits, 3 * batch, fan_in=3),
-        Need("bte", ring.width_bits, 2 * batch, fan_in=5),
-    ]
+    return derive_manifest(bcx2a, *_zeros(BOOL, 2), *_zeros(ring, 1), batch=batch)
 
 
 # ---------------------------------------------------------------------------
@@ -688,10 +650,10 @@ def min3(store: MaterialStore, xs: list[SharePair]):
 
 
 def max3_manifest(ring: RingSpec, batch: int) -> list[Need]:
-    return comparison_manifest(ring, 3 * batch) + bcx2a_manifest(ring, 3 * batch)
+    return derive_manifest(max3, _zeros(ring, 3), batch=batch)
 
 
-min3_manifest = max3_manifest
+min3_manifest = max3_manifest  # same takes; only the comparison sides differ
 
 
 def _argextreme3(store, xs, ring, smallest):
@@ -717,10 +679,10 @@ def argmin3(store: MaterialStore, xs: list[SharePair]):
 
 
 def argmax3_manifest(ring: RingSpec, batch: int) -> list[Need]:
-    return comparison_manifest(ring, 3 * batch) + bc2a_manifest(ring, 2 * batch)
+    return derive_manifest(argmax3, _zeros(ring, 3), batch=batch)
 
 
-argmin3_manifest = argmax3_manifest
+argmin3_manifest = argmax3_manifest  # same takes; only the comparison sides differ
 
 
 def maxn(store: MaterialStore, xs: list[SharePair], fanin_cap: int = 9,
@@ -783,12 +745,7 @@ def maxn(store: MaterialStore, xs: list[SharePair], fanin_cap: int = 9,
 
 def maxn_manifest(ring: RingSpec, n_vals: int, batch: int,
                   fanin_cap: int = 9) -> list[Need]:
-    needs = comparison_manifest(ring, (n_vals * (n_vals - 1) // 2) * batch)
-    for layer in fanin_schedule(n_vals - 1, fanin_cap):
-        for fan in layer:
-            if fan >= 2:
-                needs.append(Need("bte", 1, n_vals * batch, fan_in=fan))
-    return needs + bx2a_manifest(ring, n_vals * batch)
+    return derive_manifest(maxn, _zeros(ring, n_vals), fanin_cap, batch=batch)
 
 
 def maxn_rounds(n_vals: int, fanin_cap: int = 9) -> int:
@@ -826,9 +783,8 @@ def tlu(store: MaterialStore, table: LookupTable, idx: SharePair):
 
 
 def tlu_manifest(ring: RingSpec, n_keys: int, batch: int) -> list[Need]:
-    return equality_manifest(ring, n_keys * batch) + bx2a_manifest(
-        ring, n_keys * batch
-    )
+    table = LookupTable(_zeros(ring, n_keys), _zeros(ring, n_keys))
+    return derive_manifest(tlu, table, *_zeros(ring, 1), batch=batch)
 
 
 # ---------------------------------------------------------------------------
@@ -858,8 +814,4 @@ def baseline_max3(store: MaterialStore, xs: list[SharePair]):
 
 
 def baseline_max3_manifest(ring: RingSpec, batch: int) -> list[Need]:
-    needs = []
-    for _ in range(2):
-        needs += baseline_comparison_manifest(ring, batch)
-        needs.append(Need("bte", ring.width_bits, batch, fan_in=2, count=2))
-    return needs
+    return derive_manifest(baseline_max3, _zeros(ring, 3), batch=batch)

@@ -192,16 +192,6 @@ def const_mult(c, a: SharePair) -> SharePair:
     return tuple(Share(i, ring, ring.wrap(a[i].values * c)) for i in (0, 1))
 
 
-def local_linear(op: str, *operands) -> SharePair:
-    """Dispatcher for the linear local operations."""
-    table = {"add": add, "sub": sub, "sub_mirror": sub_mirror,
-             "const_add": const_add, "const_mult": const_mult}
-    try:
-        return table[op](*operands)
-    except KeyError:
-        raise DomainError(f"unknown linear op {op!r}") from None
-
-
 def xor(a: SharePair, b: SharePair) -> SharePair:
     if not a[0].ring.is_boolean:
         raise DomainError("xor requires boolean shares")
@@ -216,44 +206,20 @@ def not_(a: SharePair) -> SharePair:
     return Share(0, BOOL, a[0].values ^ np.uint8(1)), Share(1, BOOL, a[1].values.copy())
 
 
-def local_bool(op: str, *operands) -> SharePair:
-    table = {"xor": xor, "not": not_}
-    try:
-        return table[op](*operands)
-    except KeyError:
-        raise DomainError(f"unknown boolean op {op!r}") from None
-
-
 # ---------------------------------------------------------------------------
 # Bit planes.
-
-@dataclass
-class BitPlaneShare:
-    """LSB-first boolean share planes obtained from an arithmetic share.
-
-    Plane j of party i is bit j of that party's own share value. Recomposing
-    the planes across parties via XOR yields the secret only when the
-    additive carry chain between the two share values is zero; consumers
-    rely on protocol-level structure, not on XOR-recomposition.
-    """
-
-    width: int
-    planes: list  # list[SharePair], LSB first
-
-    def __getitem__(self, j: int) -> SharePair:
-        return self.planes[j]
-
-    def __len__(self):
-        return len(self.planes)
-
 
 def bits_of(values: np.ndarray, width: int) -> list:
     """LSB-first bit vectors of a plain value array."""
     return [((values >> np.uint64(j)).astype(np.uint8) & np.uint8(1)) for j in range(width)]
 
 
-def bit_decompose_local(pair: SharePair) -> BitPlaneShare:
-    """Each party locally decomposes its own share value into boolean planes."""
+def bit_decompose_local(pair: SharePair) -> list[SharePair]:
+    """Each party locally decomposes its own share value into boolean planes,
+    LSB first: plane j of party i is bit j of that party's own share value.
+    Recomposing the planes across parties via XOR yields the secret only when
+    the additive carry chain between the two share values is zero; consumers
+    rely on protocol-level structure, not on XOR-recomposition."""
     ring = pair[0].ring
     if ring.is_boolean:
         raise DomainError("bit decomposition needs an arithmetic share")
@@ -261,8 +227,7 @@ def bit_decompose_local(pair: SharePair) -> BitPlaneShare:
     n = ring.width_bits
     b0 = bits_of(pair[0].values, n)
     b1 = bits_of(pair[1].values, n)
-    planes = [(Share(0, BOOL, b0[j]), Share(1, BOOL, b1[j])) for j in range(n)]
-    return BitPlaneShare(width=n, planes=planes)
+    return [(Share(0, BOOL, b0[j]), Share(1, BOOL, b1[j])) for j in range(n)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from ringmpc.dealer import (
     Dealer,
     MaterialStore,
     Need,
+    RecordingStore,
     dump_material,
     load_material,
 )
@@ -14,7 +17,7 @@ from ringmpc.errors import (
     MaterialError,
     MaterialReuseError,
 )
-from ringmpc.ring import BOOL, Z8, Z32, Z64, RingSpec
+from ringmpc.ring import BOOL, Z8, Z16, Z32, Z64, RingSpec
 
 
 @pytest.fixture
@@ -94,9 +97,29 @@ def test_store_fifo_and_batch_check(dealer):
     assert store.is_empty()
     with pytest.raises(MaterialError):
         store.take_bte(2, Z8, 4)
-    dealer.provision(store, [Need("bte", 8, 4, fan_in=2)])
+    dealer.provision(store, [Need("bte", 8, 4, fan_in=2), Need("b2a", 16, 4)])
     with pytest.raises(MaterialError):
         store.take_bte(2, Z8, 5)
+    with pytest.raises(MaterialError):
+        store.take_b2a(Z16, 5)
+    # A refused request leaves the material in place.
+    store.take_bte(2, Z8, 4)
+    store.take_b2a(Z16, 4)
+    assert store.is_empty()
+
+
+def test_recording_store_serves_zero_material_and_records_takes():
+    store = RecordingStore()
+    t0, t1 = store.take_bte(3, Z32, 5)
+    mat = store.take_b2a(Z8, 2)
+    assert store.needs == [Need("bte", 32, 5, fan_in=3), Need("b2a", 8, 2)]
+    for table in (t0, t1):
+        assert (table.fan_in, table.ring, table.batch) == (3, Z32, 5)
+        assert sorted(table.entries) == list(masks(3))
+        for entry in table.entries.values():
+            assert entry.dtype == np.uint32 and entry.shape == (5,) and not entry.any()
+    for arr in (mat.a, mat.b, mat.c0, mat.c1):
+        assert arr.dtype == np.uint8 and arr.shape == (2,) and not arr.any()
 
 
 def test_provision_unknown_kind(dealer):
@@ -135,6 +158,41 @@ def test_load_rejects_garbage(tmp_path):
     path.write_bytes(b"not a dump")
     with pytest.raises(MaterialError):
         load_material(str(path))
+
+
+def test_load_rejects_malformed_dumps(dealer, tmp_path):
+    store = MaterialStore()
+    dealer.provision(store, [Need("bte", 8, 3, fan_in=2), Need("b2a", 16, 2)])
+    path = tmp_path / "material.bin"
+    dump_material(str(path), store)
+    good = path.read_bytes()
+    # Record headers (kind, width, fan-in, batch) follow the 12-byte file
+    # header; the 2-fan-in table holds 2 * 3 arrays of 3 bytes.
+    bte, b2a = 12, 12 + 16 + 2 * 3 * 3
+
+    def patched(offset, value):
+        return good[:offset] + value + good[offset + len(value):]
+
+    def u32(value):
+        return struct.pack("<I", value)
+
+    bad = [good[:cut] for cut in range(len(good))]
+    bad += [
+        good + b"\x00",
+        patched(8, u32(3)),  # more records than the file holds
+        patched(bte, b"xyz\x00"),
+        patched(bte + 4, u32(12)),
+        patched(bte + 8, u32(1)),
+        patched(bte + 8, u32(2**32 - 1)),
+        patched(bte + 12, u32(0)),
+        patched(bte + 12, u32(2**32 - 1)),
+        patched(b2a + 4, u32(1)),
+        patched(b2a + 8, u32(2)),
+    ]
+    for blob in bad:
+        path.write_bytes(blob)
+        with pytest.raises(MaterialError):
+            load_material(str(path))
 
 
 def test_share_input_deterministic_per_seed():
