@@ -15,6 +15,7 @@ import numpy as np
 
 from .dealer import Need
 from .editdist import (
+    MAX_LENGTH,
     edit_distance,
     edit_distance_manifest,
     share_strings,
@@ -138,6 +139,8 @@ def _lookup(name: str, fanin_cap: int):
         xs = _values(int(m.group(1)), half=True)
         return P.maxn, lambda *spec: [xs(*spec), fanin_cap], None
     if m := re.fullmatch(r"tlu(\d+)", name):
+        if int(m.group(1)) < 1:
+            raise DomainError(f"{name} has no keys; a lookup needs at least one")
         return P.tlu, _tlu_inputs(int(m.group(1))), None
     return None
 
@@ -171,6 +174,8 @@ def run_bench(target: str, name: str = "", ring_width: int = 32, batch: int = 1,
               rtt_ms: float = 40.0, seed: int = 0, baseline: bool = False,
               length: int = 4, measure: bool = False) -> dict:
     """Execute one benchmark configuration and return its report row."""
+    if batch < 1:
+        raise DomainError(f"batch {batch} must be at least 1")
     sess = Session(seed=seed, fanin_cap=fanin_cap)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xB]))
     ring = RingSpec(ring_width)
@@ -184,6 +189,8 @@ def run_bench(target: str, name: str = "", ring_width: int = 32, batch: int = 1,
     elif target == "editdist":
         if baseline:
             raise DomainError("no baseline variant of editdist")
+        if not 1 <= length <= MAX_LENGTH:
+            raise DomainError(f"length {length} outside [1, {MAX_LENGTH}]")
         codes = rng.integers(0, 4, size=(2, batch, length), dtype=np.uint64)
         s = share_strings(codes[0], sess.dealer)
         t = share_strings(codes[1], sess.dealer)

@@ -92,11 +92,11 @@ class Session:
         self.dealer = Dealer(np.random.default_rng(k_dealer), fanin_cap=fanin_cap)
         self.party_rngs = (np.random.default_rng(k_p0), np.random.default_rng(k_p1))
         self.store = MaterialStore()
-        self.fanin_cap = fanin_cap
         self.rounds = 0
         self.bits = [0, 0]  # outbound bits per party
         self.transcript = Transcript()
         self.online_started = False
+        self.failed = False
 
     # -- offline phase ------------------------------------------------------
 
@@ -121,7 +121,13 @@ class Session:
         return [(item.p0, item.p1) for item in items]
 
     def run(self, gen):
-        """Drive a protocol generator to completion, return its result."""
+        """Drive a protocol generator to completion, return its result.
+
+        A protocol that raises leaves material half-consumed and the ledgers
+        partly charged: the session is marked failed and refuses further
+        runs, while its ledgers and transcript stay readable."""
+        if self.failed:
+            raise MaterialError("session failed in an earlier run; start a new one")
         self.online_started = True
         try:
             items = gen.send(None)
@@ -129,6 +135,9 @@ class Session:
                 items = gen.send(self._exchange(items))
         except StopIteration as stop:
             return stop.value
+        except BaseException:
+            self.failed = True
+            raise
 
     def parallel_scope(self, gens):
         """Run several protocol generators with their rounds coalesced."""

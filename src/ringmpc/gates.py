@@ -3,16 +3,17 @@
 Every gate is a protocol generator (see engine): it yields exactly one
 round carrying the N masked inputs (N * width bits per party) and finishes
 locally. Over the boolean ring multiplication *is* AND and addition *is*
-XOR, so one code path serves both share types.
+XOR, so one code path serves both share types. ``bank`` runs many gates in
+one round and decides how they share material.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .dealer import BteTable
-from .engine import ExchangeItem
+from .engine import ExchangeItem, parallel
 from .errors import DomainError, ShapeError
-from .ring import Share, SharePair, not_
+from .ring import Share, SharePair, concat_pairs, not_, slice_pair
 
 
 def _validate(inputs, t0: BteTable, t1: BteTable):
@@ -87,6 +88,40 @@ def or_n(inputs: list[SharePair], t0: BteTable, t1: BteTable):
         raise DomainError("or_n needs boolean shares")
     result = yield from mult_n([not_(pair) for pair in inputs], t0, t1)
     return not_(result)
+
+
+def bank(store, op, gates: list[list[SharePair]]):
+    """Run ``gates`` of ``op`` (``and_n``, ``or_n`` or ``mult_n``) in one
+    round; returns one output pair per gate, in gate order.
+
+    Each gate is a list of input pairs and may have any batch. Gates of
+    equal fan-in are stacked in gate order into one table of their summed
+    batch, and the tables are taken in ascending fan-in order; a group of
+    one gate is neither stacked nor sliced. No gates cost no round.
+    """
+    groups: dict[int, list[int]] = {}
+    for i, gate in enumerate(gates):
+        groups.setdefault(len(gate), []).append(i)
+    groups = dict(sorted(groups.items()))
+    gens = []
+    for fan, idxs in groups.items():
+        inputs = gates[idxs[0]] if len(idxs) == 1 else [
+            concat_pairs([gates[i][slot] for i in idxs]) for slot in range(fan)
+        ]
+        gens.append(op(inputs, *store.take_bte(fan, inputs[0][0].ring, len(inputs[0][0]))))
+    results = yield from parallel(gens)
+
+    out = [None] * len(gates)
+    for idxs, res in zip(groups.values(), results):
+        if len(idxs) == 1:
+            out[idxs[0]] = res
+            continue
+        lo = 0
+        for i in idxs:
+            hi = lo + len(gates[i][0][0])
+            out[i] = slice_pair(res, lo, hi)
+            lo = hi
+    return out
 
 
 def fanin_schedule(total_inputs: int, max_fanin: int) -> list[list[int]]:

@@ -12,6 +12,14 @@ block layouts spelled out for that width; the 32/64-bit plans use wider
 blocks (fan-in at most 7 and 9 respectively) chosen so that both the round
 counts and the per-party bit counts of the reference cost tables are
 reproduced exactly.
+
+Rounds that run several gates are packed by ``gates.bank``: gates of equal
+fan-in share one stacked table, taken in ascending fan-in order. Two
+protocols keep one table per gate on ``engine.parallel`` instead, because
+merging their equal fan-ins would change the material they consume:
+``maxn``'s selector layers (at fan-in cap 3, 8-Max's first layer takes two
+3-fan-in tables) and ``overflow_1r``'s three banks (at width 8, two 4-fan-in
+tables).
 """
 from __future__ import annotations
 
@@ -22,7 +30,7 @@ import numpy as np
 from .dealer import MaterialStore, Need
 from .engine import ExchangeItem, derive_manifest, parallel
 from .errors import CapabilityError, DomainError, ShapeError
-from .gates import and_n, fanin_schedule, mult_n, or_n
+from .gates import and_n, bank, fanin_schedule, mult_n, or_n
 from .ring import (
     BOOL,
     RingSpec,
@@ -100,10 +108,9 @@ def _tile(pair: SharePair, times: int) -> SharePair:
 
 def _plane(pair: SharePair, j: int) -> SharePair:
     """Boolean share plane j of an arithmetic pair (each party's own bit)."""
-    n = pair[0].ring.width_bits
-    return (
-        Share(0, BOOL, bits_of(pair[0].values, n)[j]),
-        Share(1, BOOL, bits_of(pair[1].values, n)[j]),
+    shift = pair[0].ring.dtype(j)
+    return tuple(
+        Share(i, BOOL, ((pair[i].values >> shift) & 1).astype(np.uint8)) for i in (0, 1)
     )
 
 
@@ -113,10 +120,7 @@ def _plane(pair: SharePair, j: int) -> SharePair:
 def equality(store: MaterialStore, x: SharePair, y: SharePair):
     """z = 1 iff x == y. Two rounds; n + (#blocks) bits per party."""
     _check_arith(x)
-    ring = x[0].ring
-    n = ring.width_bits
-    plan = EQ_PLANS[n]
-    batch = len(x[0])
+    plan = EQ_PLANS[x[0].ring.width_bits]
 
     t = sub_mirror(x, y)  # t0 == t1 elementwise iff x == y
     planes = bit_decompose_local(t)
@@ -124,23 +128,8 @@ def equality(store: MaterialStore, x: SharePair, y: SharePair):
     for width in plan:
         blocks.append(planes[pos:pos + width])
         pos += width
-
-    gens, layouts = [], []
-    for fan in sorted(set(plan)):
-        idxs = [i for i, width in enumerate(plan) if width == fan]
-        inputs = [
-            concat_pairs([blocks[i][slot] for i in idxs]) for slot in range(fan)
-        ]
-        gens.append(or_n(inputs, *store.take_bte(fan, BOOL, len(idxs) * batch)))
-        layouts.append(idxs)
-    results = yield from parallel(gens)
-
-    level1 = [None] * len(plan)
-    for idxs, res in zip(layouts, results):
-        for i, part in zip(idxs, split_pair(res, len(idxs))):
-            level1[i] = part
-
-    top = yield from or_n(level1, *store.take_bte(len(plan), BOOL, batch))
+    level1 = yield from bank(store, or_n, blocks)
+    (top,) = yield from bank(store, or_n, [level1])
     return not_(top)
 
 
@@ -151,14 +140,9 @@ def equality_manifest(ring: RingSpec, batch: int) -> list[Need]:
 def baseline_equality(store: MaterialStore, x: SharePair, y: SharePair):
     """Two-fan-in-only equality: a 2-OR tree over the difference bits."""
     _check_arith(x)
-    batch = len(x[0])
     cur = bit_decompose_local(sub_mirror(x, y))
     while len(cur) > 1:
-        gates = len(cur) // 2
-        lhs = concat_pairs([cur[2 * g] for g in range(gates)])
-        rhs = concat_pairs([cur[2 * g + 1] for g in range(gates)])
-        res = yield from or_n([lhs, rhs], *store.take_bte(2, BOOL, gates * batch))
-        nxt = split_pair(res, gates)
+        nxt = yield from bank(store, or_n, [cur[g:g + 2] for g in range(0, len(cur) - 1, 2)])
         if len(cur) % 2:
             nxt.append(cur[-1])
         cur = nxt
@@ -177,44 +161,22 @@ def msnzb(store: MaterialStore, planes: list[SharePair]):
     given as boolean share planes, LSB first. Two rounds."""
     if len(planes) != 16:
         raise CapabilityError("msnzb supports width 16")
-    batch = len(planes[0][0])
 
-    # Round 1: in-block suffix ORs, the four blocks stacked per fan-in.
-    gens = []
-    for fan in (2, 3, 4):
-        start = 4 - fan
-        inputs = [
-            concat_pairs([planes[4 * b + start + slot] for b in range(4)])
-            for slot in range(fan)
-        ]
-        gens.append(or_n(inputs, *store.take_bte(fan, BOOL, 4 * batch)))
-    results = yield from parallel(gens)
-
-    t = [None] * 16
-    for b in range(4):
-        t[4 * b + 3] = planes[4 * b + 3]
-    for fan, res in zip((2, 3, 4), results):
-        for b, part in enumerate(split_pair(res, 4)):
-            t[4 * b + 4 - fan] = part
+    # Round 1: in-block suffix ORs t_j = OR(planes[j:top of its block]).
+    t = list(planes)
+    starts = [j for j in range(16) if j % 4 != 3]
+    suffix = yield from bank(store, or_n, [planes[j:j - j % 4 + 4] for j in starts])
+    for j, part in zip(starts, suffix):
+        t[j] = part
 
     tp = [t[j] if j % 4 == 3 else xor(t[j], t[j + 1]) for j in range(16)]
-    s = {b: _xor_fold(tp[4 * b:4 * b + 4]) for b in (1, 2, 3)}
+    empty = {b: not_(_xor_fold(tp[4 * b:4 * b + 4])) for b in (1, 2, 3)}
 
     # Round 2: clear a block's hits when any higher block already has one.
-    z = [None] * 16
-    for j in range(12, 16):
-        z[j] = tp[j]
-    gens = []
-    for b, fan in ((2, 2), (1, 3), (0, 4)):
-        inputs = [concat_pairs(tp[4 * b:4 * b + 4])]
-        for h in range(b + 1, 4):
-            inputs.append(_tile(not_(s[h]), 4))
-        gens.append(and_n(inputs, *store.take_bte(fan, BOOL, 4 * batch)))
-    results = yield from parallel(gens)
-    for (b, _), res in zip(((2, 2), (1, 3), (0, 4)), results):
-        for off, part in enumerate(split_pair(res, 4)):
-            z[4 * b + off] = part
-    return z
+    cleared = yield from bank(store, and_n, [
+        [tp[j], *(empty[h] for h in range(j // 4 + 1, 4))] for j in range(12)
+    ])
+    return [*cleared, *tp[12:]]
 
 
 def msnzb_manifest(batch: int) -> list[Need]:
@@ -225,17 +187,26 @@ def msnzb_manifest(batch: int) -> list[Need]:
 # Overflow (two-round) and comparison
 
 def _overflow_planes(x: SharePair, k: int):
-    """Party-local bit planes of a = <x>_0 mod 2^k and u = -<x>_1 mod 2^k,
-    plus the per-element flag for the zero-share correction."""
+    """Boolean planes of a = <x>_0 mod 2^k and u = -<x>_1 mod 2^k, LSB first:
+    ``dplanes[j]`` pairs party 0's a_j with party 1's u_j, ``uplanes[j]``
+    shares u_j alone. Also the per-element flag of the zero-share correction."""
     ring = x[0].ring
     n = ring.width_bits
     mask = ring.dtype((1 << k) - 1) if k < 64 else ring.dtype(np.uint64(2**64 - 1))
-    a0 = x[0].values & mask
-    u1 = ring.wrap(0 - x[1].values) & mask
-    d0 = bits_of(a0, n)
-    d1 = bits_of(u1, n)
+    d0 = bits_of(x[0].values & mask, n)
+    d1 = bits_of(ring.wrap(0 - x[1].values) & mask, n)
+    zero = np.zeros(len(x[0]), np.uint8)
+    dplanes = [(Share(0, BOOL, d0[j]), Share(1, BOOL, d1[j])) for j in range(n)]
+    uplanes = [(Share(0, BOOL, zero), Share(1, BOOL, d1[j])) for j in range(n)]
     zero_flag = (x[1].values & mask) == 0
-    return d0, d1, zero_flag
+    return dplanes, uplanes, zero_flag
+
+
+def _overflow_out(v: SharePair, zero_flag: np.ndarray) -> SharePair:
+    """z = NOT v, plus the zero-share correction: when <x>_1 mod 2^k == 0
+    party 1 flips locally."""
+    z = not_(v)
+    return z[0], Share(1, BOOL, z[1].values ^ zero_flag.astype(np.uint8))
 
 
 def overflow_2r(store: MaterialStore, x: SharePair, k: int):
@@ -245,37 +216,20 @@ def overflow_2r(store: MaterialStore, x: SharePair, k: int):
     n = ring.width_bits
     if not 1 <= k <= n:
         raise DomainError(f"k={k} outside [1, {n}]")
-    blocks = OVF_BLOCKS[n]
-    batch = len(x[0])
-    d0, d1, zero_flag = _overflow_planes(x, k)
-    dplanes = [
-        (Share(0, BOOL, d0[j]), Share(1, BOOL, d1[j])) for j in range(n)
-    ]
+    dplanes, uplanes, zero_flag = _overflow_planes(x, k)
 
     # Block i (0 = most significant) covers positions [lo_i, hi_i).
     spans, hi = [], n
-    for width in blocks:
+    for width in OVF_BLOCKS[n]:
         spans.append((hi - width, hi))
         hi -= width
 
-    # Round 1: suffix ORs inside each block, stacked per fan-in.
-    gens, layouts = [], []
-    for fan in range(2, max(blocks) + 1):
-        idxs = [i for i, width in enumerate(blocks) if width >= fan]
-        inputs = [
-            concat_pairs([dplanes[spans[i][1] - fan + slot] for i in idxs])
-            for slot in range(fan)
-        ]
-        gens.append(or_n(inputs, *store.take_bte(fan, BOOL, len(idxs) * batch)))
-        layouts.append((fan, idxs))
-    results = yield from parallel(gens)
-
-    t = [None] * n
-    for lo, hi_ in spans:
-        t[hi_ - 1] = dplanes[hi_ - 1]
-    for (fan, idxs), res in zip(layouts, results):
-        for i, part in zip(idxs, split_pair(res, len(idxs))):
-            t[spans[i][1] - fan] = part
+    # Round 1: suffix ORs t_j = OR(dplanes[j:hi_i]) inside each block.
+    t = list(dplanes)
+    starts = [(j, hi_) for lo, hi_ in spans for j in range(lo, hi_ - 1)]
+    suffix = yield from bank(store, or_n, [dplanes[j:hi_] for j, hi_ in starts])
+    for (j, _), part in zip(starts, suffix):
+        t[j] = part
 
     tp = [None] * n
     for lo, hi_ in spans:
@@ -285,31 +239,17 @@ def overflow_2r(store: MaterialStore, x: SharePair, k: int):
 
     # w_i: whether block i holds the top set bit (weight-at-most-one fold).
     w = [_xor_fold(tp[lo:hi_]) for lo, hi_ in spans]
-    uplanes = [
-        (Share(0, BOOL, np.zeros(batch, np.uint8)), Share(1, BOOL, d1[j]))
-        for j in range(n)
-    ]
 
     # Round 2: block i needs its own hit, the u bit, and emptiness of every
-    # higher block — fan-in 2 + i.
-    gens = []
-    for i, (lo, hi_) in enumerate(spans):
-        width = hi_ - lo
-        inputs = [
-            concat_pairs(tp[lo:hi_]),
-            concat_pairs(uplanes[lo:hi_]),
-        ]
-        for h in range(i):
-            inputs.append(_tile(not_(w[h]), width))
-        gens.append(and_n(inputs, *store.take_bte(2 + i, BOOL, width * batch)))
-    results = yield from parallel(gens)
-
-    v = _xor_fold([_fold_groups(res, spans[i][1] - spans[i][0])
-                   for i, res in enumerate(results)])
-    z = not_(v)
-    # Zero-share correction: when <x>_1 mod 2^k == 0 party 1 flips locally.
-    z1 = z[1].values ^ zero_flag.astype(np.uint8)
-    return z[0], Share(1, BOOL, z1)
+    # higher block — fan-in 2 + i. One gate stacked over the block's bits,
+    # folded by one reshape, costs fewer small calls than a gate per bit.
+    results = yield from bank(store, and_n, [
+        [concat_pairs(tp[lo:hi_]), concat_pairs(uplanes[lo:hi_]),
+         *(_tile(not_(w[h]), hi_ - lo) for h in range(i))]
+        for i, (lo, hi_) in enumerate(spans)
+    ])
+    v = _xor_fold([_fold_groups(res, hi_ - lo) for res, (lo, hi_) in zip(results, spans)])
+    return _overflow_out(v, zero_flag)
 
 
 def overflow_manifest(ring: RingSpec, batch: int) -> list[Need]:
@@ -395,31 +335,22 @@ def overflow_1r_manifest(ring: RingSpec, batch: int, n1: int | None = None,
     return derive_manifest(overflow_1r, *_zeros(ring, 1), n1, n2, batch=batch)
 
 
-def _msb_compare_tail(store, of: SharePair, stacked: SharePair, batch: int):
-    """Shared tail of both comparison variants: recover the three MSBs from
-    the stacked overflow bits and combine them in one 2-AND round."""
-    ring = stacked[0].ring
-    n = ring.width_bits
-    msb = _plane(stacked, n - 1)
-    m = xor(of, msb)
-    xp, yp, dp = split_pair(m, 3)
+def _comparison(store, x: SharePair, y: SharePair, overflow):
+    """z = 1 iff x < y: the overflow bits of x, y and x - y, stacked, give
+    their three MSBs, which one 2-AND round combines."""
+    _check_arith(x)
+    n = x[0].ring.width_bits
+    stacked = concat_pairs([x, y, sub(x, y)])
+    of = yield from overflow(store, stacked, n - 1)
+    xp, yp, dp = split_pair(xor(of, _plane(stacked, n - 1)), 3)
     e = xor(xp, yp)
-    lhs = concat_pairs([e, not_(e)])
-    rhs = concat_pairs([yp, dp])
-    vw = yield from and_n([lhs, rhs], *store.take_bte(2, BOOL, 2 * batch))
-    v, w = split_pair(vw, 2)
+    v, w = yield from bank(store, and_n, [[e, yp], [not_(e), dp]])
     return xor(v, w)
 
 
 def comparison(store: MaterialStore, x: SharePair, y: SharePair):
     """z = 1 iff x < y, for plaintexts in [0, 2^(n-1)). Three rounds."""
-    _check_arith(x)
-    ring = x[0].ring
-    batch = len(x[0])
-    d = sub(x, y)
-    stacked = concat_pairs([x, y, d])
-    of = yield from overflow_2r(store, stacked, ring.width_bits - 1)
-    result = yield from _msb_compare_tail(store, of, stacked, batch)
+    result = yield from _comparison(store, x, y, overflow_2r)
     return result
 
 
@@ -430,34 +361,16 @@ def comparison_manifest(ring: RingSpec, batch: int) -> list[Need]:
 def baseline_overflow(store: MaterialStore, x: SharePair, k: int):
     """Two-fan-in-only overflow: log2(n) suffix-OR rounds plus one AND round."""
     _check_arith(x)
-    ring = x[0].ring
-    n = ring.width_bits
-    batch = len(x[0])
-    d0, d1, zero_flag = _overflow_planes(x, k)
-    suffix = [
-        (Share(0, BOOL, d0[j]), Share(1, BOOL, d1[j])) for j in range(n)
-    ]
+    n = x[0].ring.width_bits
+    suffix, uplanes, zero_flag = _overflow_planes(x, k)
     dist = 1
     while dist < n:
-        gates = n - dist
-        lhs = concat_pairs([suffix[j] for j in range(gates)])
-        rhs = concat_pairs([suffix[j + dist] for j in range(gates)])
-        res = yield from or_n([lhs, rhs], *store.take_bte(2, BOOL, gates * batch))
-        parts = split_pair(res, gates)
-        suffix = parts + suffix[gates:]
+        gates = [[suffix[j], suffix[j + dist]] for j in range(n - dist)]
+        suffix = (yield from bank(store, or_n, gates)) + suffix[n - dist:]
         dist *= 2
     tp = [xor(suffix[j], suffix[j + 1]) for j in range(n - 1)] + [suffix[n - 1]]
-    uplanes = [
-        (Share(0, BOOL, np.zeros(batch, np.uint8)), Share(1, BOOL, d1[j]))
-        for j in range(n)
-    ]
-    res = yield from and_n(
-        [concat_pairs(tp), concat_pairs(uplanes)],
-        *store.take_bte(2, BOOL, n * batch),
-    )
-    z = not_(_fold_groups(res, n))
-    z1 = z[1].values ^ zero_flag.astype(np.uint8)
-    return z[0], Share(1, BOOL, z1)
+    (res,) = yield from bank(store, and_n, [[concat_pairs(tp), concat_pairs(uplanes)]])
+    return _overflow_out(_fold_groups(res, n), zero_flag)
 
 
 def baseline_overflow_manifest(ring: RingSpec, batch: int) -> list[Need]:
@@ -466,13 +379,7 @@ def baseline_overflow_manifest(ring: RingSpec, batch: int) -> list[Need]:
 
 
 def baseline_comparison(store: MaterialStore, x: SharePair, y: SharePair):
-    _check_arith(x)
-    ring = x[0].ring
-    batch = len(x[0])
-    d = sub(x, y)
-    stacked = concat_pairs([x, y, d])
-    of = yield from baseline_overflow(store, stacked, ring.width_bits - 1)
-    result = yield from _msb_compare_tail(store, of, stacked, batch)
+    result = yield from _comparison(store, x, y, baseline_overflow)
     return result
 
 
@@ -529,14 +436,8 @@ def bx2a(store: MaterialStore, b: SharePair, x: SharePair):
     """b * x in one round: the naive product bx over-counts by 2*b0*b1*x."""
     ring = x[0].ring
     _check_arith(x)
-    batch = len(x[0])
-    b_arith = _as_ring(b, ring)
     bp, bpp, _, _ = _lifts(b, ring)
-    gens = [
-        mult_n([b_arith, x], *store.take_bte(2, ring, batch)),
-        mult_n([bp, bpp, x], *store.take_bte(3, ring, batch)),
-    ]
-    s, t = yield from parallel(gens)
+    s, t = yield from bank(store, mult_n, [[_as_ring(b, ring), x], [bp, bpp, x]])
     return sub(s, const_mult(2, t))
 
 
@@ -544,33 +445,27 @@ def bx2a_manifest(ring: RingSpec, batch: int) -> list[Need]:
     return derive_manifest(bx2a, *_zeros(BOOL, 1), *_zeros(ring, 1), batch=batch)
 
 
+def _bc_gates(b: SharePair, c: SharePair, ring: RingSpec) -> list[list[SharePair]]:
+    """The five products whose combination g1 + 2(g4 + g5 - g2 - g3) is b * c:
+    three 2-MULTs and two 4-MULTs over the trivial-share lifts."""
+    bp, bpp, nbp, nbpp = _lifts(b, ring)
+    cp, cpp, ncp, ncpp = _lifts(c, ring)
+    return [
+        [_as_ring(b, ring), _as_ring(c, ring)], [bp, bpp], [cp, cpp],
+        [bp, ncp, bpp, ncpp], [nbp, cp, nbpp, cpp],
+    ]
+
+
+def _bc_combine(g1, g2, g3, g4, g5) -> SharePair:
+    corr = sub(add(g4, g5), add(g2, g3))
+    return add(g1, const_mult(2, corr))
+
+
 def bc2a(store: MaterialStore, b: SharePair, c: SharePair, ring: RingSpec):
     """b * c as an arithmetic share in one round (three stacked 2-MULTs and
     two stacked 4-MULTs)."""
-    batch = len(b[0])
-    b_arith, c_arith = _as_ring(b, ring), _as_ring(c, ring)
-    bp, bpp, nbp, nbpp = _lifts(b, ring)
-    cp, cpp, ncp, ncpp = _lifts(c, ring)
-    gens = [
-        mult_n(
-            [concat_pairs([b_arith, bp, cp]), concat_pairs([c_arith, bpp, cpp])],
-            *store.take_bte(2, ring, 3 * batch),
-        ),
-        mult_n(
-            [
-                concat_pairs([bp, nbp]),
-                concat_pairs([ncp, cp]),
-                concat_pairs([bpp, nbpp]),
-                concat_pairs([ncpp, cpp]),
-            ],
-            *store.take_bte(4, ring, 2 * batch),
-        ),
-    ]
-    two_mults, four_mults = yield from parallel(gens)
-    g1, g2, g3 = split_pair(two_mults, 3)
-    g4, g5 = split_pair(four_mults, 2)
-    corr = sub(add(g4, g5), add(g2, g3))
-    return add(g1, const_mult(2, corr))
+    products = yield from bank(store, mult_n, _bc_gates(b, c, ring))
+    return _bc_combine(*products)
 
 
 def bc2a_manifest(ring: RingSpec, batch: int) -> list[Need]:
@@ -578,36 +473,12 @@ def bc2a_manifest(ring: RingSpec, batch: int) -> list[Need]:
 
 
 def bcx2a(store: MaterialStore, b: SharePair, c: SharePair, x: SharePair):
-    """b * c * x in one round (three stacked 3-MULTs, two stacked 5-MULTs)."""
-    ring = x[0].ring
+    """b * c * x in one round (three stacked 3-MULTs, two stacked 5-MULTs):
+    BC2A with x joined to every gate."""
     _check_arith(x)
-    batch = len(x[0])
-    b_arith, c_arith = _as_ring(b, ring), _as_ring(c, ring)
-    bp, bpp, nbp, nbpp = _lifts(b, ring)
-    cp, cpp, ncp, ncpp = _lifts(c, ring)
-    x3 = concat_pairs([x, x, x])
-    x2 = concat_pairs([x, x])
-    gens = [
-        mult_n(
-            [concat_pairs([b_arith, bp, cp]), concat_pairs([c_arith, bpp, cpp]), x3],
-            *store.take_bte(3, ring, 3 * batch),
-        ),
-        mult_n(
-            [
-                concat_pairs([bp, nbp]),
-                concat_pairs([ncp, cp]),
-                concat_pairs([bpp, nbpp]),
-                concat_pairs([ncpp, cpp]),
-                x2,
-            ],
-            *store.take_bte(5, ring, 2 * batch),
-        ),
-    ]
-    three_mults, five_mults = yield from parallel(gens)
-    g1, g2, g3 = split_pair(three_mults, 3)
-    g4, g5 = split_pair(five_mults, 2)
-    corr = sub(add(g4, g5), add(g2, g3))
-    return add(g1, const_mult(2, corr))
+    gates = [[*gate, x] for gate in _bc_gates(b, c, x[0].ring)]
+    products = yield from bank(store, mult_n, gates)
+    return _bc_combine(*products)
 
 
 def bcx2a_manifest(ring: RingSpec, batch: int) -> list[Need]:
@@ -761,6 +632,8 @@ class LookupTable:
     values: list[SharePair]
 
     def __post_init__(self):
+        if not self.keys:
+            raise ShapeError("a lookup table needs at least one key")
         if len(self.keys) != len(self.values):
             raise ShapeError("key/value count mismatch")
 

@@ -94,6 +94,21 @@ def test_error_is_machine_readable(capsys):
     assert obj["error"] == "DomainError"
 
 
+@pytest.mark.parametrize("argv", [
+    ("--target", "protocol", "--name", "equality", "--batch", "-1"),
+    ("--target", "protocol", "--name", "equality", "--batch", "0"),
+    ("--target", "protocol", "--name", "tlu0"),
+    ("--target", "gate", "--name", "2-AND", "--batch", "0"),
+    ("--target", "editdist", "--batch", "0"),
+    ("--target", "editdist", "--length", "-1"),
+])
+def test_invalid_input_is_a_json_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "DomainError"
+
+
 def test_capability_error_path(capsys):
     code, _, err = run_cli(
         capsys, "--target", "protocol", "--name", "overflow1r", "--ring", "32",

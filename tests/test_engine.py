@@ -94,6 +94,23 @@ def test_provision_refused_after_online():
         sess.provision([Need("bte", 8, 1, fan_in=2)])
 
 
+def test_failed_run_poisons_session():
+    def broken():
+        yield _noise_round()
+        raise RuntimeError("mid-protocol failure")
+
+    sess = Session(seed=0)
+    with pytest.raises(RuntimeError):
+        sess.run(broken())
+    assert sess.rounds == 1
+    assert sess.bits == [32, 32]
+    assert len(sess.transcript.rounds) == 1
+    with pytest.raises(MaterialError):
+        sess.run(simple_protocol(1))
+    assert sess.rounds == 1
+    assert sess.cost_report()["bits_per_party"] == 32
+
+
 def test_cost_report_model():
     sess = Session(seed=0)
     sess.run(simple_protocol(2, n_items=1, length=1000, width=8))

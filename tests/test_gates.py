@@ -3,11 +3,12 @@ import itertools
 import numpy as np
 import pytest
 
-from ringmpc.dealer import Need
+from ringmpc.dealer import Need, RecordingStore
 from ringmpc.engine import Session
 from ringmpc.errors import DomainError, MaterialReuseError, ShapeError
 from ringmpc.gates import (
     and_n,
+    bank,
     fanin_schedule,
     mult_n,
     or_n,
@@ -121,3 +122,57 @@ def test_batched_gate_scales_bits_linearly():
     sess.run(and_n([a, b], *sess.store.take_bte(2, BOOL, batch)))
     assert sess.rounds == 1
     assert sess.bits == [2 * batch, 2 * batch]
+
+
+# (fan-in, batch) of each gate: mixed fan-ins, unequal batches, a fan-in
+# that only one gate has.
+BANK_GATES = [(3, 4), (2, 5), (3, 2), (4, 3), (2, 1)]
+BANK_TAKES = [(2, 6), (3, 6), (4, 3)]  # ascending fan-in, summed batch
+
+
+def _bank_inputs(sess, ring):
+    rng = np.random.default_rng(11)
+    high = 2 if ring.is_boolean else ring.modulus
+    plain = [
+        [rng.integers(0, high, batch, dtype=np.uint64) for _ in range(fan)]
+        for fan, batch in BANK_GATES
+    ]
+    return plain, [[sess.share_input(v, ring) for v in gate] for gate in plain]
+
+
+@pytest.mark.parametrize("op,ring", [(and_n, BOOL), (or_n, BOOL), (mult_n, Z32)])
+def test_bank_runs_mixed_gates_in_one_round(op, ring):
+    sess = Session(seed=6)
+    sess.provision([Need("bte", ring.width_bits, b, fan_in=f) for f, b in BANK_TAKES])
+    plain, gates = _bank_inputs(sess, ring)
+    outs = sess.run(bank(sess.store, op, gates))
+    for vals, out in zip(plain, outs):
+        if op is or_n:
+            expect = np.bitwise_or.reduce(vals)
+        else:
+            expect = np.ones(len(vals[0]), dtype=ring.dtype)
+            for v in vals:
+                expect = ring.wrap(expect * v)
+        assert np.array_equal(reconst(*out), ring.wrap(expect))
+    assert sess.rounds == 1
+    bits = sum(f * b * ring.width_bits for f, b in BANK_GATES)
+    assert sess.bits == [bits, bits]
+    assert sess.store.is_empty()
+
+
+@pytest.mark.parametrize("op,ring", [(and_n, BOOL), (mult_n, Z32)])
+def test_bank_takes_one_table_per_fanin_in_ascending_order(op, ring):
+    store = RecordingStore()
+    _, gates = _bank_inputs(Session(seed=6), ring)
+    Session().run(bank(store, op, gates))
+    assert store.needs == [
+        Need("bte", ring.width_bits, b, fan_in=f) for f, b in BANK_TAKES
+    ]
+
+
+def test_bank_without_gates_costs_nothing():
+    sess = Session(seed=0)
+    store = RecordingStore()
+    assert sess.run(bank(store, and_n, [])) == []
+    assert sess.rounds == 0
+    assert store.needs == []

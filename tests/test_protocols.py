@@ -494,3 +494,5 @@ def test_lookup_table_shape_check():
     sess = Session(seed=0)
     with pytest.raises(ShapeError):
         P.LookupTable([sess.share_input([1], Z16)], [])
+    with pytest.raises(ShapeError):
+        P.LookupTable([], [])
