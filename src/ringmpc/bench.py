@@ -139,9 +139,10 @@ def _lookup(name: str, fanin_cap: int):
         xs = _values(int(m.group(1)), half=True)
         return P.maxn, lambda *spec: [xs(*spec), fanin_cap], None
     if m := re.fullmatch(r"tlu(\d+)", name):
-        if int(m.group(1)) < 1:
+        n_keys = int(m.group(1))
+        if n_keys < 1:
             raise DomainError(f"{name} has no keys; a lookup needs at least one")
-        return P.tlu, _tlu_inputs(int(m.group(1))), None
+        return P.tlu, _tlu_inputs(n_keys), None
     return None
 
 
