@@ -13,7 +13,7 @@ import time
 
 import numpy as np
 
-from .dealer import Need
+from .dealer import check_fan_in
 from .editdist import (
     MAX_LENGTH,
     edit_distance,
@@ -55,24 +55,6 @@ def _rand_inputs(sess: Session, rng, ring: RingSpec, batch: int, count: int,
 
 def _rand_bits(sess: Session, rng, batch: int, count: int):
     return _rand_inputs(sess, rng, BOOL, batch, count, high=2)
-
-
-def _gate_setup(sess, rng, name, ring, batch):
-    m = _GATE_RE.fullmatch(name)
-    if not m:
-        raise DomainError(f"unknown gate {name!r}; expected e.g. 2-AND, 3-MULT")
-    fan = int(m.group(1))
-    kind = m.group(2).lower()
-    gate_ring = BOOL if kind in ("and", "or") else ring
-    needs = [Need("bte", gate_ring.width_bits, batch, fan_in=fan)]
-    fn = {"and": and_n, "or": or_n, "mult": mult_n}[kind]
-    high = 2 if gate_ring.is_boolean else None
-
-    def gen(store):
-        inputs = _rand_inputs(sess, rng, gate_ring, batch, fan, high=high)
-        return fn(inputs, *store.take_bte(fan, gate_ring, batch))
-
-    return needs, gen
 
 
 # ---------------------------------------------------------------------------
@@ -132,18 +114,48 @@ PROTOCOLS = {
 }
 
 
-def _lookup(name: str, fanin_cap: int):
+def _gate(name: str, fanin_cap: int):
+    """An ``N-AND``/``N-OR``/``N-MULT`` gate as a (protocol, input builder)
+    entry: AND and OR run over bits, MULT over the row's ring. The fan-in
+    is checked before a recording run would build its 2**N table."""
+    m = _GATE_RE.fullmatch(name)
+    if not m:
+        raise DomainError(f"unknown gate {name!r}; expected e.g. 2-AND, 3-MULT")
+    fan, kind = int(m.group(1)), m.group(2).lower()
+    check_fan_in(fan, fanin_cap)
+    op = {"and": and_n, "or": or_n, "mult": mult_n}[kind]
+
+    def gate(store, inputs):
+        return op(inputs, *store.take_bte(fan, inputs[0][0].ring, len(inputs[0][0])))
+
+    def build(sess, rng, ring, batch):
+        if kind == "mult":
+            return [_rand_inputs(sess, rng, ring, batch, fan)]
+        return [_rand_bits(sess, rng, batch, fan)]
+
+    return gate, build
+
+
+def _protocol(name: str, baseline: bool, fanin_cap: int):
+    """The (protocol, input builder) entry of a registry name, maxN or tluN."""
+    base = None
     if name in PROTOCOLS:
-        return PROTOCOLS[name]
-    if m := re.fullmatch(r"max(\d+)", name):
+        proto, build, base = PROTOCOLS[name]
+    elif m := re.fullmatch(r"max(\d+)", name):
         xs = _values(int(m.group(1)), half=True)
-        return P.maxn, lambda *spec: [xs(*spec), fanin_cap], None
-    if m := re.fullmatch(r"tlu(\d+)", name):
+        proto, build = P.maxn, lambda *spec: [xs(*spec), fanin_cap]
+    elif m := re.fullmatch(r"tlu(\d+)", name):
         n_keys = int(m.group(1))
         if n_keys < 1:
             raise DomainError(f"{name} has no keys; a lookup needs at least one")
-        return P.tlu, _tlu_inputs(n_keys), None
-    return None
+        proto, build = P.tlu, _tlu_inputs(n_keys)
+    elif not baseline:
+        raise DomainError(f"unknown protocol {name!r}")
+    if baseline:
+        if base is None:
+            raise DomainError(f"no baseline variant of {name}")
+        proto = base
+    return proto, build
 
 
 class _ZeroSharer:
@@ -154,20 +166,6 @@ class _ZeroSharer:
     @staticmethod
     def share_input(x, ring: RingSpec):
         return const_pair(0, ring, np.size(x))
-
-
-def _protocol_setup(sess, rng, name, ring, batch, baseline, fanin_cap):
-    proto, build, base = _lookup(name, fanin_cap) or (None, None, None)
-    if baseline:
-        if base is None:
-            raise DomainError(f"no baseline variant of {name}")
-        proto = base
-    if proto is None:
-        raise DomainError(f"unknown protocol {name!r}")
-    args = build(sess, rng, ring, batch)
-    zeros = build(_ZeroSharer(), np.random.default_rng(0), ring, 1)
-    return (derive_manifest(proto, *zeros, batch=batch),
-            lambda store: proto(store, *args))
 
 
 def run_bench(target: str, name: str = "", ring_width: int = 32, batch: int = 1,
@@ -181,33 +179,36 @@ def run_bench(target: str, name: str = "", ring_width: int = 32, batch: int = 1,
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xB]))
     ring = RingSpec(ring_width)
 
-    if target == "gate":
-        needs, gen_factory = _gate_setup(sess, rng, name, ring, batch)
-    elif target == "protocol":
-        needs, gen_factory = _protocol_setup(
-            sess, rng, name, ring, batch, baseline, fanin_cap
-        )
-    elif target == "editdist":
+    # Inputs are shared before provisioning, outside both timers. Edit
+    # distance's material is not linear in L, so its manifest is composed.
+    if target == "editdist":
         if baseline:
             raise DomainError("no baseline variant of editdist")
         if not 1 <= length <= MAX_LENGTH:
             raise DomainError(f"length {length} outside [1, {MAX_LENGTH}]")
         codes = rng.integers(0, 4, size=(2, batch, length), dtype=np.uint64)
-        s = share_strings(codes[0], sess.dealer)
-        t = share_strings(codes[1], sess.dealer)
+        proto = edit_distance
+        args = [share_strings(c, sess.dealer) for c in codes]
         needs = edit_distance_manifest(length, batch)
-        gen_factory = lambda store: edit_distance(store, s, t)
         name = name or f"L{length}"
         ring_width = 16  # the app is fixed to Z_2^16
     else:
-        raise DomainError(f"unknown target {target!r}")
+        if target == "gate":
+            proto, build = _gate(name, fanin_cap)
+        elif target == "protocol":
+            proto, build = _protocol(name, baseline, fanin_cap)
+        else:
+            raise DomainError(f"unknown target {target!r}")
+        args = build(sess, rng, ring, batch)
+        zeros = build(_ZeroSharer(), np.random.default_rng(0), ring, 1)
+        needs = derive_manifest(proto, *zeros, batch=batch)
 
     t0 = time.perf_counter()
     sess.provision(needs)
     precomp_ms = (time.perf_counter() - t0) * 1000.0
 
     t0 = time.perf_counter()
-    sess.run(gen_factory(sess.store))
+    sess.run(proto(sess.store, *args))
     online_ms = (time.perf_counter() - t0) * 1000.0
 
     rep = sess.cost_report(CostModel(bandwidth_bits_per_ms, rtt_ms))

@@ -87,6 +87,13 @@ class Need:
         return replace(self, batch=self.batch * factor)
 
 
+def check_fan_in(fan_in: int, cap: int):
+    """Refuse a BTE table outside fan-in [2, cap]: it has 2**fan_in - 1 entries."""
+    if not 2 <= fan_in <= cap:
+        raise CapabilityError(
+            f"fan-in {fan_in} outside [2, {cap}]; table size grows as 2**fan_in")
+
+
 class Dealer:
     """Generates BTE tables, B2A material, and input shares from one seeded
     generator. ``draw_count`` counts uniform-vector draws, which lets tests
@@ -102,11 +109,7 @@ class Dealer:
         return uniform(ring, size, self.rng)
 
     def gen_bte(self, fan_in: int, ring: RingSpec, batch: int) -> tuple[BteTable, BteTable]:
-        if not 2 <= fan_in <= self.fanin_cap:
-            raise CapabilityError(
-                f"fan-in {fan_in} outside [2, {self.fanin_cap}]; "
-                "table size grows as 2**fan_in"
-            )
+        check_fan_in(fan_in, self.fanin_cap)
         full = (1 << fan_in) - 1
         plain: dict[int, np.ndarray] = {}
         e0: dict[int, np.ndarray] = {}

@@ -5,6 +5,11 @@ computes the full L x L mismatch matrix in 3 rounds (stacked equality, one
 conversion, local complement). Phase 2 sweeps the 2L - 1 anti-diagonals of
 the DP table; every cell of a diagonal is independent, so each diagonal is
 a single batched 3-Min (4 rounds), giving exactly 8L - 1 rounds total.
+
+The DP table is one share pair over (L + 1) x (L + 1) cells of P elements:
+cell (i, j) occupies segment (i * (L + 1) + j) * P. Row 0 and column 0 hold
+the public boundary i + j on party 0; each diagonal gathers its up, left
+and diagonal neighbours by one index vector and scatters its 3-Min back.
 """
 from __future__ import annotations
 
@@ -16,18 +21,7 @@ from .dealer import Dealer, MaterialStore, Need
 from .engine import derive_manifest
 from .errors import DomainError, ShapeError
 from .protocols import b2a, equality, min3, min3_manifest
-from .ring import (
-    Share,
-    SharePair,
-    Z16,
-    add,
-    concat_pairs,
-    const_add,
-    const_pair,
-    neg,
-    slice_pair,
-    split_pair,
-)
+from .ring import Share, SharePair, Z16, add, const_add, const_pair, neg, trivial
 
 ALPHABET = 4  # characters encoded 0..3 (A, T, G, C)
 RING = Z16
@@ -71,8 +65,14 @@ def _gather(pair: SharePair, idx: np.ndarray) -> SharePair:
     return tuple(Share(i, ring, pair[i].values[idx]) for i in (0, 1))
 
 
-def _diag_cells(length: int, d: int) -> list[tuple[int, int]]:
-    return [(i, d - i) for i in range(max(1, d - length), min(length, d - 1) + 1)]
+def _diag_rows(length: int, d: int) -> np.ndarray:
+    """Rows i of the inner cells (i, d - i) on anti-diagonal d, ascending."""
+    return np.arange(max(1, d - length), min(length, d - 1) + 1)
+
+
+def _segments(cells: np.ndarray, pairs: int) -> np.ndarray:
+    """Element indices of the P-element segments of ``cells``, in order."""
+    return (cells[:, None] * pairs + np.arange(pairs)).ravel()
 
 
 def mismatch_matrix(store: MaterialStore, s: GenomeShareString,
@@ -103,25 +103,21 @@ def edit_distance(store: MaterialStore, s: GenomeShareString,
     length, pairs = s.length, s.pairs
     e = yield from mismatch_matrix(store, s, t)
 
-    def e_cell(i, j):  # 1-based DP indices
-        off = ((i - 1) * length + (j - 1)) * pairs
-        return slice_pair(e, off, off + pairs)
-
-    dp = {}
-    for i in range(length + 1):
-        dp[(i, 0)] = const_pair(i, RING, pairs)
-    for j in range(1, length + 1):
-        dp[(0, j)] = const_pair(j, RING, pairs)
-
+    side = length + 1
+    row, col = np.divmod(np.arange(side * side), side)
+    table = trivial(0, np.repeat(np.where(row * col == 0, row + col, 0), pairs), RING)
     for d in range(2, 2 * length + 1):
-        cells = _diag_cells(length, d)
-        up = concat_pairs([const_add(1, dp[(i - 1, j)]) for i, j in cells])
-        left = concat_pairs([const_add(1, dp[(i, j - 1)]) for i, j in cells])
-        diag = concat_pairs([add(dp[(i - 1, j - 1)], e_cell(i, j)) for i, j in cells])
+        i = _diag_rows(length, d)
+        j = d - i
+        at = _segments(i * side + j, pairs)
+        up = const_add(1, _gather(table, at - side * pairs))
+        left = const_add(1, _gather(table, at - pairs))
+        diag = add(_gather(table, at - (side + 1) * pairs),
+                   _gather(e, _segments((i - 1) * length + j - 1, pairs)))
         best = yield from min3(store, [up, left, diag])
-        for (i, j), part in zip(cells, split_pair(best, len(cells))):
-            dp[(i, j)] = part
-    return dp[(length, length)]
+        for party in (0, 1):
+            table[party].values[at] = best[party].values
+    return best  # the last diagonal is the single cell (L, L)
 
 
 def edit_distance_manifest(length: int, pairs: int = 1) -> list[Need]:
@@ -132,7 +128,7 @@ def edit_distance_manifest(length: int, pairs: int = 1) -> list[Need]:
     needs = mismatch_manifest(length, pairs)
     cell = min3_manifest(RING, 1)
     for d in range(2, 2 * length + 1):
-        cells = len(_diag_cells(length, d)) * pairs
+        cells = len(_diag_rows(length, d)) * pairs
         needs += [need.scaled(cells) for need in cell]
     return needs
 

@@ -5,6 +5,10 @@ round carrying the N masked inputs (N * width bits per party) and finishes
 locally. Over the boolean ring multiplication *is* AND and addition *is*
 XOR, so one code path serves both share types. ``bank`` runs many gates in
 one round and decides how they share material.
+
+Subset products and sums run in the ring's own dtype, which wraps natively.
+Width 1 accumulates in uint8, which is exact: 2^8 is even, so parity survives
+the wrap even for fan-in 9's 511 terms, and ``Share`` keeps the low bit.
 """
 from __future__ import annotations
 
@@ -64,14 +68,14 @@ def mult_n(inputs: list[SharePair], t0: BteTable, t1: BteTable):
     q[0] = np.ones(batch, dtype=ring.dtype)
     for mask in range(1, full + 1):
         low = mask & -mask
-        q[mask] = ring.wrap(q[mask ^ low] * opened[low.bit_length() - 1])
-    z0 = q[full].astype(np.uint64)
-    z1 = np.zeros(batch, dtype=np.uint64)
+        q[mask] = q[mask ^ low] * opened[low.bit_length() - 1]
+    z0 = q[full].copy()
+    z1 = np.zeros(batch, dtype=ring.dtype)
     for mask in range(1, full + 1):
         outside = q[full ^ mask]
-        z0 += outside.astype(np.uint64) * t0.entries[mask]
-        z1 += outside.astype(np.uint64) * t1.entries[mask]
-    return Share(0, ring, ring.wrap(z0)), Share(1, ring, ring.wrap(z1))
+        z0 += outside * t0.entries[mask]
+        z1 += outside * t1.entries[mask]
+    return Share(0, ring, z0), Share(1, ring, z1)
 
 
 def and_n(inputs: list[SharePair], t0: BteTable, t1: BteTable):

@@ -194,7 +194,7 @@ def _overflow_planes(x: SharePair, k: int):
     n = ring.width_bits
     mask = ring.dtype((1 << k) - 1) if k < 64 else ring.dtype(np.uint64(2**64 - 1))
     d0 = bits_of(x[0].values & mask, n)
-    d1 = bits_of(ring.wrap(0 - x[1].values) & mask, n)
+    d1 = bits_of((0 - x[1].values) & mask, n)
     zero = np.zeros(len(x[0]), np.uint8)
     dplanes = [(Share(0, BOOL, d0[j]), Share(1, BOOL, d1[j])) for j in range(n)]
     uplanes = [(Share(0, BOOL, zero), Share(1, BOOL, d1[j])) for j in range(n)]
@@ -273,10 +273,10 @@ def overflow_1r(store: MaterialStore, x: SharePair, n1: int | None = None,
     if n1 + n2 != n or n1 < 2 or n2 < 1:
         raise CapabilityError(f"infeasible split ({n1}, {n2}) for width {n}")
     batch = len(x[0])
-    y0 = (x[0].values >> ring.dtype(n2)).astype(np.uint64)
-    y1 = (x[1].values >> ring.dtype(n2)).astype(np.uint64)
-    z0 = (x[0].values & ring.dtype((1 << n2) - 1)).astype(np.uint64)
-    z1 = (x[1].values & ring.dtype((1 << n2) - 1)).astype(np.uint64)
+    y0 = x[0].values >> ring.dtype(n2)
+    y1 = x[1].values >> ring.dtype(n2)
+    z0 = x[0].values & ring.dtype((1 << n2) - 1)
+    z1 = x[1].values & ring.dtype((1 << n2) - 1)
     y0bits = bits_of(y0, n1)
     y1bits = bits_of(y1, n1)
 
@@ -412,9 +412,8 @@ def b2a(store: MaterialStore, x: SharePair, ring: RingSpec):
     ((xp, xpp),) = yield [
         ExchangeItem(ring.wrap(x0 - mat.a), ring.wrap(x1 - mat.b), ring.width_bits)
     ]
-    two = ring.dtype(2)
-    z0 = ring.wrap(x0 - two * ring.wrap(xp * xpp + xpp * mat.a + mat.c0))
-    z1 = ring.wrap(x1 - two * ring.wrap(xp * mat.b + mat.c1))
+    z0 = x0 - 2 * (xp * xpp + xpp * mat.a + mat.c0)
+    z1 = x1 - 2 * (xp * mat.b + mat.c1)
     return Share(0, ring, z0), Share(1, ring, z1)
 
 

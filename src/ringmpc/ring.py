@@ -63,7 +63,9 @@ Z64 = RingSpec(64)
 
 @dataclass
 class Share:
-    """One party's additive (or XOR, for width 1) share of a secret vector."""
+    """One party's additive (or XOR, for width 1) share of a secret vector.
+    The one place values are normalised: cast to the ring's dtype, width 1
+    masked to its low bit; callers pass raw dtype arithmetic unwrapped."""
 
     party_id: int
     ring: RingSpec
@@ -113,10 +115,7 @@ def share(x, ring: RingSpec, rng: np.random.Generator) -> SharePair:
         raise DomainError("plaintext value out of ring range")
     x = x.astype(ring.dtype)
     r = uniform(ring, len(x), rng)
-    return (
-        Share(0, ring, r),
-        Share(1, ring, ring.wrap(x - r)),
-    )
+    return Share(0, ring, r), Share(1, ring, x - r)
 
 
 def reconst(s0: Share, s1: Share) -> np.ndarray:
@@ -128,7 +127,7 @@ def reconst(s0: Share, s1: Share) -> np.ndarray:
 def trivial(holder: int, values, ring: RingSpec) -> SharePair:
     """Lift a value held in the clear by one party into a share pair
     (v, 0) or (0, v). No communication."""
-    values = ring.wrap(np.atleast_1d(np.asarray(values, dtype=np.uint64)).astype(ring.dtype))
+    values = np.atleast_1d(np.asarray(values, dtype=np.uint64)).astype(ring.dtype)
     zero = np.zeros_like(values)
     if holder == 0:
         return Share(0, ring, values), Share(1, ring, zero)
@@ -146,14 +145,14 @@ def const_pair(c, ring: RingSpec, batch: int) -> SharePair:
 def add(a: SharePair, b: SharePair) -> SharePair:
     _check_same(a, b)
     ring = a[0].ring
-    return tuple(Share(i, ring, ring.wrap(a[i].values + b[i].values)) for i in (0, 1))
+    return tuple(Share(i, ring, a[i].values + b[i].values) for i in (0, 1))
 
 
 def sub(a: SharePair, b: SharePair) -> SharePair:
     """Additive subtraction: both parties subtract; reconstructs a - b."""
     _check_same(a, b)
     ring = a[0].ring
-    return tuple(Share(i, ring, ring.wrap(a[i].values - b[i].values)) for i in (0, 1))
+    return tuple(Share(i, ring, a[i].values - b[i].values) for i in (0, 1))
 
 
 def sub_mirror(a: SharePair, b: SharePair) -> SharePair:
@@ -164,32 +163,27 @@ def sub_mirror(a: SharePair, b: SharePair) -> SharePair:
     """
     _check_same(a, b)
     ring = a[0].ring
-    return (
-        Share(0, ring, ring.wrap(a[0].values - b[0].values)),
-        Share(1, ring, ring.wrap(b[1].values - a[1].values)),
-    )
+    return (Share(0, ring, a[0].values - b[0].values),
+            Share(1, ring, b[1].values - a[1].values))
 
 
 def neg(a: SharePair) -> SharePair:
     ring = a[0].ring
-    return tuple(Share(i, ring, ring.wrap(0 - a[i].values)) for i in (0, 1))
+    return tuple(Share(i, ring, 0 - a[i].values) for i in (0, 1))
 
 
 def const_add(c, a: SharePair) -> SharePair:
     """Add a public constant: party 0 adds c, party 1 adds zero."""
     ring = a[0].ring
     c = ring.wrap(np.asarray(c, dtype=np.uint64).astype(ring.dtype))
-    return (
-        Share(0, ring, ring.wrap(a[0].values + c)),
-        Share(1, ring, a[1].values.copy()),
-    )
+    return Share(0, ring, a[0].values + c), Share(1, ring, a[1].values.copy())
 
 
 def const_mult(c, a: SharePair) -> SharePair:
     """Multiply by a public constant: both parties scale their share."""
     ring = a[0].ring
     c = ring.wrap(np.asarray(c, dtype=np.uint64).astype(ring.dtype))
-    return tuple(Share(i, ring, ring.wrap(a[i].values * c)) for i in (0, 1))
+    return tuple(Share(i, ring, a[i].values * c) for i in (0, 1))
 
 
 def xor(a: SharePair, b: SharePair) -> SharePair:
@@ -210,8 +204,8 @@ def not_(a: SharePair) -> SharePair:
 # Bit planes.
 
 def bits_of(values: np.ndarray, width: int) -> list:
-    """LSB-first bit vectors of a plain value array."""
-    return [((values >> np.uint64(j)).astype(np.uint8) & np.uint8(1)) for j in range(width)]
+    """LSB-first bit vectors of a plain value array, shifted in its own dtype."""
+    return [(values >> values.dtype.type(j)).astype(np.uint8) & 1 for j in range(width)]
 
 
 def bit_decompose_local(pair: SharePair) -> list[SharePair]:

@@ -4,6 +4,7 @@ import pytest
 
 from ringmpc.bench import ROW_FIELDS, run_bench
 from ringmpc.cli import main, render
+from ringmpc.dealer import Dealer
 
 
 def run_cli(capsys, *argv):
@@ -115,6 +116,36 @@ def test_capability_error_path(capsys):
     )
     assert code != 0
     assert json.loads(err)["error"] == "CapabilityError"
+
+
+@pytest.mark.parametrize("name", ["1-AND", "10-or", "12-MULT"])
+def test_gate_fanin_outside_cap_is_a_capability_error(capsys, name):
+    code, out, err = run_cli(capsys, "--target", "gate", "--name", name)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "CapabilityError"
+
+
+@pytest.mark.parametrize("target, name", [
+    ("gate", "3-AND"), ("gate", "2-MULT"), ("protocol", "comparison"), ("editdist", ""),
+])
+def test_inputs_are_shared_before_provisioning(monkeypatch, target, name):
+    """Input sharing stays out of the timed online phase."""
+    calls = []
+
+    def record(attr):
+        method = getattr(Dealer, attr)
+
+        def wrapper(self, *args):
+            calls.append(attr)
+            return method(self, *args)
+        monkeypatch.setattr(Dealer, attr, wrapper)
+
+    record("share_input")
+    record("provision")
+    run_bench(target, name, batch=2)
+    assert "share_input" in calls
+    assert calls.count("provision") == 1 and calls[-1] == "provision"
 
 
 def test_measure_fills_time_columns():

@@ -23,7 +23,7 @@ def truth_table_inputs(sess, fan_in):
     return rows, [sess.share_input(rows[:, i], BOOL) for i in range(fan_in)]
 
 
-@pytest.mark.parametrize("fan_in", range(2, 7))
+@pytest.mark.parametrize("fan_in", range(2, 10))
 def test_and_or_exhaustive_truth_tables(fan_in):
     sess = Session(seed=fan_in)
     batch = 1 << fan_in

@@ -102,8 +102,14 @@ def test_xor_not(rng):
 
 
 def test_bits_of_lsb_first():
-    planes = bits_of(np.array([0b1011], dtype=np.uint64), 4)
-    assert [int(p[0]) for p in planes] == [1, 1, 0, 1]
+    for dtype in (np.uint8, np.uint16, np.uint32, np.uint64):
+        width = np.dtype(dtype).itemsize * 8
+        top = 1 << (width - 1)
+        planes = bits_of(np.array([top | 0b1011, 0b0100], dtype=dtype), width)
+        assert len(planes) == width
+        assert all(p.dtype == np.uint8 for p in planes)
+        assert [int(p[0]) for p in planes] == [1, 1, 0, 1] + [0] * (width - 5) + [1]
+        assert [int(p[1]) for p in planes] == [0, 0, 1] + [0] * (width - 3)
 
 
 def test_bit_decompose_local_planes_are_own_bits(rng):
