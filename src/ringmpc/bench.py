@@ -194,6 +194,8 @@ def run_bench(target: str, name: str = "", ring_width: int = 32, batch: int = 1,
         ring_width = 16  # the app is fixed to Z_2^16
     else:
         if target == "gate":
+            if baseline:
+                raise DomainError(f"no baseline variant of {name}")
             proto, build = _gate(name, fanin_cap)
         elif target == "protocol":
             proto, build = _protocol(name, baseline, fanin_cap)

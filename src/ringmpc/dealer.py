@@ -23,6 +23,7 @@ from .errors import (
 from .ring import SUPPORTED_WIDTHS, RingSpec, SharePair, uniform
 
 DEFAULT_FANIN_CAP = 9
+MAX_FANIN = 16  # a fan-in-N table holds 2**N - 1 entries per element
 
 
 @dataclass
@@ -100,6 +101,8 @@ class Dealer:
     pin the per-instance randomness budget."""
 
     def __init__(self, rng: np.random.Generator, fanin_cap: int = DEFAULT_FANIN_CAP):
+        if fanin_cap > MAX_FANIN:
+            raise CapabilityError(f"fan-in cap {fanin_cap} above the maximum {MAX_FANIN}")
         self.rng = rng
         self.fanin_cap = fanin_cap
         self.draw_count = 0
@@ -110,6 +113,9 @@ class Dealer:
 
     def gen_bte(self, fan_in: int, ring: RingSpec, batch: int) -> tuple[BteTable, BteTable]:
         check_fan_in(fan_in, self.fanin_cap)
+        # In the ring's dtype, unwrapped: + and - are XOR at width 1 and wrap
+        # natively above it; products of 0/1 stay 0/1.
+        add, sub = (np.bitwise_xor,) * 2 if ring.is_boolean else (np.add, np.subtract)
         full = (1 << fan_in) - 1
         plain: dict[int, np.ndarray] = {}
         e0: dict[int, np.ndarray] = {}
@@ -118,16 +124,16 @@ class Dealer:
             mask = 1 << bit
             s0 = self._draw(ring, batch)
             s1 = self._draw(ring, batch)
-            plain[mask] = ring.wrap(s0 + s1)
+            plain[mask] = add(s0, s1)
             e0[mask], e1[mask] = s0, s1
         for mask in range(1, full + 1):
             if mask & (mask - 1) == 0:
                 continue  # singleton, done above
             low = mask & -mask
-            plain[mask] = ring.wrap(plain[mask ^ low] * plain[low])
+            plain[mask] = plain[mask ^ low] * plain[low]
             s0 = self._draw(ring, batch)
             e0[mask] = s0
-            e1[mask] = ring.wrap(plain[mask] - s0)
+            e1[mask] = sub(plain[mask], s0)
         t0 = BteTable(0, fan_in, ring, batch, e0)
         t1 = BteTable(1, fan_in, ring, batch, e1)
         return t0, t1
@@ -138,8 +144,7 @@ class Dealer:
         a = self._draw(ring, batch)
         b = self._draw(ring, batch)
         r = self._draw(ring, batch)
-        c = ring.wrap(a * b)
-        return B2aMaterial(ring, batch, a=a, b=b, c0=r, c1=ring.wrap(c - r))
+        return B2aMaterial(ring, batch, a=a, b=b, c0=r, c1=a * b - r)
 
     def share_input(self, x, ring: RingSpec) -> SharePair:
         from .ring import share
@@ -284,9 +289,7 @@ def load_material(path: str) -> MaterialStore:
                 raise MaterialError(f"{path}: bad record width {width} or batch {batch}")
             ring = RingSpec(width)
             nbytes = batch * _le_dtype(ring).itemsize
-            if kind == b"bte" and 2 <= fan_in <= left().bit_length():
-                # The bit-length bound keeps 1 << fan_in small; the size
-                # check below is the exact one.
+            if kind == b"bte" and 2 <= fan_in <= MAX_FANIN:
                 arrays = 2 * ((1 << fan_in) - 1)
             elif kind == b"b2a" and fan_in == 0 and not ring.is_boolean:
                 arrays = 4

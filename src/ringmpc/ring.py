@@ -102,10 +102,22 @@ def _check_same(a: SharePair, b: SharePair):
 
 
 def uniform(ring: RingSpec, size: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform vector of ring elements."""
-    if ring.width_bits == 64:
-        return rng.integers(0, 1 << 64, size=size, dtype=np.uint64)
-    return ring.wrap(rng.integers(0, ring.modulus, size=size, dtype=np.uint64))
+    """Uniform vector of ring elements, cut from raw 64-bit generator words.
+
+    ``ceil(size * n / 64)`` words are drawn, read as little-endian bytes on
+    any host, and cut into consecutive n-bit elements: at width 1 each bit
+    is one element, low bit first. At width 64 the words are the elements,
+    so a Z_2^64 draw equals ``rng.integers(0, 2**64, size, dtype=np.uint64)``
+    and leaves the generator in the same state. Fixed-seed draws at widths
+    below 64 differ from versions that drew one ``integers`` value per
+    element.
+    """
+    words = rng.bit_generator.random_raw(-(-size * ring.width_bits // 64))
+    raw = words.astype("<u8", copy=False).view(np.uint8)
+    if ring.is_boolean:
+        return np.unpackbits(raw, count=size, bitorder="little")
+    elems = raw.view(np.dtype(ring.dtype).newbyteorder("<"))[:size]
+    return elems.astype(ring.dtype, copy=False)
 
 
 def share(x, ring: RingSpec, rng: np.random.Generator) -> SharePair:

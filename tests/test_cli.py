@@ -4,7 +4,7 @@ import pytest
 
 from ringmpc.bench import ROW_FIELDS, run_bench
 from ringmpc.cli import main, render
-from ringmpc.dealer import Dealer
+from ringmpc.dealer import Dealer, RecordingStore
 
 
 def run_cli(capsys, *argv):
@@ -102,6 +102,7 @@ def test_error_is_machine_readable(capsys):
     ("--target", "gate", "--name", "2-AND", "--batch", "0"),
     ("--target", "editdist", "--batch", "0"),
     ("--target", "editdist", "--length", "-1"),
+    ("--target", "gate", "--name", "2-AND", "--baseline"),
 ])
 def test_invalid_input_is_a_json_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -124,6 +125,18 @@ def test_gate_fanin_outside_cap_is_a_capability_error(capsys, name):
     assert code == 2
     assert out == ""
     assert json.loads(err)["error"] == "CapabilityError"
+
+
+def test_fanin_cap_above_the_ceiling_builds_no_table(capsys, monkeypatch):
+    built = []
+    monkeypatch.setattr(Dealer, "gen_bte", lambda *args: built.append("gen_bte"))
+    monkeypatch.setattr(RecordingStore, "take_bte", lambda *args: built.append("take_bte"))
+    code, out, err = run_cli(
+        capsys, "--target", "gate", "--name", "40-AND", "--fanin-cap", "40")
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "CapabilityError"
+    assert built == []
 
 
 @pytest.mark.parametrize("target, name", [

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ringmpc.dealer import (
+    MAX_FANIN,
     Dealer,
     MaterialStore,
     Need,
@@ -59,6 +60,9 @@ def test_fanin_cap(dealer):
     tight = Dealer(np.random.default_rng(0), fanin_cap=3)
     with pytest.raises(CapabilityError):
         tight.gen_bte(4, BOOL, 1)
+    Dealer(np.random.default_rng(0), fanin_cap=MAX_FANIN)
+    with pytest.raises(CapabilityError):
+        Dealer(np.random.default_rng(0), fanin_cap=MAX_FANIN + 1)
 
 
 def test_b2a_material_correlation(dealer):
@@ -183,6 +187,7 @@ def test_load_rejects_malformed_dumps(dealer, tmp_path):
         patched(bte, b"xyz\x00"),
         patched(bte + 4, u32(12)),
         patched(bte + 8, u32(1)),
+        patched(bte + 8, u32(MAX_FANIN + 1)),
         patched(bte + 8, u32(2**32 - 1)),
         patched(bte + 12, u32(0)),
         patched(bte + 12, u32(2**32 - 1)),

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.stats
 
 from ringmpc.errors import DomainError, ShapeError
 from ringmpc.ring import (
@@ -155,3 +156,40 @@ def test_uniform_is_full_range_64(rng):
     vals = uniform(Z64, 10000, rng)
     assert vals.dtype == np.uint64
     assert vals.max() > np.uint64(1) << np.uint64(63)
+
+
+@pytest.mark.parametrize("size", [0, 1, 63, 64, 65, 1000])
+@pytest.mark.parametrize("ring", RINGS)
+def test_uniform_shape_and_dtype(ring, size, rng):
+    vals = uniform(ring, size, rng)
+    assert vals.dtype == ring.dtype
+    assert vals.shape == (size,)
+    assert vals.flags.writeable
+    if ring.is_boolean:
+        assert np.all(vals <= 1)
+
+
+@pytest.mark.parametrize("size", [0, 1, 7, 100001])
+def test_uniform_64_matches_integers(size):
+    ours, ref = np.random.default_rng(99), np.random.default_rng(99)
+    got = uniform(Z64, size, ours)
+    assert np.array_equal(got, ref.integers(0, 2**64, size, dtype=np.uint64))
+    assert ours.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("ring, size", [(BOOL, 64), (Z32, 2)])
+def test_uniform_draws_whole_words(ring, size):
+    ours, ref = np.random.default_rng(5), np.random.default_rng(5)
+    uniform(ring, size, ours)
+    ref.bit_generator.random_raw(1)
+    assert ours.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("ring, shift", [
+    (BOOL, 0), (Z8, 0), (Z16, 0), (Z16, 8), (Z32, 0), (Z32, 24),
+])
+def test_uniform_bytes_pass_chi_square(ring, shift, rng):
+    vals = uniform(ring, 200_000, rng)
+    cells = (vals >> vals.dtype.type(shift)) & vals.dtype.type(0xFF)
+    counts = np.bincount(cells, minlength=ring.modulus if ring.is_boolean else 256)
+    assert scipy.stats.chisquare(counts).pvalue > 0.001

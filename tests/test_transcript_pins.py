@@ -119,28 +119,28 @@ def _configs():
 
 
 PINS = {
-    "equality": "91f8fa6176018140e5a6ca1c4a5a2e953e2ca28861e79864770f98fbb7fcce75",
-    "equality-baseline": "3b53cc73a59a0748b7c6ebfbaf35605245ca7b673c4e79ba7ae9315c34f577cf",
-    "comparison": "3908b37510b50fbc33c6b9b5da3dad431a2359fb3a777d08e9f88f7a29f29fcb",
-    "comparison-baseline": "0f2a8b36f0ce87e04b5d958c120a9f270fdb2c50be71817af23c280b4397f9f3",
-    "max3": "e9718928f5d62fce6caa50212ddc4b37e69d3dd5c2c7048758d9da8050f84133",
-    "max3-baseline": "50034c2cf25ad673def13cbe3225f670ddd81e85cadf79b8314250ef71275490",
-    "min3": "1a839e9a83d0cf61a6fc32732c607d1f2cc7eeddc39bee358cc8b1883e85aa86",
-    "argmax3": "db847d887b6e74e029d9d63db6e58985400666e559860650aff3510278232509",
-    "argmin3": "ef2c859a3ab38be099d6f68e6de13eaef227496a06a24304d10e7dac10c7e1f9",
-    "overflow": "88fd5db12b2d55106ffb49934ffbfd40e390a3f5e9900f983cf67af737e043e5",
-    "overflow1r": "4142425713fbc17f6c235ec65e0e6508c612259e6e6c7a55109453d811bd1259",
-    "msnzb": "0ce43a6b64eca8bcae25d2c8df84d9d1d5eede426e2aa23adba7a83b5b8196d6",
-    "b2a": "12275a62362b3d762b97cd6a8cb1b33f918d15d5dc168cdb79dadb3b67538bff",
-    "bx2a": "ce49930a264c2c704efa0c79edf7ac0afc41d421839a987bc570b883e87ab93e",
-    "bc2a": "145b38c681819726c9ff4efdbda1f82cc45b3e718dac6548ff6ea90dbec5f3e2",
-    "bcx2a": "358049beb4121b4936a2f7aa8b0ee2e406265b286515bae0bd47dcfd34d37d67",
-    "max5-cap9": "0825f15aa5335fe32b889d4b6d8c6f3a5a75388910a516b1b21fd12799c47e23",
-    "max5-cap3": "8f99c578959a5d97fe98048fad7c37c1a91f6c7537fd3c62e7a3251cf61159d8",
-    "tlu3": "65059a6742d491735a452c756d70bc2b552d97ae76eb146bbeef9b1231b77f76",
+    "equality": "6db9353fda5add9f1c84c38f12a8639a70b038dcf85cf93e2c3efb9d87f10c09",
+    "equality-baseline": "767e62ada2b44272a11e2d5d56653a5b121cba8835235704c5a35a8b06bbd036",
+    "comparison": "c3549019e3ea53ee400cebc16b8fb24dc41294617696908834967931c8e7e9e6",
+    "comparison-baseline": "bf55a91c4ae4cda885ec47b79b1d8b2892be4fbb263eb9558b50ce8978463d05",
+    "max3": "3db547bcd1a4a2d846164983f08623ec286b03e169695b87e473bb1a5b6163a1",
+    "max3-baseline": "5ea7f1584d609b406842adea50519a068f9aa17ad54ad1f93006576df600ceb3",
+    "min3": "c38c5773cc9bcd2b05a39b963dfbd846992b2d531e7802cf472ca4e565c103e2",
+    "argmax3": "202967f62871e7ec7a206010a58184c7e19e06e7c14dcdd3568129dd95c800c2",
+    "argmin3": "d58b0ccad7d8004fc86a0a950082e4135cec7d670f1a15a9d02296b14427ba3e",
+    "overflow": "74654d6392fd05ad2595b295477ebdc79da678122b290331094f7282cd876680",
+    "overflow1r": "fa02f4dfdb09c4ffc3fc54d2fc8e100bf03f14591dfd4f71c16abe2beb7179c6",
+    "msnzb": "c41ce8133ae3f61d73e062fe824c6801376b8226ad6b5c8f5bba28fe415cd369",
+    "b2a": "ad4d479ee6ee9ecd38d36d5b625c95bf053d0d0a9fa1c01b1562c9c9095d81fc",
+    "bx2a": "dcdddfac2317b04c1705fae558841682bd2e0852bb1c960562bee506db0404a2",
+    "bc2a": "e66b6383db921658dab0094ab834ef37935e3a4b7013b96e64a8d82ec93c25ea",
+    "bcx2a": "90f298d108615ffc90332453a4c6d3693da23c328648a052a12d470e54a5009a",
+    "max5-cap9": "20f07fd1304be28914cf0a7b1ac71a916d1f01e8e1111870c2f8eb067f9a225e",
+    "max5-cap3": "6568f5d82e9d71c25f489bcbae74cf83de410a09ee2ff87d055cc886382c3340",
+    "tlu3": "db59a21c627f239337f6549b727c2083e1c5e381c436911f68db2b86541561ac",
     "9-mult-z64": "6b7aa1cf727ce89f84b657907e2fa29bfd1e53c93b3b93313eb6ecda4b878bee",
-    "9-and-bool": "36372c8c13baf7856e363b254020a0d52e0a3d661b1499bb5a911fd59081e122",
-    "editdist-L5-P3": "1ef0fb2a35de63654847e4bb3b5556b5fa7c6203e36bd1dd61524ca22ab777b1",
+    "9-and-bool": "34512609bc8d9ec82598768e5fea50a815d244f6c7a04379d980c28b815937c6",
+    "editdist-L5-P3": "c333bc901ce1af09384dfc921ea5465fff677dd0687a24c11e1eaa612755aea6",
 }
 
 
@@ -154,7 +154,11 @@ def test_every_configuration_is_pinned():
 
 
 if __name__ == "__main__":
+    digests = {name: run() for name, run in _configs().items()}
     print("PINS = {")
-    for name, run in _configs().items():
-        print(f'    "{name}": "{run()}",')
+    for name, digest in digests.items():
+        print(f'    "{name}": "{digest}",')
     print("}")
+    kept = [name for name, digest in digests.items() if PINS.get(name) == digest]
+    print("changed:", ", ".join(sorted(set(digests) - set(kept))) or "none")
+    print("kept:", ", ".join(kept) or "none")
