@@ -10,7 +10,9 @@ from __future__ import annotations
 import os
 import struct
 from collections import deque
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
+from types import MappingProxyType
 
 import numpy as np
 
@@ -30,19 +32,26 @@ MAX_FANIN = 16  # a fan-in-N table holds 2**N - 1 entries per element
 class BteTable:
     """One party's half of a Beaver-triple extension for an N-fan-in gate.
 
-    ``entries[mask]`` is this party's share of a_I where I is the subset of
-    input slots encoded by the bitmask (bit ``l-1`` set means slot ``l`` is
+    ``rows`` is one ``(2^N - 1, batch)`` array in the ring's dtype: row
+    ``mask - 1`` is this party's share of a_I, where I is the subset of
+    input slots encoded by the bitmask (bit ``l`` set means slot ``l`` is
     in I). Reconstructed across parties, a_I equals the product of the
-    singleton masks a_{l} for l in I. Exactly 2^N - 1 entries; ascending
-    mask order is the canonical (serialization) order.
+    singleton masks a_{l} for l in I. There is no row for the empty set.
+    Ascending mask order is also the dump order. ``entries`` is a read-only
+    mask-keyed view of the same rows. A gate folds ``rows`` in place, which
+    ``consume`` makes safe: a table is used once.
     """
 
     party_id: int
     fan_in: int
     ring: RingSpec
     batch: int
-    entries: dict[int, np.ndarray]
+    rows: np.ndarray
     consumed: bool = False
+
+    @property
+    def entries(self) -> Mapping[int, np.ndarray]:
+        return MappingProxyType(dict(enumerate(self.rows, start=1)))
 
     def consume(self):
         if self.consumed:
@@ -112,31 +121,25 @@ class Dealer:
         return uniform(ring, size, self.rng)
 
     def gen_bte(self, fan_in: int, ring: RingSpec, batch: int) -> tuple[BteTable, BteTable]:
+        """Two draws per table: the N singleton masks, then party 0's half.
+
+        The plain products are filled by doubling: once the rows of every
+        subset of slots below l are known, slot l's row is a_l and the
+        rows of its supersets are those rows times a_l. Party 1's half is
+        the plain table minus party 0's, computed in place, in the ring's
+        dtype unwrapped: XOR at width 1 (products of 0/1 stay 0/1), native
+        wrapping - above it.
+        """
         check_fan_in(fan_in, self.fanin_cap)
-        # In the ring's dtype, unwrapped: + and - are XOR at width 1 and wrap
-        # natively above it; products of 0/1 stay 0/1.
-        add, sub = (np.bitwise_xor,) * 2 if ring.is_boolean else (np.add, np.subtract)
-        full = (1 << fan_in) - 1
-        plain: dict[int, np.ndarray] = {}
-        e0: dict[int, np.ndarray] = {}
-        e1: dict[int, np.ndarray] = {}
-        for bit in range(fan_in):
-            mask = 1 << bit
-            s0 = self._draw(ring, batch)
-            s1 = self._draw(ring, batch)
-            plain[mask] = add(s0, s1)
-            e0[mask], e1[mask] = s0, s1
-        for mask in range(1, full + 1):
-            if mask & (mask - 1) == 0:
-                continue  # singleton, done above
-            low = mask & -mask
-            plain[mask] = plain[mask ^ low] * plain[low]
-            s0 = self._draw(ring, batch)
-            e0[mask] = s0
-            e1[mask] = sub(plain[mask], s0)
-        t0 = BteTable(0, fan_in, ring, batch, e0)
-        t1 = BteTable(1, fan_in, ring, batch, e1)
-        return t0, t1
+        singles = self._draw(ring, fan_in * batch).reshape(fan_in, batch)
+        plain = np.empty(((1 << fan_in) - 1, batch), dtype=ring.dtype)
+        for l in range(fan_in):
+            h = 1 << l
+            plain[h - 1] = singles[l]
+            np.multiply(plain[:h - 1], singles[l], out=plain[h:2 * h - 1])
+        s0 = self._draw(ring, plain.size).reshape(plain.shape)
+        (np.bitwise_xor if ring.is_boolean else np.subtract)(plain, s0, out=plain)
+        return BteTable(0, fan_in, ring, batch, s0), BteTable(1, fan_in, ring, batch, plain)
 
     def gen_b2a_material(self, ring: RingSpec, batch: int) -> B2aMaterial:
         if ring.is_boolean:
@@ -212,9 +215,9 @@ class RecordingStore:
 
     def take_bte(self, fan_in: int, ring: RingSpec, batch: int) -> tuple[BteTable, BteTable]:
         self.needs.append(Need("bte", ring.width_bits, batch, fan_in=fan_in))
-        entries = dict.fromkeys(range(1, 1 << fan_in), np.zeros(batch, ring.dtype))
-        return (BteTable(0, fan_in, ring, batch, entries),
-                BteTable(1, fan_in, ring, batch, entries))
+        # One zero block for both halves: the gate's in-place fold keeps it zero.
+        rows = np.zeros(((1 << fan_in) - 1, batch), ring.dtype)
+        return BteTable(0, fan_in, ring, batch, rows), BteTable(1, fan_in, ring, batch, rows)
 
     def take_b2a(self, ring: RingSpec, batch: int) -> B2aMaterial:
         self.needs.append(Need("b2a", ring.width_bits, batch))
@@ -225,8 +228,9 @@ class RecordingStore:
 # ---------------------------------------------------------------------------
 # Material dump file: lets the CLI separate the offline and online phases.
 # Layout: magic, record count; per record a header (kind, ring width, fan-in,
-# batch >= 1) followed by the per-party entry arrays in ascending mask order,
-# little-endian fixed-width integers.
+# batch >= 1) followed by the record's arrays as little-endian fixed-width
+# integers: for a BTE table each party's rows, i.e. its entries in ascending
+# mask order; for B2A material a, c0, b, c1.
 
 _MAGIC = b"RMPCMAT1"
 
@@ -239,8 +243,8 @@ def _arr_bytes(arr: np.ndarray, ring: RingSpec) -> bytes:
     return np.ascontiguousarray(arr).astype(_le_dtype(ring)).tobytes()
 
 
-def _arr_from(buf: bytes, ring: RingSpec, batch: int) -> np.ndarray:
-    return np.frombuffer(buf, dtype=_le_dtype(ring), count=batch).astype(ring.dtype)
+def _arr_from(buf: bytes, ring: RingSpec, count: int) -> np.ndarray:
+    return np.frombuffer(buf, dtype=_le_dtype(ring), count=count).astype(ring.dtype)
 
 
 def dump_material(path: str, store: MaterialStore):
@@ -259,8 +263,7 @@ def dump_material(path: str, store: MaterialStore):
             fh.write(struct.pack("<4sIII", kind.encode(), width, fan_in, batch))
             if kind == "bte":
                 for table in (obj, other):
-                    for mask in sorted(table.entries):
-                        fh.write(_arr_bytes(table.entries[mask], ring))
+                    fh.write(_arr_bytes(table.rows, ring))
             else:
                 for arr in (obj.a, obj.c0, obj.b, obj.c1):
                     fh.write(_arr_bytes(arr, ring))
@@ -298,13 +301,12 @@ def load_material(path: str) -> MaterialStore:
             if arrays * nbytes > left():
                 raise MaterialError(f"{path}: record larger than the rest of the file")
             if kind == b"bte":
-                tables = []
-                for party in (0, 1):
-                    entries = {}
-                    for mask in range(1, 1 << fan_in):
-                        entries[mask] = _arr_from(fh.read(nbytes), ring, batch)
-                    tables.append(BteTable(party, fan_in, ring, batch, entries))
-                store.put_bte(*tables)
+                rows = arrays // 2
+                store.put_bte(*(
+                    BteTable(party, fan_in, ring, batch,
+                             _arr_from(fh.read(rows * nbytes), ring, rows * batch)
+                             .reshape(rows, batch))
+                    for party in (0, 1)))
             else:
                 a, c0, b, c1 = (_arr_from(fh.read(nbytes), ring, batch) for _ in range(4))
                 store.put_b2a(B2aMaterial(ring, batch, a=a, b=b, c0=c0, c1=c1))

@@ -139,10 +139,6 @@ class Session:
             self.failed = True
             raise
 
-    def parallel_scope(self, gens):
-        """Run several protocol generators with their rounds coalesced."""
-        return self.run(parallel(gens))
-
     # -- accounting ---------------------------------------------------------
 
     def cost_report(self, model: CostModel = CostModel()) -> dict:

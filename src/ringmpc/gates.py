@@ -6,9 +6,11 @@ locally. Over the boolean ring multiplication *is* AND and addition *is*
 XOR, so one code path serves both share types. ``bank`` runs many gates in
 one round and decides how they share material.
 
-Subset products and sums run in the ring's own dtype, which wraps natively.
-Width 1 accumulates in uint8, which is exact: 2^8 is even, so parity survives
-the wrap even for fan-in 9's 511 terms, and ``Share`` keeps the low bit.
+The subset sum is a fold over the table's rows in the ring's own dtype,
+which wraps natively. Width 1 accumulates in uint8, which is exact: the
+fold only adds and multiplies, reduction mod 2 commutes with both because
+2 divides 2^8, so the low bit is the XOR/AND result however far the byte
+wraps, and ``Share`` keeps that bit.
 """
 from __future__ import annotations
 
@@ -37,6 +39,9 @@ def _validate(inputs, t0: BteTable, t1: BteTable):
         raise ShapeError("table ring does not match inputs")
     if t0.batch != batch:
         raise ShapeError("table batch does not match inputs")
+    shape = ((1 << n) - 1, batch)
+    if t0.rows.shape != shape or t1.rows.shape != shape:
+        raise ShapeError(f"table rows {t0.rows.shape} / {t1.rows.shape}, expected {shape}")
     return ring, batch, n
 
 
@@ -44,38 +49,47 @@ def mult_n(inputs: list[SharePair], t0: BteTable, t1: BteTable):
     """N-fan-in multiplication. One round, N * width bits per party.
 
     Party k sends x'_l = <x_l>_k - <a_{l}>_k for each input slot l; both
-    parties open x'_l and evaluate their subset sum. Only party 0 adds the
-    leading product of all opened values.
+    parties open x'_l. Since x_l = x'_l + a_l, the product is the sum over
+    subsets I of a_I times the opened values outside I, with a_{} = 1 held
+    by party 0 alone. Each party folds that sum out of its own table.
     """
     ring, batch, n = _validate(inputs, t0, t1)
     t0.consume()
     t1.consume()
     items = [
         ExchangeItem(
-            ring.wrap(inputs[l][0].values - t0.entries[1 << l]),
-            ring.wrap(inputs[l][1].values - t1.entries[1 << l]),
+            ring.wrap(inputs[l][0].values - t0.rows[(1 << l) - 1]),
+            ring.wrap(inputs[l][1].values - t1.rows[(1 << l) - 1]),
             ring.width_bits,
         )
         for l in range(n)
     ]
     responses = yield items
     opened = [ring.wrap(p0 + p1) for p0, p1 in responses]
+    return (Share(0, ring, _fold(t0.rows, opened, 1)),
+            Share(1, ring, _fold(t1.rows, opened, 0)))
 
-    # Partial products of the opened masks for every subset, built by
-    # peeling the lowest set bit; q[mask] = prod_{l in mask} x'_l.
-    full = (1 << n) - 1
-    q = [None] * (full + 1)
-    q[0] = np.ones(batch, dtype=ring.dtype)
-    for mask in range(1, full + 1):
-        low = mask & -mask
-        q[mask] = q[mask ^ low] * opened[low.bit_length() - 1]
-    z0 = q[full].copy()
-    z1 = np.zeros(batch, dtype=ring.dtype)
-    for mask in range(1, full + 1):
-        outside = q[full ^ mask]
-        z0 += outside * t0.entries[mask]
-        z1 += outside * t1.entries[mask]
-    return Share(0, ring, z0), Share(1, ring, z1)
+
+def _fold(rows: np.ndarray, opened: list[np.ndarray], head: int) -> np.ndarray:
+    """Fold one opened slot at a time, top slot first: a fast Mobius/Yates
+    transform in O(N) numpy calls, in place over ``rows``.
+
+    ``head`` is this party's share of a_{}. Once the slots above l are
+    folded, entry m < 2h (h = 2^l; row m - 1, or ``head`` for m = 0) is the
+    subset sum over those slots with the slots up to l fixed to m. Folding
+    slot l multiplies each entry without l by x'_l and adds its partner
+    with l; after slot 0, ``head`` is the output share.
+    """
+    head = np.full(rows.shape[1], head, dtype=rows.dtype)
+    for l in reversed(range(len(opened))):
+        h = 1 << l
+        x = opened[l]
+        head *= x
+        head += rows[h - 1]
+        low = rows[:h - 1]
+        low *= x
+        low += rows[h:2 * h - 1]
+    return head
 
 
 def and_n(inputs: list[SharePair], t0: BteTable, t1: BteTable):

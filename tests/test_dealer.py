@@ -18,7 +18,7 @@ from ringmpc.errors import (
     MaterialError,
     MaterialReuseError,
 )
-from ringmpc.ring import BOOL, Z8, Z16, Z32, Z64, RingSpec
+from ringmpc.ring import BOOL, Z8, Z16, Z32, Z64, RingSpec, uniform
 
 
 @pytest.fixture
@@ -45,6 +45,39 @@ def test_bte_entries_reconstruct_to_products(dealer, ring, fan_in):
             if mask & (1 << b):
                 expect = ring.wrap(expect * singles[1 << b])
         assert np.array_equal(ring.wrap(t0.entries[mask] + t1.entries[mask]), expect)
+
+
+@pytest.mark.parametrize("ring", [BOOL, Z16, Z64])
+def test_bte_rows_are_one_array_per_party(dealer, ring):
+    t0, t1 = dealer.gen_bte(4, ring, 3)
+    for table in (t0, t1):
+        assert table.rows.shape == (15, 3) and table.rows.dtype == ring.dtype
+        assert table.rows.flags.c_contiguous
+        assert sorted(table.entries) == list(masks(4)) and len(table.entries) == 15
+        for mask in masks(4):
+            assert np.shares_memory(table.entries[mask], table.rows)
+            assert np.array_equal(table.entries[mask], table.rows[mask - 1])
+    for missing in (0, 16):
+        with pytest.raises(KeyError):
+            t0.entries[missing]
+    with pytest.raises(TypeError):
+        t0.entries[1] = t0.rows[0]
+
+
+@pytest.mark.parametrize("ring", [BOOL, Z8, Z32, Z64])
+@pytest.mark.parametrize("fan_in", [2, 5, 9])
+def test_gen_bte_takes_two_draws_party0_rows_in_one(ring, fan_in):
+    batch = 7
+    d = Dealer(np.random.default_rng(3))
+    t0, t1 = d.gen_bte(fan_in, ring, batch)
+    assert d.draw_count == 2
+    # Replaying the two draws: the singleton masks, then all of party 0's rows.
+    replay = np.random.default_rng(3)
+    singles = uniform(ring, fan_in * batch, replay).reshape(fan_in, batch)
+    rows0 = uniform(ring, ((1 << fan_in) - 1) * batch, replay)
+    assert np.array_equal(t0.rows.ravel(), rows0)
+    for l in range(fan_in):
+        assert np.array_equal(ring.wrap(t0.entries[1 << l] + t1.entries[1 << l]), singles[l])
 
 
 def test_bte_has_all_subsets(dealer):
@@ -119,9 +152,9 @@ def test_recording_store_serves_zero_material_and_records_takes():
     assert store.needs == [Need("bte", 32, 5, fan_in=3), Need("b2a", 8, 2)]
     for table in (t0, t1):
         assert (table.fan_in, table.ring, table.batch) == (3, Z32, 5)
+        assert table.rows.dtype == np.uint32 and table.rows.shape == (7, 5)
+        assert not table.rows.any()
         assert sorted(table.entries) == list(masks(3))
-        for entry in table.entries.values():
-            assert entry.dtype == np.uint32 and entry.shape == (5,) and not entry.any()
     for arr in (mat.a, mat.b, mat.c0, mat.c1):
         assert arr.dtype == np.uint8 and arr.shape == (2,) and not arr.any()
 
@@ -147,14 +180,35 @@ def test_dump_load_roundtrip(dealer, tmp_path):
     for fan, width, batch in [(3, 1, 3), (3, 1, 3), (2, 64, 2)]:
         o0, o1 = store.take_bte(fan, RingSpec(width), batch)
         l0, l1 = loaded.take_bte(fan, RingSpec(width), batch)
-        for mask in masks(fan):
-            assert np.array_equal(o0.entries[mask], l0.entries[mask])
-            assert np.array_equal(o1.entries[mask], l1.entries[mask])
+        for orig, back in ((o0, l0), (o1, l1)):
+            assert back.rows.dtype == orig.rows.dtype
+            assert np.array_equal(back.rows, orig.rows)
     omat = store.take_b2a(Z32, 5)
     lmat = loaded.take_b2a(Z32, 5)
     for field in ("a", "b", "c0", "c1"):
         assert np.array_equal(getattr(omat, field), getattr(lmat, field))
     assert loaded.is_empty()
+
+
+def test_dump_bytes_are_mask_ordered_entries(dealer, tmp_path):
+    store = MaterialStore()
+    dealer.provision(store, [Need("bte", 1, 3, fan_in=3), Need("bte", 32, 2, fan_in=2),
+                             Need("b2a", 16, 2)])
+    path = tmp_path / "material.bin"
+    dump_material(str(path), store)
+
+    def le(arr, ring):
+        return arr.astype(np.dtype(ring.dtype).newbyteorder("<")).tobytes()
+
+    expect = [b"RMPCMAT1", struct.pack("<I", 3)]
+    for fan, ring, batch in [(2, Z32, 2), (3, BOOL, 3)]:  # by (fan-in, width)
+        expect.append(struct.pack("<4sIII", b"bte", ring.width_bits, fan, batch))
+        for table in store.take_bte(fan, ring, batch):
+            expect += [le(table.entries[mask], ring) for mask in masks(fan)]
+    mat = store.take_b2a(Z16, 2)
+    expect.append(struct.pack("<4sIII", b"b2a", 16, 0, 2))
+    expect += [le(arr, Z16) for arr in (mat.a, mat.c0, mat.b, mat.c1)]
+    assert path.read_bytes() == b"".join(expect)
 
 
 def test_load_rejects_garbage(tmp_path):

@@ -50,8 +50,8 @@ def test_responses_are_raw_payload_pairs():
 
 def test_parallel_rounds_are_max_not_sum():
     sess = Session(seed=0)
-    results = sess.parallel_scope(
-        [simple_protocol(1), simple_protocol(4), simple_protocol(2)]
+    results = sess.run(
+        parallel([simple_protocol(1), simple_protocol(4), simple_protocol(2)])
     )
     assert results == [1, 4, 2]
     assert sess.rounds == 4
@@ -63,7 +63,7 @@ def test_parallel_handles_zero_round_branches():
         yield  # pragma: no cover
 
     sess = Session(seed=0)
-    assert sess.parallel_scope([silent(), simple_protocol(2)]) == [42, 2]
+    assert sess.run(parallel([silent(), simple_protocol(2)])) == [42, 2]
     assert sess.rounds == 2
 
 
@@ -73,7 +73,7 @@ def test_parallel_routes_responses_to_owners():
         return int(responses[0][0][0]), int(responses[0][1][0])
 
     sess = Session(seed=0)
-    assert sess.parallel_scope([echo(1), echo(2)]) == [(1, 11), (2, 12)]
+    assert sess.run(parallel([echo(1), echo(2)])) == [(1, 11), (2, 12)]
     assert sess.rounds == 1
 
 

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -52,6 +53,57 @@ def test_mult_random(ring, fan_in):
     for v in vals:
         expect = ring.wrap(expect * v)
     assert np.array_equal(reconst(*z), expect)
+
+
+def _reference_subset_sum(rows, opened, head):
+    """sum_I a_I * prod_{l not in I} x'_l from one party's rows, built on a
+    per-mask list of partial products q[mask] = prod_{l in mask} x'_l."""
+    n = len(opened)
+    full = (1 << n) - 1
+    q = [np.ones(rows.shape[1], dtype=rows.dtype)] + [None] * full
+    for mask in range(1, full + 1):
+        low = mask & -mask
+        q[mask] = q[mask ^ low] * opened[low.bit_length() - 1]
+    z = q[full] * rows.dtype.type(head)
+    for mask in range(1, full + 1):
+        z += q[full ^ mask] * rows[mask - 1]
+    return z
+
+
+@pytest.mark.parametrize("ring", [BOOL, Z8, Z64])
+@pytest.mark.parametrize("fan_in", [2, 3, 9])
+def test_fold_equals_reference_subset_sum(ring, fan_in):
+    sess = Session(seed=fan_in)
+    batch = 64
+    sess.provision([Need("bte", ring.width_bits, batch, fan_in=fan_in)])
+    rng = np.random.default_rng(8)
+    high = 2 if ring.is_boolean else ring.modulus
+    inputs = [
+        sess.share_input(rng.integers(0, high, batch, dtype=np.uint64), ring)
+        for _ in range(fan_in)
+    ]
+    t0, t1 = sess.store.take_bte(fan_in, ring, batch)
+    rows = (t0.rows.copy(), t1.rows.copy())  # the fold overwrites the tables
+    z = sess.run(mult_n(inputs, t0, t1))
+    (items,) = sess.transcript.rounds
+    opened = [ring.wrap(item.p0 + item.p1) for item in items]
+    for party in (0, 1):
+        expect = _reference_subset_sum(rows[party], opened, head=1 - party)
+        assert np.array_equal(z[party].values, ring.wrap(expect))
+
+
+def test_gate_rejects_table_rows_of_the_wrong_shape():
+    sess = Session(seed=5)
+    sess.provision([Need("bte", 8, 2, fan_in=3)])
+    inputs = [sess.share_input([1, 2], Z8) for _ in range(3)]
+    t0, t1 = sess.store.take_bte(3, Z8, 2)
+    with_empty_row = np.zeros((8, 2), dtype=np.uint8)
+    for bad in (with_empty_row, t0.rows[:, :1], t0.rows.ravel()):
+        with pytest.raises(ShapeError):
+            next(mult_n(inputs, replace(t0, rows=bad), t1))
+        with pytest.raises(ShapeError):
+            next(mult_n(inputs, t0, replace(t1, rows=bad)))
+    assert not (t0.consumed or t1.consumed)
 
 
 @pytest.mark.parametrize("fan_in", range(2, 10))

@@ -119,28 +119,28 @@ def _configs():
 
 
 PINS = {
-    "equality": "6db9353fda5add9f1c84c38f12a8639a70b038dcf85cf93e2c3efb9d87f10c09",
-    "equality-baseline": "767e62ada2b44272a11e2d5d56653a5b121cba8835235704c5a35a8b06bbd036",
-    "comparison": "c3549019e3ea53ee400cebc16b8fb24dc41294617696908834967931c8e7e9e6",
-    "comparison-baseline": "bf55a91c4ae4cda885ec47b79b1d8b2892be4fbb263eb9558b50ce8978463d05",
-    "max3": "3db547bcd1a4a2d846164983f08623ec286b03e169695b87e473bb1a5b6163a1",
-    "max3-baseline": "5ea7f1584d609b406842adea50519a068f9aa17ad54ad1f93006576df600ceb3",
-    "min3": "c38c5773cc9bcd2b05a39b963dfbd846992b2d531e7802cf472ca4e565c103e2",
-    "argmax3": "202967f62871e7ec7a206010a58184c7e19e06e7c14dcdd3568129dd95c800c2",
-    "argmin3": "d58b0ccad7d8004fc86a0a950082e4135cec7d670f1a15a9d02296b14427ba3e",
-    "overflow": "74654d6392fd05ad2595b295477ebdc79da678122b290331094f7282cd876680",
-    "overflow1r": "fa02f4dfdb09c4ffc3fc54d2fc8e100bf03f14591dfd4f71c16abe2beb7179c6",
-    "msnzb": "c41ce8133ae3f61d73e062fe824c6801376b8226ad6b5c8f5bba28fe415cd369",
+    "equality": "fb3dc6b78f7a1ad01412d788bf9d939d0eb3c87c1ffa3f921fdd270e766170b8",
+    "equality-baseline": "d96548996b32c3bdc4118890138d55ab6b30805a963a003ae61eaa68d6b8dc52",
+    "comparison": "9dff2ab0df5db4e8b02c55fa74c39de2aeec2260f26370f0aa4118e4bf480598",
+    "comparison-baseline": "61a420bca6d8f274eb8c4106701bb77e2fadc246715098d8aceffd9813534d53",
+    "max3": "cd774467fa7f49607c46f066a16590c345293bae79b04ff3f0ecebb9902d6da3",
+    "max3-baseline": "e6a748c59b48ed0360967def1ecf9fdf5ca41cf01f94d94387944a14806e9b35",
+    "min3": "13a0f94eae510638150d590d2bcdeb11235ce8b49c5c5f84a6b09c7457d5835f",
+    "argmax3": "56039e77fa63f244c6f47fac9e668d7d6b1ca75e6005ddc0225ad26c8bcb6fe6",
+    "argmin3": "5a93df36e9384b6b141b40981af1847df24dbacf2f39a4787fbe1196e03b3191",
+    "overflow": "c6a7c35116a843006b774e9095a2ea95a04e0156645dfab27fb392fc3711c520",
+    "overflow1r": "3bc64656923c960b19f9ac798689fcb0f7176dd10da090faff07ea68381f1158",
+    "msnzb": "38439e0eb777c1c4ca086749f2e70640926c6db3666744d89df7ed1b8b4ad539",
     "b2a": "ad4d479ee6ee9ecd38d36d5b625c95bf053d0d0a9fa1c01b1562c9c9095d81fc",
-    "bx2a": "dcdddfac2317b04c1705fae558841682bd2e0852bb1c960562bee506db0404a2",
-    "bc2a": "e66b6383db921658dab0094ab834ef37935e3a4b7013b96e64a8d82ec93c25ea",
-    "bcx2a": "90f298d108615ffc90332453a4c6d3693da23c328648a052a12d470e54a5009a",
-    "max5-cap9": "20f07fd1304be28914cf0a7b1ac71a916d1f01e8e1111870c2f8eb067f9a225e",
-    "max5-cap3": "6568f5d82e9d71c25f489bcbae74cf83de410a09ee2ff87d055cc886382c3340",
-    "tlu3": "db59a21c627f239337f6549b727c2083e1c5e381c436911f68db2b86541561ac",
-    "9-mult-z64": "6b7aa1cf727ce89f84b657907e2fa29bfd1e53c93b3b93313eb6ecda4b878bee",
-    "9-and-bool": "34512609bc8d9ec82598768e5fea50a815d244f6c7a04379d980c28b815937c6",
-    "editdist-L5-P3": "c333bc901ce1af09384dfc921ea5465fff677dd0687a24c11e1eaa612755aea6",
+    "bx2a": "ec9efa6da15b53d9a73add8d0b883be817ecc0d04de478025de234c43e9d1241",
+    "bc2a": "412c7443341cc2aaf36c0ed52c7c8d8cae061d6556d2008caf744c7e05aefc4a",
+    "bcx2a": "b2cf2b02b724cf9224c02f67792511cb767653799f4e47aebdbeba23bfaf2cd9",
+    "max5-cap9": "50d7aa9c08cb5f9d1ad634cc463733f3cc1169a46902b7007d33539e8bcbc24d",
+    "max5-cap3": "944eda720a8e5cf731c00294b2db2e9fdb1ce8cc9614d475b9b8d33e21560d5d",
+    "tlu3": "02fe4d437cc47c47f8a1925281e0e145c77a1caa25747ac9d4ff10dd295eb1dc",
+    "9-mult-z64": "8b0250ad8d499f1f68e286645f2294d6b2abc82bb409d59cc356e85a48f41208",
+    "9-and-bool": "d10e350525c3fd4952fc1f0e7cc209aa5a8cd2da7fdae3d13fdd27d7a10e9580",
+    "editdist-L5-P3": "7266c1b2d9c0ba4945df38b7490bdd9e919174df0559d8630bced72fc5d85237",
 }
 
 
