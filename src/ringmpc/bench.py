@@ -126,7 +126,7 @@ def _gate(name: str, fanin_cap: int):
     op = {"and": and_n, "or": or_n, "mult": mult_n}[kind]
 
     def gate(store, inputs):
-        return op(inputs, *store.take_bte(fan, inputs[0][0].ring, len(inputs[0][0])))
+        return op(inputs, *store.take_bte(fan, inputs[0].ring, inputs[0].batch))
 
     def build(sess, rng, ring, batch):
         if kind == "mult":

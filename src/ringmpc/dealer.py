@@ -90,7 +90,6 @@ class Need:
     width: int
     batch: int
     fan_in: int = 0  # bte only
-    count: int = 1
 
     def scaled(self, factor: int) -> "Need":
         """The same need at ``factor`` times the batch."""
@@ -155,15 +154,15 @@ class Dealer:
         return share(x, ring, self.rng)
 
     def provision(self, store: "MaterialStore", needs: list[Need]):
+        """Generate one record per need, in order."""
         for need in needs:
             ring = RingSpec(need.width)
-            for _ in range(need.count):
-                if need.kind == "bte":
-                    store.put_bte(*self.gen_bte(need.fan_in, ring, need.batch))
-                elif need.kind == "b2a":
-                    store.put_b2a(self.gen_b2a_material(ring, need.batch))
-                else:
-                    raise DomainError(f"unknown material kind {need.kind!r}")
+            if need.kind == "bte":
+                store.put_bte(*self.gen_bte(need.fan_in, ring, need.batch))
+            elif need.kind == "b2a":
+                store.put_b2a(self.gen_b2a_material(ring, need.batch))
+            else:
+                raise DomainError(f"unknown material kind {need.kind!r}")
 
 
 class MaterialStore:

@@ -21,7 +21,7 @@ from .dealer import Dealer, MaterialStore, Need
 from .engine import derive_manifest
 from .errors import DomainError, ShapeError
 from .protocols import b2a, equality, min3, min3_manifest
-from .ring import Share, SharePair, Z16, add, const_add, const_pair, neg, trivial
+from .ring import SharePair, Z16, add, const_add, const_pair, neg, trivial
 
 ALPHABET = 4  # characters encoded 0..3 (A, T, G, C)
 RING = Z16
@@ -39,9 +39,9 @@ class GenomeShareString:
     def __post_init__(self):
         if not 1 <= self.length <= MAX_LENGTH:
             raise DomainError(f"length {self.length} outside [1, {MAX_LENGTH}]")
-        if self.shares[0].ring != RING:
+        if self.shares.ring != RING:
             raise DomainError("genome shares must live over Z_2^16")
-        if len(self.shares[0]) != self.length * self.pairs:
+        if self.shares.batch != self.length * self.pairs:
             raise ShapeError("share batch does not match length * pairs")
 
 
@@ -61,8 +61,7 @@ def share_strings(strings, dealer: Dealer) -> GenomeShareString:
 
 def _gather(pair: SharePair, idx: np.ndarray) -> SharePair:
     """Party-local fancy indexing: pure data movement, no communication."""
-    ring = pair[0].ring
-    return tuple(Share(i, ring, pair[i].values[idx]) for i in (0, 1))
+    return SharePair(pair.ring, pair.v[:, idx])
 
 
 def _diag_rows(length: int, d: int) -> np.ndarray:
@@ -115,8 +114,7 @@ def edit_distance(store: MaterialStore, s: GenomeShareString,
         diag = add(_gather(table, at - (side + 1) * pairs),
                    _gather(e, _segments((i - 1) * length + j - 1, pairs)))
         best = yield from min3(store, [up, left, diag])
-        for party in (0, 1):
-            table[party].values[at] = best[party].values
+        table.v[:, at] = best.v
     return best  # the last diagonal is the single cell (L, L)
 
 

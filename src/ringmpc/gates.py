@@ -10,7 +10,7 @@ The subset sum is a fold over the table's rows in the ring's own dtype,
 which wraps natively. Width 1 accumulates in uint8, which is exact: the
 fold only adds and multiplies, reduction mod 2 commutes with both because
 2 divides 2^8, so the low bit is the XOR/AND result however far the byte
-wraps, and ``Share`` keeps that bit.
+wraps, and the gate keeps that bit of its output.
 """
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ import numpy as np
 from .dealer import BteTable
 from .engine import ExchangeItem, parallel
 from .errors import DomainError, ShapeError
-from .ring import Share, SharePair, concat_pairs, not_, slice_pair
+from .ring import SharePair, concat_pairs, not_, slice_pair
 
 
 def _validate(inputs, t0: BteTable, t1: BteTable):
@@ -28,12 +28,12 @@ def _validate(inputs, t0: BteTable, t1: BteTable):
         raise ShapeError("a gate needs at least two inputs")
     if t0.fan_in != n or t1.fan_in != n:
         raise ShapeError(f"table fan-in {t0.fan_in} does not match {n} inputs")
-    ring = inputs[0][0].ring
-    batch = len(inputs[0][0])
+    ring = inputs[0].ring
+    batch = inputs[0].batch
     for pair in inputs:
-        if pair[0].ring != ring:
+        if pair.ring != ring:
             raise ShapeError("ring mismatch among gate inputs")
-        if len(pair[0]) != batch:
+        if pair.batch != batch:
             raise ShapeError("batch mismatch among gate inputs")
     if t0.ring != ring:
         raise ShapeError("table ring does not match inputs")
@@ -51,36 +51,42 @@ def mult_n(inputs: list[SharePair], t0: BteTable, t1: BteTable):
     Party k sends x'_l = <x_l>_k - <a_{l}>_k for each input slot l; both
     parties open x'_l. Since x_l = x'_l + a_l, the product is the sum over
     subsets I of a_I times the opened values outside I, with a_{} = 1 held
-    by party 0 alone. Each party folds that sum out of its own table.
+    by party 0 alone. Each party folds that sum out of its own table into
+    its row of the output.
     """
     ring, batch, n = _validate(inputs, t0, t1)
     t0.consume()
     t1.consume()
     items = [
         ExchangeItem(
-            ring.wrap(inputs[l][0].values - t0.rows[(1 << l) - 1]),
-            ring.wrap(inputs[l][1].values - t1.rows[(1 << l) - 1]),
+            ring.wrap(inputs[l].v[0] - t0.rows[(1 << l) - 1]),
+            ring.wrap(inputs[l].v[1] - t1.rows[(1 << l) - 1]),
             ring.width_bits,
         )
         for l in range(n)
     ]
     responses = yield items
     opened = [ring.wrap(p0 + p1) for p0, p1 in responses]
-    return (Share(0, ring, _fold(t0.rows, opened, 1)),
-            Share(1, ring, _fold(t1.rows, opened, 0)))
+    out = np.empty((2, batch), dtype=ring.dtype)
+    out[0] = 1
+    out[1] = 0
+    _fold(t0.rows, opened, out[0])
+    _fold(t1.rows, opened, out[1])
+    if ring.is_boolean:
+        out &= 1
+    return SharePair(ring, out)
 
 
-def _fold(rows: np.ndarray, opened: list[np.ndarray], head: int) -> np.ndarray:
+def _fold(rows: np.ndarray, opened: list[np.ndarray], head: np.ndarray):
     """Fold one opened slot at a time, top slot first: a fast Mobius/Yates
-    transform in O(N) numpy calls, in place over ``rows``.
+    transform in O(N) numpy calls, in place over ``rows`` and ``head``.
 
-    ``head`` is this party's share of a_{}. Once the slots above l are
-    folded, entry m < 2h (h = 2^l; row m - 1, or ``head`` for m = 0) is the
-    subset sum over those slots with the slots up to l fixed to m. Folding
-    slot l multiplies each entry without l by x'_l and adds its partner
-    with l; after slot 0, ``head`` is the output share.
+    ``head`` starts as this party's share of a_{}. Once the slots above l
+    are folded, entry m < 2h (h = 2^l; row m - 1, or ``head`` for m = 0) is
+    the subset sum over those slots with the slots up to l fixed to m.
+    Folding slot l multiplies each entry without l by x'_l and adds its
+    partner with l; after slot 0, ``head`` is the output share.
     """
-    head = np.full(rows.shape[1], head, dtype=rows.dtype)
     for l in reversed(range(len(opened))):
         h = 1 << l
         x = opened[l]
@@ -89,12 +95,11 @@ def _fold(rows: np.ndarray, opened: list[np.ndarray], head: int) -> np.ndarray:
         low = rows[:h - 1]
         low *= x
         low += rows[h:2 * h - 1]
-    return head
 
 
 def and_n(inputs: list[SharePair], t0: BteTable, t1: BteTable):
     """N-fan-in AND: boolean multiplication."""
-    if not inputs[0][0].ring.is_boolean:
+    if not inputs[0].ring.is_boolean:
         raise DomainError("and_n needs boolean shares")
     result = yield from mult_n(inputs, t0, t1)
     return result
@@ -102,7 +107,7 @@ def and_n(inputs: list[SharePair], t0: BteTable, t1: BteTable):
 
 def or_n(inputs: list[SharePair], t0: BteTable, t1: BteTable):
     """N-fan-in OR: De Morgan around the AND gate."""
-    if not inputs[0][0].ring.is_boolean:
+    if not inputs[0].ring.is_boolean:
         raise DomainError("or_n needs boolean shares")
     result = yield from mult_n([not_(pair) for pair in inputs], t0, t1)
     return not_(result)
@@ -126,7 +131,7 @@ def bank(store, op, gates: list[list[SharePair]]):
         inputs = gates[idxs[0]] if len(idxs) == 1 else [
             concat_pairs([gates[i][slot] for i in idxs]) for slot in range(fan)
         ]
-        gens.append(op(inputs, *store.take_bte(fan, inputs[0][0].ring, len(inputs[0][0]))))
+        gens.append(op(inputs, *store.take_bte(fan, inputs[0].ring, inputs[0].batch)))
     results = yield from parallel(gens)
 
     out = [None] * len(gates)
@@ -136,7 +141,7 @@ def bank(store, op, gates: list[list[SharePair]]):
             continue
         lo = 0
         for i in idxs:
-            hi = lo + len(gates[i][0][0])
+            hi = lo + gates[i][0].batch
             out[i] = slice_pair(res, lo, hi)
             lo = hi
     return out

@@ -34,7 +34,6 @@ from .gates import and_n, bank, fanin_schedule, mult_n, or_n
 from .ring import (
     BOOL,
     RingSpec,
-    Share,
     SharePair,
     add,
     bit_decompose_local,
@@ -82,7 +81,7 @@ def _zeros(ring: RingSpec, count: int) -> list[SharePair]:
 
 
 def _check_arith(pair: SharePair):
-    if pair[0].ring.is_boolean:
+    if pair.ring.is_boolean:
         raise DomainError("protocol needs arithmetic shares")
 
 
@@ -95,11 +94,8 @@ def _xor_fold(pairs: list[SharePair]) -> SharePair:
 
 def _fold_groups(pair: SharePair, groups: int) -> SharePair:
     """XOR-fold a stacked boolean batch of ``groups`` equal segments."""
-    batch = len(pair[0]) // groups
-    return tuple(
-        Share(i, BOOL, np.bitwise_xor.reduce(pair[i].values.reshape(groups, batch), axis=0))
-        for i in (0, 1)
-    )
+    folded = np.bitwise_xor.reduce(pair.v.reshape(2, groups, pair.batch // groups), axis=1)
+    return SharePair(BOOL, folded)
 
 
 def _tile(pair: SharePair, times: int) -> SharePair:
@@ -108,10 +104,7 @@ def _tile(pair: SharePair, times: int) -> SharePair:
 
 def _plane(pair: SharePair, j: int) -> SharePair:
     """Boolean share plane j of an arithmetic pair (each party's own bit)."""
-    shift = pair[0].ring.dtype(j)
-    return tuple(
-        Share(i, BOOL, ((pair[i].values >> shift) & 1).astype(np.uint8)) for i in (0, 1)
-    )
+    return SharePair(BOOL, ((pair.v >> pair.ring.dtype(j)) & 1).astype(np.uint8))
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +113,7 @@ def _plane(pair: SharePair, j: int) -> SharePair:
 def equality(store: MaterialStore, x: SharePair, y: SharePair):
     """z = 1 iff x == y. Two rounds; n + (#blocks) bits per party."""
     _check_arith(x)
-    plan = EQ_PLANS[x[0].ring.width_bits]
+    plan = EQ_PLANS[x.ring.width_bits]
 
     t = sub_mirror(x, y)  # t0 == t1 elementwise iff x == y
     planes = bit_decompose_local(t)
@@ -188,35 +181,40 @@ def msnzb_manifest(batch: int) -> list[Need]:
 
 def _overflow_planes(x: SharePair, k: int):
     """Boolean planes of a = <x>_0 mod 2^k and u = -<x>_1 mod 2^k, LSB first:
-    ``dplanes[j]`` pairs party 0's a_j with party 1's u_j, ``uplanes[j]``
-    shares u_j alone. Also the per-element flag of the zero-share correction."""
-    ring = x[0].ring
-    n = ring.width_bits
+    ``dplanes[j]`` pairs party 0's a_j with party 1's u_j. Also the
+    per-element flag of the zero-share correction."""
+    ring = x.ring
     mask = ring.dtype((1 << k) - 1) if k < 64 else ring.dtype(np.uint64(2**64 - 1))
-    d0 = bits_of(x[0].values & mask, n)
-    d1 = bits_of((0 - x[1].values) & mask, n)
-    zero = np.zeros(len(x[0]), np.uint8)
-    dplanes = [(Share(0, BOOL, d0[j]), Share(1, BOOL, d1[j])) for j in range(n)]
-    uplanes = [(Share(0, BOOL, zero), Share(1, BOOL, d1[j])) for j in range(n)]
-    zero_flag = (x[1].values & mask) == 0
-    return dplanes, uplanes, zero_flag
+    d = x.v.copy()
+    np.negative(d[1], out=d[1])
+    d &= mask
+    dplanes = [SharePair(BOOL, plane) for plane in bits_of(d, ring.width_bits)]
+    zero_flag = (x.v[1] & mask) == 0
+    return dplanes, zero_flag
+
+
+def _u_only(dplanes: list[SharePair]) -> SharePair:
+    """The u bits of ``dplanes``, stacked, shared by party 1 alone."""
+    u = concat_pairs(dplanes)
+    u.v[0] = 0
+    return u
 
 
 def _overflow_out(v: SharePair, zero_flag: np.ndarray) -> SharePair:
     """z = NOT v, plus the zero-share correction: when <x>_1 mod 2^k == 0
     party 1 flips locally."""
     z = not_(v)
-    return z[0], Share(1, BOOL, z[1].values ^ zero_flag.astype(np.uint8))
+    z.v[1] ^= zero_flag
+    return z
 
 
 def overflow_2r(store: MaterialStore, x: SharePair, k: int):
     """z = 1 iff (<x>_0 mod 2^k) + (<x>_1 mod 2^k) >= 2^k. Two rounds."""
     _check_arith(x)
-    ring = x[0].ring
-    n = ring.width_bits
+    n = x.ring.width_bits
     if not 1 <= k <= n:
         raise DomainError(f"k={k} outside [1, {n}]")
-    dplanes, uplanes, zero_flag = _overflow_planes(x, k)
+    dplanes, zero_flag = _overflow_planes(x, k)
 
     # Block i (0 = most significant) covers positions [lo_i, hi_i).
     spans, hi = [], n
@@ -244,7 +242,7 @@ def overflow_2r(store: MaterialStore, x: SharePair, k: int):
     # higher block — fan-in 2 + i. One gate stacked over the block's bits,
     # folded by one reshape, costs fewer small calls than a gate per bit.
     results = yield from bank(store, and_n, [
-        [concat_pairs(tp[lo:hi_]), concat_pairs(uplanes[lo:hi_]),
+        [concat_pairs(tp[lo:hi_]), _u_only(dplanes[lo:hi_]),
          *(_tile(not_(w[h]), hi_ - lo) for h in range(i))]
         for i, (lo, hi_) in enumerate(spans)
     ])
@@ -261,7 +259,7 @@ def overflow_1r(store: MaterialStore, x: SharePair, n1: int | None = None,
     """One-round overflow over the full ring: z = 1 iff
     <x>_0 + <x>_1 >= 2^n as integers. Costs three parallel gate banks."""
     _check_arith(x)
-    ring = x[0].ring
+    ring = x.ring
     n = ring.width_bits
     if n1 is None or n2 is None:
         if n not in OVF1R_SPLITS:
@@ -272,16 +270,15 @@ def overflow_1r(store: MaterialStore, x: SharePair, n1: int | None = None,
         n1, n2 = OVF1R_SPLITS[n]
     if n1 + n2 != n or n1 < 2 or n2 < 1:
         raise CapabilityError(f"infeasible split ({n1}, {n2}) for width {n}")
-    batch = len(x[0])
-    y0 = x[0].values >> ring.dtype(n2)
-    y1 = x[1].values >> ring.dtype(n2)
-    z0 = x[0].values & ring.dtype((1 << n2) - 1)
-    z1 = x[1].values & ring.dtype((1 << n2) - 1)
-    y0bits = bits_of(y0, n1)
-    y1bits = bits_of(y1, n1)
+    batch = x.batch
+    y = x.v >> ring.dtype(n2)
+    z = x.v & ring.dtype((1 << n2) - 1)
+    (y0, y1), (z0, z1) = y, z
+    ybits = bits_of(y, n1)
 
-    def bitpair(v0, v1):
-        return (Share(0, BOOL, v0.astype(np.uint8)), Share(1, BOOL, v1.astype(np.uint8)))
+    def bits(cond):
+        """Each party's own condition bits as a boolean pair."""
+        return SharePair(BOOL, cond.astype(np.uint8))
 
     # Bank 1: overflow of the high halves, expanded over all possible y0.
     alpha0 = concat_pairs([
@@ -295,20 +292,19 @@ def overflow_1r(store: MaterialStore, x: SharePair, n1: int | None = None,
     # Bank 2: high halves sum to all-ones AND the low halves overflow; each
     # party degrades its y bits to 1 whenever its own low-half condition
     # fails (or its y is zero), which zeroes the XOR-AND term.
-    beta_inputs = []
-    for j in range(n1):
-        cols0, cols1 = [], []
-        for a2 in range(1, 1 << n2):
-            keep0 = (y0 != 0) & (z0 == a2)
-            keep1 = (y1 != 0) & (z1 >= (1 << n2) - a2)
-            cols0.append(np.where(keep0, y0bits[j], 1).astype(np.uint8))
-            cols1.append(np.where(keep1, y1bits[j], 1).astype(np.uint8))
-        beta_inputs.append(bitpair(np.concatenate(cols0), np.concatenate(cols1)))
+    keeps = [
+        np.stack(((y0 != 0) & (z0 == a2), (y1 != 0) & (z1 >= (1 << n2) - a2)))
+        for a2 in range(1, 1 << n2)
+    ]
+    beta_inputs = [
+        bits(np.concatenate([np.where(keep, ybits[j], 1) for keep in keeps], axis=1))
+        for j in range(n1)
+    ]
 
     # Bank 3: correction when exactly one party's high half is zero.
     groups = (1 << n2) - 1
-    g1 = _tile(bitpair(y0 == 0, y1 == 0), groups)
-    g2 = _tile(bitpair(y0 == (1 << n1) - 1, y1 == (1 << n1) - 1), groups)
+    g1 = _tile(bits(y == 0), groups)
+    g2 = _tile(bits(y == (1 << n1) - 1), groups)
     g3 = concat_pairs([
         trivial(0, (z0 == a3).astype(np.uint8), BOOL) for a3 in range(1, 1 << n2)
     ])
@@ -339,7 +335,7 @@ def _comparison(store, x: SharePair, y: SharePair, overflow):
     """z = 1 iff x < y: the overflow bits of x, y and x - y, stacked, give
     their three MSBs, which one 2-AND round combines."""
     _check_arith(x)
-    n = x[0].ring.width_bits
+    n = x.ring.width_bits
     stacked = concat_pairs([x, y, sub(x, y)])
     of = yield from overflow(store, stacked, n - 1)
     xp, yp, dp = split_pair(xor(of, _plane(stacked, n - 1)), 3)
@@ -361,15 +357,16 @@ def comparison_manifest(ring: RingSpec, batch: int) -> list[Need]:
 def baseline_overflow(store: MaterialStore, x: SharePair, k: int):
     """Two-fan-in-only overflow: log2(n) suffix-OR rounds plus one AND round."""
     _check_arith(x)
-    n = x[0].ring.width_bits
-    suffix, uplanes, zero_flag = _overflow_planes(x, k)
+    n = x.ring.width_bits
+    suffix, zero_flag = _overflow_planes(x, k)
+    u = _u_only(suffix)
     dist = 1
     while dist < n:
         gates = [[suffix[j], suffix[j + dist]] for j in range(n - dist)]
         suffix = (yield from bank(store, or_n, gates)) + suffix[n - dist:]
         dist *= 2
     tp = [xor(suffix[j], suffix[j + 1]) for j in range(n - 1)] + [suffix[n - 1]]
-    (res,) = yield from bank(store, and_n, [[concat_pairs(tp), concat_pairs(uplanes)]])
+    (res,) = yield from bank(store, and_n, [[concat_pairs(tp), u]])
     return _overflow_out(_fold_groups(res, n), zero_flag)
 
 
@@ -392,29 +389,24 @@ def baseline_comparison_manifest(ring: RingSpec, batch: int) -> list[Need]:
 
 def _as_ring(pair: SharePair, ring: RingSpec) -> SharePair:
     """Reinterpret each party's boolean share bit as a ring element."""
-    return (
-        Share(0, ring, pair[0].values.astype(ring.dtype)),
-        Share(1, ring, pair[1].values.astype(ring.dtype)),
-    )
+    return SharePair(ring, pair.v.astype(ring.dtype))
 
 
 def b2a(store: MaterialStore, x: SharePair, ring: RingSpec):
     """Boolean-to-arithmetic conversion. One round, n bits per party:
     thanks to pre-disclosed blinds each party sends its masked share
     directly instead of running a full multiplication."""
-    if not x[0].ring.is_boolean:
+    if not x.ring.is_boolean:
         raise DomainError("b2a converts boolean shares")
-    batch = len(x[0])
-    mat = store.take_b2a(ring, batch)
+    mat = store.take_b2a(ring, x.batch)
     mat.consume()
-    x0 = x[0].values.astype(ring.dtype)
-    x1 = x[1].values.astype(ring.dtype)
+    z = x.v.astype(ring.dtype)
     ((xp, xpp),) = yield [
-        ExchangeItem(ring.wrap(x0 - mat.a), ring.wrap(x1 - mat.b), ring.width_bits)
+        ExchangeItem(ring.wrap(z[0] - mat.a), ring.wrap(z[1] - mat.b), ring.width_bits)
     ]
-    z0 = x0 - 2 * (xp * xpp + xpp * mat.a + mat.c0)
-    z1 = x1 - 2 * (xp * mat.b + mat.c1)
-    return Share(0, ring, z0), Share(1, ring, z1)
+    z[0] -= 2 * (xp * xpp + xpp * mat.a + mat.c0)
+    z[1] -= 2 * (xp * mat.b + mat.c1)
+    return SharePair(ring, z)
 
 
 def b2a_manifest(ring: RingSpec, batch: int) -> list[Need]:
@@ -424,16 +416,16 @@ def b2a_manifest(ring: RingSpec, batch: int) -> list[Need]:
 def _lifts(pair: SharePair, ring: RingSpec):
     """Trivial-share lifts of a boolean pair: each party's own bit and its
     complement as arithmetic values."""
-    own0 = trivial(0, pair[0].values, ring)
-    own1 = trivial(1, pair[1].values, ring)
-    neg0 = trivial(0, 1 - pair[0].values.astype(np.int64), ring)
-    neg1 = trivial(1, 1 - pair[1].values.astype(np.int64), ring)
+    own0 = trivial(0, pair.v[0], ring)
+    own1 = trivial(1, pair.v[1], ring)
+    neg0 = trivial(0, 1 - pair.v[0].astype(np.int64), ring)
+    neg1 = trivial(1, 1 - pair.v[1].astype(np.int64), ring)
     return own0, own1, neg0, neg1
 
 
 def bx2a(store: MaterialStore, b: SharePair, x: SharePair):
     """b * x in one round: the naive product bx over-counts by 2*b0*b1*x."""
-    ring = x[0].ring
+    ring = x.ring
     _check_arith(x)
     bp, bpp, _, _ = _lifts(b, ring)
     s, t = yield from bank(store, mult_n, [[_as_ring(b, ring), x], [bp, bpp, x]])
@@ -475,7 +467,7 @@ def bcx2a(store: MaterialStore, b: SharePair, c: SharePair, x: SharePair):
     """b * c * x in one round (three stacked 3-MULTs, two stacked 5-MULTs):
     BC2A with x joined to every gate."""
     _check_arith(x)
-    gates = [[*gate, x] for gate in _bc_gates(b, c, x[0].ring)]
+    gates = [[*gate, x] for gate in _bc_gates(b, c, x.ring)]
     products = yield from bank(store, mult_n, gates)
     return _bc_combine(*products)
 
@@ -537,13 +529,13 @@ def _argextreme3(store, xs, ring, smallest):
 
 def argmax3(store: MaterialStore, xs: list[SharePair]):
     """Index of the largest of three values (lowest index wins ties)."""
-    ring = xs[0][0].ring
+    ring = xs[0].ring
     result = yield from _argextreme3(store, xs, ring, smallest=False)
     return result
 
 
 def argmin3(store: MaterialStore, xs: list[SharePair]):
-    ring = xs[0][0].ring
+    ring = xs[0].ring
     result = yield from _argextreme3(store, xs, ring, smallest=True)
     return result
 
@@ -564,8 +556,7 @@ def maxn(store: MaterialStore, xs: list[SharePair], fanin_cap: int = 9,
         raise ShapeError("maxn expects more than three inputs")
     if n_vals > MAXN_CAP:
         raise CapabilityError(f"maxn capped at {MAXN_CAP} inputs")
-    ring = xs[0][0].ring
-    batch = len(xs[0][0])
+    batch = xs[0].batch
     idx_pairs = [(i, j) for i in range(n_vals) for j in range(i + 1, n_vals)]
     x_side = concat_pairs([xs[i] for i, _ in idx_pairs])
     y_side = concat_pairs([xs[j] for _, j in idx_pairs])
@@ -664,17 +655,16 @@ def tlu_manifest(ring: RingSpec, n_keys: int, batch: int) -> list[Need]:
 
 def _baseline_b2a(store, b: SharePair, ring: RingSpec):
     """Trivial-share product conversion: x0' + x1'' - 2 * x0' * x1''."""
-    batch = len(b[0])
-    bp = trivial(0, b[0].values, ring)
-    bpp = trivial(1, b[1].values, ring)
-    prod = yield from mult_n([bp, bpp], *store.take_bte(2, ring, batch))
+    bp = trivial(0, b.v[0], ring)
+    bpp = trivial(1, b.v[1], ring)
+    prod = yield from mult_n([bp, bpp], *store.take_bte(2, ring, b.batch))
     return sub(add(bp, bpp), const_mult(2, prod))
 
 
 def baseline_max3(store: MaterialStore, xs: list[SharePair]):
     """Tournament 3-Max: two sequential (compare, convert, select) stages."""
-    ring = xs[0][0].ring
-    batch = len(xs[0][0])
+    ring = xs[0].ring
+    batch = xs[0].batch
     best = xs[0]
     for challenger in xs[1:]:
         c = yield from baseline_comparison(store, best, challenger)

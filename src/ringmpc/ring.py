@@ -1,6 +1,10 @@
 """Arithmetic over Z_2^n, additive/XOR secret shares, and local share algebra.
 
-Every share is a batch (1-D numpy vector); a scalar is a batch of one.
+A share pair is one ``(2, batch)`` array in the ring's dtype, row i being
+party i's share (``SharePair``); a scalar is a batch of one. Each local op
+is one numpy operation over both rows, and batch plumbing slices or
+concatenates along the batch axis. ``Share`` is the per-party view:
+``pair[i]`` is party i's share, so ``reconst(*pair)`` opens a pair.
 Width 1 is the boolean domain: addition and subtraction coincide with XOR,
 multiplication with AND, so the same code path serves both share types.
 """
@@ -63,9 +67,9 @@ Z64 = RingSpec(64)
 
 @dataclass
 class Share:
-    """One party's additive (or XOR, for width 1) share of a secret vector.
-    The one place values are normalised: cast to the ring's dtype, width 1
-    masked to its low bit; callers pass raw dtype arithmetic unwrapped."""
+    """One party's additive (or XOR, for width 1) share of a secret vector:
+    the per-party view of a ``SharePair``. Values are normalised here: cast
+    to the ring's dtype, width 1 masked to its low bit."""
 
     party_id: int
     ring: RingSpec
@@ -82,7 +86,37 @@ class Share:
         return len(self.values)
 
 
-SharePair = tuple[Share, Share]
+@dataclass(eq=False, slots=True)
+class SharePair:
+    """Both parties' shares of one secret vector: ``v`` is one ``(2, batch)``
+    array in the ring's dtype whose row i is party i's share.
+
+    The constructor trusts its arguments; the local ops below keep ``v`` in
+    the ring (width 1 masked to {0, 1}). Pairs built by hand from two
+    ``Share``s go through ``SharePair.of``, which checks them. ``pair[i]``
+    is party i's ``Share``, so ``s0, s1 = pair`` and ``reconst(*pair)``
+    work as on a tuple.
+    """
+
+    ring: RingSpec
+    v: np.ndarray
+
+    @classmethod
+    def of(cls, s0: Share, s1: Share) -> "SharePair":
+        """Pair party 0's and party 1's shares of one ring and batch."""
+        _check_pair(s0, s1)
+        return cls(s0.ring, np.stack((s0.values, s1.values)))
+
+    @property
+    def batch(self) -> int:
+        return self.v.shape[1]
+
+    def __getitem__(self, party: int) -> Share:
+        return Share(party, self.ring, self.v[party])
+
+    def __iter__(self):
+        yield self[0]
+        yield self[1]
 
 
 def _check_pair(s0: Share, s1: Share):
@@ -95,10 +129,18 @@ def _check_pair(s0: Share, s1: Share):
 
 
 def _check_same(a: SharePair, b: SharePair):
-    if a[0].ring != b[0].ring:
+    if a.ring != b.ring:
         raise ShapeError("ring mismatch between operands")
-    if len(a[0]) != len(b[0]):
+    if a.v.shape != b.v.shape:
         raise ShapeError("batch length mismatch between operands")
+
+
+def _wrapped(ring: RingSpec, v: np.ndarray) -> SharePair:
+    """A pair over ``v`` after arithmetic that can leave {0, 1} at width 1,
+    which keeps the low bit. ``v`` is fresh, so it is masked in place."""
+    if ring.is_boolean:
+        v &= 1
+    return SharePair(ring, v)
 
 
 def uniform(ring: RingSpec, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -127,7 +169,7 @@ def share(x, ring: RingSpec, rng: np.random.Generator) -> SharePair:
         raise DomainError("plaintext value out of ring range")
     x = x.astype(ring.dtype)
     r = uniform(ring, len(x), rng)
-    return Share(0, ring, r), Share(1, ring, x - r)
+    return _wrapped(ring, np.stack((r, x - r)))
 
 
 def reconst(s0: Share, s1: Share) -> np.ndarray:
@@ -140,10 +182,9 @@ def trivial(holder: int, values, ring: RingSpec) -> SharePair:
     """Lift a value held in the clear by one party into a share pair
     (v, 0) or (0, v). No communication."""
     values = np.atleast_1d(np.asarray(values, dtype=np.uint64)).astype(ring.dtype)
-    zero = np.zeros_like(values)
-    if holder == 0:
-        return Share(0, ring, values), Share(1, ring, zero)
-    return Share(0, ring, zero), Share(1, ring, values)
+    v = np.zeros((2, len(values)), dtype=ring.dtype)
+    v[holder] = values
+    return _wrapped(ring, v)
 
 
 def const_pair(c, ring: RingSpec, batch: int) -> SharePair:
@@ -152,19 +193,17 @@ def const_pair(c, ring: RingSpec, batch: int) -> SharePair:
 
 
 # ---------------------------------------------------------------------------
-# Local (communication-free) share algebra.
+# Local (communication-free) share algebra: one numpy op over both parties.
 
 def add(a: SharePair, b: SharePair) -> SharePair:
     _check_same(a, b)
-    ring = a[0].ring
-    return tuple(Share(i, ring, a[i].values + b[i].values) for i in (0, 1))
+    return _wrapped(a.ring, a.v + b.v)
 
 
 def sub(a: SharePair, b: SharePair) -> SharePair:
     """Additive subtraction: both parties subtract; reconstructs a - b."""
     _check_same(a, b)
-    ring = a[0].ring
-    return tuple(Share(i, ring, a[i].values - b[i].values) for i in (0, 1))
+    return _wrapped(a.ring, a.v - b.v)
 
 
 def sub_mirror(a: SharePair, b: SharePair) -> SharePair:
@@ -174,49 +213,52 @@ def sub_mirror(a: SharePair, b: SharePair) -> SharePair:
     t0 == t1 iff a == b, which is what the bitwise equality check consumes.
     """
     _check_same(a, b)
-    ring = a[0].ring
-    return (Share(0, ring, a[0].values - b[0].values),
-            Share(1, ring, b[1].values - a[1].values))
+    t = a.v - b.v
+    np.negative(t[1], out=t[1])
+    return _wrapped(a.ring, t)
 
 
 def neg(a: SharePair) -> SharePair:
-    ring = a[0].ring
-    return tuple(Share(i, ring, 0 - a[i].values) for i in (0, 1))
+    return _wrapped(a.ring, 0 - a.v)
+
+
+def _public(c, ring: RingSpec):
+    return ring.wrap(np.asarray(c, dtype=np.uint64).astype(ring.dtype))
 
 
 def const_add(c, a: SharePair) -> SharePair:
     """Add a public constant: party 0 adds c, party 1 adds zero."""
-    ring = a[0].ring
-    c = ring.wrap(np.asarray(c, dtype=np.uint64).astype(ring.dtype))
-    return Share(0, ring, a[0].values + c), Share(1, ring, a[1].values.copy())
+    v = a.v.copy()
+    v[0] += _public(c, a.ring)
+    return _wrapped(a.ring, v)
 
 
 def const_mult(c, a: SharePair) -> SharePair:
     """Multiply by a public constant: both parties scale their share."""
-    ring = a[0].ring
-    c = ring.wrap(np.asarray(c, dtype=np.uint64).astype(ring.dtype))
-    return tuple(Share(i, ring, a[i].values * c) for i in (0, 1))
+    return _wrapped(a.ring, a.v * _public(c, a.ring))
 
 
 def xor(a: SharePair, b: SharePair) -> SharePair:
-    if not a[0].ring.is_boolean:
+    if not a.ring.is_boolean:
         raise DomainError("xor requires boolean shares")
     _check_same(a, b)
-    return tuple(Share(i, BOOL, a[i].values ^ b[i].values) for i in (0, 1))
+    return SharePair(BOOL, a.v ^ b.v)
 
 
 def not_(a: SharePair) -> SharePair:
     """Boolean NOT: only party 0 flips its share."""
-    if not a[0].ring.is_boolean:
+    if not a.ring.is_boolean:
         raise DomainError("not requires boolean shares")
-    return Share(0, BOOL, a[0].values ^ np.uint8(1)), Share(1, BOOL, a[1].values.copy())
+    v = a.v.copy()
+    v[0] ^= 1
+    return SharePair(BOOL, v)
 
 
 # ---------------------------------------------------------------------------
 # Bit planes.
 
 def bits_of(values: np.ndarray, width: int) -> list:
-    """LSB-first bit vectors of a plain value array, shifted in its own dtype."""
+    """LSB-first bit arrays of a plain value array, shifted in its own dtype."""
     return [(values >> values.dtype.type(j)).astype(np.uint8) & 1 for j in range(width)]
 
 
@@ -226,36 +268,28 @@ def bit_decompose_local(pair: SharePair) -> list[SharePair]:
     Recomposing the planes across parties via XOR yields the secret only when
     the additive carry chain between the two share values is zero; consumers
     rely on protocol-level structure, not on XOR-recomposition."""
-    ring = pair[0].ring
-    if ring.is_boolean:
+    if pair.ring.is_boolean:
         raise DomainError("bit decomposition needs an arithmetic share")
-    _check_pair(*pair)
-    n = ring.width_bits
-    b0 = bits_of(pair[0].values, n)
-    b1 = bits_of(pair[1].values, n)
-    return [(Share(0, BOOL, b0[j]), Share(1, BOOL, b1[j])) for j in range(n)]
+    return [SharePair(BOOL, plane) for plane in bits_of(pair.v, pair.ring.width_bits)]
 
 
 # ---------------------------------------------------------------------------
-# Batch plumbing used by the protocol layer.
+# Batch plumbing used by the protocol layer. Slices and splits are views.
 
 def concat_pairs(pairs) -> SharePair:
-    ring = pairs[0][0].ring
+    ring = pairs[0].ring
     for p in pairs:
-        if p[0].ring != ring:
+        if p.ring != ring:
             raise ShapeError("ring mismatch in concat")
-    return tuple(
-        Share(i, ring, np.concatenate([p[i].values for p in pairs])) for i in (0, 1)
-    )
+    return SharePair(ring, np.concatenate([p.v for p in pairs], axis=1))
 
 
 def slice_pair(pair: SharePair, lo: int, hi: int) -> SharePair:
-    ring = pair[0].ring
-    return tuple(Share(i, ring, pair[i].values[lo:hi].copy()) for i in (0, 1))
+    return SharePair(pair.ring, pair.v[:, lo:hi])
 
 
-def split_pair(pair: SharePair, parts: int) -> list:
-    n = len(pair[0])
+def split_pair(pair: SharePair, parts: int) -> list[SharePair]:
+    n = pair.batch
     if n % parts:
         raise ShapeError("batch not divisible for split")
     step = n // parts

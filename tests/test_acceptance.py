@@ -19,7 +19,7 @@ from ringmpc.cli import render
 from ringmpc.dealer import Need
 from ringmpc.engine import CostModel, Session
 from ringmpc.gates import and_n, mult_n, or_n
-from ringmpc.ring import BOOL, Share, Z8, Z16, Z32, Z64, reconst
+from ringmpc.ring import BOOL, Share, SharePair, Z8, Z16, Z32, Z64, reconst
 
 RINGS = {8: Z8, 16: Z16, 32: Z32, 64: Z64}
 
@@ -155,7 +155,7 @@ def test_criterion_4_correctness_oracles():
     # Overflow (2-round) exhaustive at n=8 for every k.
     a = np.repeat(np.arange(256, dtype=np.uint64), 256)
     b = np.tile(np.arange(256, dtype=np.uint64), 256)
-    x = (Share(0, Z8, a), Share(1, Z8, b))
+    x = SharePair.of(Share(0, Z8, a), Share(1, Z8, b))
     for k in range(1, 9):
         sess, z = _run(301, P.overflow_manifest(Z8, 1 << 16),
                        lambda s: P.overflow_2r(s.store, x, k))
@@ -174,7 +174,7 @@ def test_criterion_4_correctness_oracles():
         rows = np.array(list(itertools.product([0, 1], repeat=fan)),
                         dtype=np.uint64)
         sess = Session(seed=303 + fan)
-        sess.provision([Need("bte", 1, len(rows), fan_in=fan, count=2)])
+        sess.provision([Need("bte", 1, len(rows), fan_in=fan)] * 2)
         ins = [sess.share_input(rows[:, i], BOOL) for i in range(fan)]
         za = sess.run(and_n(ins, *sess.store.take_bte(fan, BOOL, len(rows))))
         zo = sess.run(or_n(ins, *sess.store.take_bte(fan, BOOL, len(rows))))
@@ -223,8 +223,8 @@ def test_criterion_5_b2a_family():
     # Ensure every (share0, share1) pattern occurs for both bits.
     b0[:4], b1[:4] = [0, 0, 1, 1], [0, 1, 0, 1]
     c0[:4], c1[:4] = [1, 1, 0, 0], [1, 0, 1, 0]
-    b = (Share(0, BOOL, b0), Share(1, BOOL, b1))
-    c = (Share(0, BOOL, c0), Share(1, BOOL, c1))
+    b = SharePair.of(Share(0, BOOL, b0), Share(1, BOOL, b1))
+    c = SharePair.of(Share(0, BOOL, c0), Share(1, BOOL, c1))
     bb, cc = b0 ^ b1, c0 ^ c1
     for width in (16, 32, 64):
         ring = RINGS[width]

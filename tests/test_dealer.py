@@ -127,7 +127,7 @@ def test_material_reuse_detected(dealer):
 
 def test_store_fifo_and_batch_check(dealer):
     store = MaterialStore()
-    dealer.provision(store, [Need("bte", 8, 4, fan_in=2, count=2)])
+    dealer.provision(store, [Need("bte", 8, 4, fan_in=2)] * 2)
     first = store.take_bte(2, Z8, 4)
     second = store.take_bte(2, Z8, 4)
     assert first[0] is not second[0]
@@ -169,7 +169,8 @@ def test_dump_load_roundtrip(dealer, tmp_path):
     dealer.provision(
         store,
         [
-            Need("bte", 1, 3, fan_in=3, count=2),
+            Need("bte", 1, 3, fan_in=3),
+            Need("bte", 1, 3, fan_in=3),
             Need("bte", 64, 2, fan_in=2),
             Need("b2a", 32, 5),
         ],

@@ -28,7 +28,7 @@ def truth_table_inputs(sess, fan_in):
 def test_and_or_exhaustive_truth_tables(fan_in):
     sess = Session(seed=fan_in)
     batch = 1 << fan_in
-    sess.provision([Need("bte", 1, batch, fan_in=fan_in, count=2)])
+    sess.provision([Need("bte", 1, batch, fan_in=fan_in)] * 2)
     rows, inputs = truth_table_inputs(sess, fan_in)
     z_and = sess.run(and_n(inputs, *sess.store.take_bte(fan_in, BOOL, batch)))
     z_or = sess.run(or_n(inputs, *sess.store.take_bte(fan_in, BOOL, batch)))

@@ -117,7 +117,7 @@ def pools(needs):
     out = {}
     for need in needs:
         key = (need.kind, need.width, need.fan_in)
-        out.setdefault(key, []).extend([need.batch] * need.count)
+        out.setdefault(key, []).append(need.batch)
     return out
 
 

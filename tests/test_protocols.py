@@ -6,7 +6,7 @@ import pytest
 from ringmpc import protocols as P
 from ringmpc.engine import Session
 from ringmpc.errors import CapabilityError, DomainError, ShapeError
-from ringmpc.ring import BOOL, Share, Z8, Z16, Z32, Z64, reconst
+from ringmpc.ring import BOOL, Share, SharePair, Z8, Z16, Z32, Z64, reconst
 
 RINGS = {8: Z8, 16: Z16, 32: Z32, 64: Z64}
 
@@ -118,7 +118,7 @@ def test_overflow_2r_exhaustive_n8(k):
     batch = 1 << 16
     a = np.repeat(np.arange(256, dtype=np.uint64), 256)
     b = np.tile(np.arange(256, dtype=np.uint64), 256)
-    x = (Share(0, Z8, a), Share(1, Z8, b))
+    x = SharePair.of(Share(0, Z8, a), Share(1, Z8, b))
     sess, z = run(k, P.overflow_manifest(Z8, batch),
                   lambda s: P.overflow_2r(s.store, x, k))
     expect = ((a % (1 << k)) + (b % (1 << k)) >= (1 << k)).astype(np.uint8)
@@ -133,7 +133,7 @@ def test_overflow_2r_random_wider(width):
     batch = 3000
     a = rand(rng, ring, batch)
     b = rand(rng, ring, batch)
-    x = (Share(0, ring, a), Share(1, ring, b))
+    x = SharePair.of(Share(0, ring, a), Share(1, ring, b))
     for k in (1, width // 2, width - 1, width):
         sess, z = run(width + k, P.overflow_manifest(ring, batch),
                       lambda s: P.overflow_2r(s.store, x, k))
@@ -146,14 +146,14 @@ def test_overflow_2r_random_wider(width):
 @pytest.mark.parametrize("width,bits", [(8, 38), (16, 92), (32, 236), (64, 632)])
 def test_overflow_2r_bit_counts(width, bits):
     ring = RINGS[width]
-    x = (Share(0, ring, [1]), Share(1, ring, [2]))
+    x = SharePair.of(Share(0, ring, [1]), Share(1, ring, [2]))
     sess, _ = run(width, P.overflow_manifest(ring, 1),
                   lambda s: P.overflow_2r(s.store, x, width))
     assert sess.bits == [bits, bits]
 
 
 def test_overflow_2r_bad_k():
-    x = (Share(0, Z8, [1]), Share(1, Z8, [2]))
+    x = SharePair.of(Share(0, Z8, [1]), Share(1, Z8, [2]))
     sess = Session(seed=0)
     with pytest.raises(DomainError):
         next(P.overflow_2r(sess.store, x, 9))
@@ -162,7 +162,7 @@ def test_overflow_2r_bad_k():
 def test_overflow_1r_exhaustive_n8():
     a = np.repeat(np.arange(256, dtype=np.uint64), 256)
     b = np.tile(np.arange(256, dtype=np.uint64), 256)
-    x = (Share(0, Z8, a), Share(1, Z8, b))
+    x = SharePair.of(Share(0, Z8, a), Share(1, Z8, b))
     sess, z = run(21, P.overflow_1r_manifest(Z8, 1 << 16),
                   lambda s: P.overflow_1r(s.store, x))
     assert np.array_equal(reconst(*z), ((a + b) >= 256).astype(np.uint8))
@@ -174,7 +174,7 @@ def test_overflow_1r_random_n16():
     batch = 5000
     a = rand(rng, Z16, batch)
     b = rand(rng, Z16, batch)
-    x = (Share(0, Z16, a), Share(1, Z16, b))
+    x = SharePair.of(Share(0, Z16, a), Share(1, Z16, b))
     sess, z = run(22, P.overflow_1r_manifest(Z16, batch),
                   lambda s: P.overflow_1r(s.store, x))
     expect = (a.astype(np.uint64) + b.astype(np.uint64) >= (1 << 16)).astype(np.uint8)
@@ -183,7 +183,7 @@ def test_overflow_1r_random_n16():
 
 
 def test_overflow_1r_unsupported_width():
-    x = (Share(0, Z32, [1]), Share(1, Z32, [2]))
+    x = SharePair.of(Share(0, Z32, [1]), Share(1, Z32, [2]))
     sess = Session(seed=0)
     with pytest.raises(CapabilityError):
         next(P.overflow_1r(sess.store, x))
@@ -253,7 +253,7 @@ def all_bit_patterns(batch, rng):
     # Force every pattern to appear.
     b0[:4] = [0, 0, 1, 1]
     b1[:4] = [0, 1, 0, 1]
-    return (Share(0, BOOL, b0), Share(1, BOOL, b1)), b0 ^ b1
+    return SharePair.of(Share(0, BOOL, b0), Share(1, BOOL, b1)), b0 ^ b1
 
 
 @pytest.mark.parametrize("width", [8, 16, 32, 64])

@@ -2,11 +2,15 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from ringmpc.dealer import Need
+from ringmpc.engine import Session
 from ringmpc.errors import DomainError, ShapeError
+from ringmpc.gates import and_n, or_n
 from ringmpc.ring import (
     BOOL,
     RingSpec,
     Share,
+    SharePair,
     Z8,
     Z16,
     Z32,
@@ -22,6 +26,7 @@ from ringmpc.ring import (
     not_,
     reconst,
     share,
+    slice_pair,
     split_pair,
     sub,
     sub_mirror,
@@ -193,3 +198,95 @@ def test_uniform_bytes_pass_chi_square(ring, shift, rng):
     cells = (vals >> vals.dtype.type(shift)) & vals.dtype.type(0xFF)
     counts = np.bincount(cells, minlength=ring.modulus if ring.is_boolean else 256)
     assert scipy.stats.chisquare(counts).pvalue > 0.001
+
+
+def _vals(ring, rng, size=50):
+    return rng.integers(0, min(ring.modulus, 1 << 63), size, dtype=np.uint64)
+
+
+@pytest.mark.parametrize("ring", RINGS)
+def test_pair_is_one_two_row_array(ring, rng):
+    for pair in (share(_vals(ring, rng), ring, rng), trivial(1, [1, 0, 1], ring),
+                 const_pair(1, ring, 4)):
+        assert isinstance(pair.v, np.ndarray)
+        assert pair.v.shape == (2, pair.batch)
+        assert pair.v.dtype == ring.dtype
+        assert pair.ring == ring
+
+
+@pytest.mark.parametrize("ring", RINGS)
+def test_pair_unpacks_to_party_shares(ring, rng):
+    vals = _vals(ring, rng)
+    pair = share(vals, ring, rng)
+    s0, s1 = pair
+    assert (s0.party_id, s1.party_id) == (0, 1)
+    assert np.array_equal(s0.values, pair.v[0]) and np.array_equal(s1.values, pair.v[1])
+    assert np.array_equal(reconst(*pair), ring.wrap(vals.astype(ring.dtype)))
+    again = SharePair.of(s0, s1)
+    assert again.ring == ring
+    assert again.v.dtype == ring.dtype
+    assert np.array_equal(again.v, pair.v)
+
+
+def test_pair_of_checks_parties_ring_and_batch():
+    with pytest.raises(ShapeError):
+        SharePair.of(Share(1, Z8, [1]), Share(0, Z8, [2]))
+    with pytest.raises(ShapeError):
+        SharePair.of(Share(0, Z8, [1]), Share(1, Z16, [2]))
+    with pytest.raises(ShapeError):
+        SharePair.of(Share(0, Z8, [1, 2]), Share(1, Z8, [3]))
+
+
+def test_split_and_slice_return_in_order_views(rng):
+    pairs = [share(uniform(Z32, 4, rng), Z32, rng) for _ in range(3)]
+    big = concat_pairs(pairs)
+    parts = split_pair(big, 3)
+    for orig, part in zip(pairs, parts):
+        assert np.shares_memory(part.v, big.v)
+        assert np.array_equal(part.v, orig.v)
+    middle = slice_pair(big, 4, 8)
+    assert np.shares_memory(middle.v, big.v)
+    assert np.array_equal(middle.v, pairs[1].v)
+
+
+def _low_bit_pairs():
+    """Boolean pairs whose raw byte arithmetic leaves {0, 1}: 1 + 1, 0 - 1."""
+    a = SharePair.of(Share(0, BOOL, [0, 0, 1, 1]), Share(1, BOOL, [0, 1, 0, 1]))
+    b = SharePair.of(Share(0, BOOL, [1, 1, 1, 1]), Share(1, BOOL, [1, 1, 1, 1]))
+    return a, b
+
+
+def test_boolean_algebra_keeps_the_low_bit():
+    a, b = _low_bit_pairs()
+    plain_a, plain_b = reconst(*a), reconst(*b)
+    results = {
+        "add": (add(a, b), plain_a ^ plain_b),
+        "sub": (sub(a, b), plain_a ^ plain_b),
+        "sub_mirror": (sub_mirror(a, b), None),
+        "neg": (neg(a), plain_a),
+        "const_add": (const_add(3, a), plain_a ^ 1),
+        "const_mult": (const_mult(3, a), plain_a),
+        "xor": (xor(a, b), plain_a ^ plain_b),
+        "not_": (not_(a), plain_a ^ 1),
+        "trivial": (trivial(1, [2, 3, 4, 5], BOOL), [0, 1, 0, 1]),
+        "share": (share([1, 0, 1, 0], BOOL, np.random.default_rng(3)), [1, 0, 1, 0]),
+    }
+    for name, (out, expect) in results.items():
+        assert out.v.dtype == np.uint8, name
+        assert np.all(out.v <= 1), name
+        if expect is not None:
+            assert np.array_equal(reconst(*out), expect), name
+
+
+@pytest.mark.parametrize("gate", [and_n, or_n])
+def test_boolean_gate_output_keeps_the_low_bit(gate):
+    sess = Session(seed=11)
+    batch, fan_in = 64, 5
+    sess.provision([Need("bte", 1, batch, fan_in=fan_in)])
+    bits = np.random.default_rng(12).integers(0, 2, (fan_in, batch), dtype=np.uint64)
+    inputs = [sess.share_input(row, BOOL) for row in bits]
+    out = sess.run(gate(inputs, *sess.store.take_bte(fan_in, BOOL, batch)))
+    assert out.v.dtype == np.uint8
+    assert np.all(out.v <= 1)
+    expect = bits.min(axis=0) if gate is and_n else bits.max(axis=0)
+    assert np.array_equal(reconst(*out), expect)

@@ -8,6 +8,7 @@ material or to the order of dealer draws changes them: regenerate the
 digests with ``python tests/test_transcript_pins.py`` and say so in
 CHANGES.md.
 """
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -39,9 +40,20 @@ def _shares(out):
             yield from _shares(part)
 
 
+def _needs_text(needs) -> str:
+    """Every field of every need, in take order, in the text the digests
+    were taken with: the dataclass repr from when ``Need`` also had a
+    ``count`` field, which derived manifests always set to 1."""
+    assert [f.name for f in dataclasses.fields(Need)] == ["kind", "width", "batch", "fan_in"]
+    return "[" + ", ".join(
+        f"Need(kind={n.kind!r}, width={n.width}, batch={n.batch}, fan_in={n.fan_in}, count=1)"
+        for n in needs
+    ) + "]"
+
+
 def _digest(sess, needs, out) -> str:
     h = hashlib.sha256()
-    h.update(repr(needs).encode())
+    h.update(_needs_text(needs).encode())
     h.update(repr((sess.rounds, sess.bits)).encode())
     h.update(sess.transcript.to_bytes())
     for share in _shares(out):
