@@ -22,7 +22,15 @@ from .errors import (
     MaterialError,
     MaterialReuseError,
 )
-from .ring import SUPPORTED_WIDTHS, RingSpec, SharePair, uniform
+from .ring import (
+    SUPPORTED_WIDTHS,
+    Z64,
+    RingSpec,
+    SharePair,
+    pack_lanes,
+    uniform,
+    unpack_lanes,
+)
 
 DEFAULT_FANIN_CAP = 9
 MAX_FANIN = 16  # a fan-in-N table holds 2**N - 1 entries per element
@@ -32,14 +40,18 @@ MAX_FANIN = 16  # a fan-in-N table holds 2**N - 1 entries per element
 class BteTable:
     """One party's half of a Beaver-triple extension for an N-fan-in gate.
 
-    ``rows`` is one ``(2^N - 1, batch)`` array in the ring's dtype: row
+    ``rows`` holds one row per nonempty subset of input slots: row
     ``mask - 1`` is this party's share of a_I, where I is the subset of
     input slots encoded by the bitmask (bit ``l`` set means slot ``l`` is
     in I). Reconstructed across parties, a_I equals the product of the
     singleton masks a_{l} for l in I. There is no row for the empty set.
-    Ascending mask order is also the dump order. ``entries`` is a read-only
-    mask-keyed view of the same rows. A gate folds ``rows`` in place, which
-    ``consume`` makes safe: a table is used once.
+    Ascending mask order is also the dump order. Arithmetic rows are one
+    ``(2^N - 1, batch)`` array in the ring's dtype. Boolean rows are packed
+    (``table_layout``): one ``(2^N - 1, ceil(batch/64))`` uint64 array, 64
+    lanes per word as ``ring.pack_lanes`` lays them out, padding lanes
+    zero. ``entries`` is a read-only mask-keyed view of the same rows. A
+    gate folds ``rows`` in place, which ``consume`` makes safe: a table is
+    used once.
     """
 
     party_id: int
@@ -96,6 +108,20 @@ class Need:
         return replace(self, batch=self.batch * factor)
 
 
+def table_layout(fan_in: int, ring: RingSpec, batch: int) -> tuple[tuple[int, int], type]:
+    """Shape and dtype of one party's ``BteTable.rows``: ``batch`` columns in
+    the ring's dtype, or at width 1 ``ceil(batch/64)`` uint64 words."""
+    if ring.is_boolean:
+        return ((1 << fan_in) - 1, -(-batch // 64)), np.uint64
+    return ((1 << fan_in) - 1, batch), ring.dtype
+
+
+def _clear_padding(words: np.ndarray, batch: int):
+    """Zero the lanes past ``batch`` in the last word of each row."""
+    if batch % 64:
+        words[:, -1] &= np.uint64((1 << (batch % 64)) - 1)
+
+
 def check_fan_in(fan_in: int, cap: int):
     """Refuse a BTE table outside fan-in [2, cap]: it has 2**fan_in - 1 entries."""
     if not 2 <= fan_in <= cap:
@@ -125,19 +151,29 @@ class Dealer:
         The plain products are filled by doubling: once the rows of every
         subset of slots below l are known, slot l's row is a_l and the
         rows of its supersets are those rows times a_l. Party 1's half is
-        the plain table minus party 0's, computed in place, in the ring's
-        dtype unwrapped: XOR at width 1 (products of 0/1 stay 0/1), native
-        wrapping - above it.
+        the plain table minus party 0's, computed in place. Above width 1
+        this is multiply and subtract in the ring's dtype, which wraps
+        natively. At width 1 both draws are raw Z_2^64 words, each word 64
+        packed lanes (``table_layout``), with the padding lanes zeroed;
+        products are AND and the minus is XOR, so the padding stays zero.
         """
         check_fan_in(fan_in, self.fanin_cap)
-        singles = self._draw(ring, fan_in * batch).reshape(fan_in, batch)
-        plain = np.empty(((1 << fan_in) - 1, batch), dtype=ring.dtype)
+        (rows, cols), dtype = table_layout(fan_in, ring, batch)
+        draw_ring = Z64 if ring.is_boolean else ring
+        singles = self._draw(draw_ring, fan_in * cols).reshape(fan_in, cols)
+        s0 = self._draw(draw_ring, rows * cols).reshape(rows, cols)
+        if ring.is_boolean:
+            _clear_padding(singles, batch)
+            _clear_padding(s0, batch)
+            mul, sub = np.bitwise_and, np.bitwise_xor
+        else:
+            mul, sub = np.multiply, np.subtract
+        plain = np.empty((rows, cols), dtype=dtype)
         for l in range(fan_in):
             h = 1 << l
             plain[h - 1] = singles[l]
-            np.multiply(plain[:h - 1], singles[l], out=plain[h:2 * h - 1])
-        s0 = self._draw(ring, plain.size).reshape(plain.shape)
-        (np.bitwise_xor if ring.is_boolean else np.subtract)(plain, s0, out=plain)
+            mul(plain[:h - 1], singles[l], out=plain[h:2 * h - 1])
+        sub(plain, s0, out=plain)
         return BteTable(0, fan_in, ring, batch, s0), BteTable(1, fan_in, ring, batch, plain)
 
     def gen_b2a_material(self, ring: RingSpec, batch: int) -> B2aMaterial:
@@ -215,7 +251,7 @@ class RecordingStore:
     def take_bte(self, fan_in: int, ring: RingSpec, batch: int) -> tuple[BteTable, BteTable]:
         self.needs.append(Need("bte", ring.width_bits, batch, fan_in=fan_in))
         # One zero block for both halves: the gate's in-place fold keeps it zero.
-        rows = np.zeros(((1 << fan_in) - 1, batch), ring.dtype)
+        rows = np.zeros(*table_layout(fan_in, ring, batch))
         return BteTable(0, fan_in, ring, batch, rows), BteTable(1, fan_in, ring, batch, rows)
 
     def take_b2a(self, ring: RingSpec, batch: int) -> B2aMaterial:
@@ -229,7 +265,9 @@ class RecordingStore:
 # Layout: magic, record count; per record a header (kind, ring width, fan-in,
 # batch >= 1) followed by the record's arrays as little-endian fixed-width
 # integers: for a BTE table each party's rows, i.e. its entries in ascending
-# mask order; for B2A material a, c0, b, c1.
+# mask order, one ring element per entry element (boolean rows are unpacked
+# to one byte per bit on dump and packed again on load); for B2A material
+# a, c0, b, c1.
 
 _MAGIC = b"RMPCMAT1"
 
@@ -262,7 +300,8 @@ def dump_material(path: str, store: MaterialStore):
             fh.write(struct.pack("<4sIII", kind.encode(), width, fan_in, batch))
             if kind == "bte":
                 for table in (obj, other):
-                    fh.write(_arr_bytes(table.rows, ring))
+                    rows = unpack_lanes(table.rows, batch) if ring.is_boolean else table.rows
+                    fh.write(_arr_bytes(rows, ring))
             else:
                 for arr in (obj.a, obj.c0, obj.b, obj.c1):
                     fh.write(_arr_bytes(arr, ring))
@@ -271,7 +310,9 @@ def dump_material(path: str, store: MaterialStore):
 def load_material(path: str) -> MaterialStore:
     """Read a dump written by ``dump_material``. A malformed dump (unknown
     kind, bad width, fan-in or batch, a record larger than the rest of the
-    file, trailing bytes) raises MaterialError before its arrays are read."""
+    file, trailing bytes) raises MaterialError before its arrays are read;
+    a boolean table entry outside {0, 1} raises it before the record is
+    stored."""
     store = MaterialStore()
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -301,11 +342,14 @@ def load_material(path: str) -> MaterialStore:
                 raise MaterialError(f"{path}: record larger than the rest of the file")
             if kind == b"bte":
                 rows = arrays // 2
-                store.put_bte(*(
-                    BteTable(party, fan_in, ring, batch,
-                             _arr_from(fh.read(rows * nbytes), ring, rows * batch)
-                             .reshape(rows, batch))
-                    for party in (0, 1)))
+                halves = [_arr_from(fh.read(rows * nbytes), ring, rows * batch)
+                          .reshape(rows, batch) for _ in (0, 1)]
+                if ring.is_boolean:
+                    if any(half.max() > 1 for half in halves):
+                        raise MaterialError(f"{path}: boolean table entry outside {{0, 1}}")
+                    halves = [pack_lanes(half) for half in halves]
+                store.put_bte(*(BteTable(party, fan_in, ring, batch, half)
+                                for party, half in enumerate(halves)))
             else:
                 a, c0, b, c1 = (_arr_from(fh.read(nbytes), ring, batch) for _ in range(4))
                 store.put_b2a(B2aMaterial(ring, batch, a=a, b=b, c0=c0, c1=c1))

@@ -23,10 +23,18 @@ from .errors import MaterialError, ProtocolDesyncError, ShapeError
 from .ring import RingSpec, SUPPORTED_WIDTHS, _DTYPES
 
 
+def _payload(arr, width: int) -> np.ndarray:
+    dtype = _DTYPES[width]
+    if isinstance(arr, np.ndarray) and arr.ndim == 1 and arr.dtype == dtype:
+        return arr
+    return np.atleast_1d(np.asarray(arr, dtype=dtype))
+
+
 @dataclass
 class ExchangeItem:
     """One message pair inside a round: party 0 sends ``p0`` and party 1
-    sends ``p1``, both vectors of ``width``-bit ring elements."""
+    sends ``p1``, both vectors of ``width``-bit ring elements. A 1-D array
+    of the width's dtype is kept as given; other input is converted."""
 
     p0: np.ndarray
     p1: np.ndarray
@@ -35,8 +43,8 @@ class ExchangeItem:
     def __post_init__(self):
         if self.width not in SUPPORTED_WIDTHS:
             raise ShapeError(f"unsupported payload width {self.width}")
-        self.p0 = np.atleast_1d(np.asarray(self.p0, dtype=_DTYPES[self.width]))
-        self.p1 = np.atleast_1d(np.asarray(self.p1, dtype=_DTYPES[self.width]))
+        self.p0 = _payload(self.p0, self.width)
+        self.p1 = _payload(self.p1, self.width)
         if self.p0.shape != self.p1.shape:
             raise ProtocolDesyncError(
                 "parties disagree on payload length at a round barrier"

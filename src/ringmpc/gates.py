@@ -6,20 +6,21 @@ locally. Over the boolean ring multiplication *is* AND and addition *is*
 XOR, so one code path serves both share types. ``bank`` runs many gates in
 one round and decides how they share material.
 
-The subset sum is a fold over the table's rows in the ring's own dtype,
-which wraps natively. Width 1 accumulates in uint8, which is exact: the
-fold only adds and multiplies, reduction mod 2 commutes with both because
-2 divides 2^8, so the low bit is the XOR/AND result however far the byte
-wraps, and the gate keeps that bit of its output.
+The subset sum is a fold over the table's rows with the ring's two ops:
+multiply and add in the ring's own dtype, which wraps natively, above
+width 1; at width 1 AND and XOR over the table's packed uint64 words, 64
+elements per word op. Shares and payloads stay one uint8 per bit, so a
+boolean gate unpacks the singleton rows it masks with and packs the opened
+slots it folds with.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .dealer import BteTable
+from .dealer import BteTable, table_layout
 from .engine import ExchangeItem, parallel
 from .errors import DomainError, ShapeError
-from .ring import SharePair, concat_pairs, not_, slice_pair
+from .ring import SharePair, concat_pairs, not_, pack_lanes, slice_pair, unpack_lanes
 
 
 def _validate(inputs, t0: BteTable, t1: BteTable):
@@ -39,9 +40,11 @@ def _validate(inputs, t0: BteTable, t1: BteTable):
         raise ShapeError("table ring does not match inputs")
     if t0.batch != batch:
         raise ShapeError("table batch does not match inputs")
-    shape = ((1 << n) - 1, batch)
-    if t0.rows.shape != shape or t1.rows.shape != shape:
-        raise ShapeError(f"table rows {t0.rows.shape} / {t1.rows.shape}, expected {shape}")
+    shape, dtype = table_layout(n, ring, batch)
+    for t in (t0, t1):
+        if t.rows.shape != shape or t.rows.dtype != dtype:
+            raise ShapeError(f"table rows {t.rows.shape} {t.rows.dtype}, "
+                             f"expected {shape} {np.dtype(dtype)}")
     return ring, batch, n
 
 
@@ -52,35 +55,56 @@ def mult_n(inputs: list[SharePair], t0: BteTable, t1: BteTable):
     parties open x'_l. Since x_l = x'_l + a_l, the product is the sum over
     subsets I of a_I times the opened values outside I, with a_{} = 1 held
     by party 0 alone. Each party folds that sum out of its own table into
-    its row of the output.
+    its row of the output. At width 1 the tables are packed: the singleton
+    rows are unpacked to mask the inputs, the opened slots are packed to
+    fold with, and the folded words are unpacked into the output.
     """
     ring, batch, n = _validate(inputs, t0, t1)
     t0.consume()
     t1.consume()
+    if ring.is_boolean:
+        result = yield from _mult_packed(inputs, t0, t1, batch, n)
+        return result
     items = [
-        ExchangeItem(
-            ring.wrap(inputs[l].v[0] - t0.rows[(1 << l) - 1]),
-            ring.wrap(inputs[l].v[1] - t1.rows[(1 << l) - 1]),
-            ring.width_bits,
-        )
+        ExchangeItem(inputs[l].v[0] - t0.rows[(1 << l) - 1],
+                     inputs[l].v[1] - t1.rows[(1 << l) - 1], ring.width_bits)
         for l in range(n)
     ]
     responses = yield items
-    opened = [ring.wrap(p0 + p1) for p0, p1 in responses]
+    opened = [p0 + p1 for p0, p1 in responses]
     out = np.empty((2, batch), dtype=ring.dtype)
     out[0] = 1
     out[1] = 0
-    _fold(t0.rows, opened, out[0])
-    _fold(t1.rows, opened, out[1])
-    if ring.is_boolean:
-        out &= 1
+    for party, table in enumerate((t0, t1)):
+        _fold(table.rows, opened, out[party], np.multiply, np.add)
     return SharePair(ring, out)
 
 
-def _fold(rows: np.ndarray, opened: list[np.ndarray], head: np.ndarray):
+def _mult_packed(inputs: list[SharePair], t0: BteTable, t1: BteTable, batch: int, n: int):
+    """``mult_n`` at width 1, over tables of packed lanes."""
+    singles = [(1 << l) - 1 for l in range(n)]
+    masked = unpack_lanes(np.concatenate((t0.rows[singles], t1.rows[singles])), batch)
+    masked = masked.reshape(2, n, batch)
+    for l, pair in enumerate(inputs):
+        masked[:, l] ^= pair.v
+    responses = yield [ExchangeItem(masked[0, l], masked[1, l], 1) for l in range(n)]
+    payloads = np.array(responses)
+    opened = pack_lanes(payloads[:, 0] ^ payloads[:, 1])
+    out = np.empty((2, opened.shape[1]), dtype=np.uint64)
+    out[0] = ~np.uint64(0)
+    out[1] = 0
+    for party, table in enumerate((t0, t1)):
+        _fold(table.rows, opened, out[party], np.bitwise_and, np.bitwise_xor)
+    return SharePair(t0.ring, unpack_lanes(out, batch))
+
+
+def _fold(rows: np.ndarray, opened, head: np.ndarray, mul, add):
     """Fold one opened slot at a time, top slot first: a fast Mobius/Yates
     transform in O(N) numpy calls, in place over ``rows`` and ``head``.
 
+    ``mul`` and ``add`` are the ring's two ops: ``multiply`` and ``add``
+    above width 1, ``bitwise_and`` and ``bitwise_xor`` over packed words
+    at width 1, where ``opened`` holds the packed slots too.
     ``head`` starts as this party's share of a_{}. Once the slots above l
     are folded, entry m < 2h (h = 2^l; row m - 1, or ``head`` for m = 0) is
     the subset sum over those slots with the slots up to l fixed to m.
@@ -90,11 +114,11 @@ def _fold(rows: np.ndarray, opened: list[np.ndarray], head: np.ndarray):
     for l in reversed(range(len(opened))):
         h = 1 << l
         x = opened[l]
-        head *= x
-        head += rows[h - 1]
+        mul(head, x, out=head)
+        add(head, rows[h - 1], out=head)
         low = rows[:h - 1]
-        low *= x
-        low += rows[h:2 * h - 1]
+        mul(low, x, out=low)
+        add(low, rows[h:2 * h - 1], out=low)
 
 
 def and_n(inputs: list[SharePair], t0: BteTable, t1: BteTable):

@@ -7,6 +7,8 @@ concatenates along the batch axis. ``Share`` is the per-party view:
 ``pair[i]`` is party i's share, so ``reconst(*pair)`` opens a pair.
 Width 1 is the boolean domain: addition and subtraction coincide with XOR,
 multiplication with AND, so the same code path serves both share types.
+Shares keep one uint8 per bit; ``pack_lanes`` and ``unpack_lanes`` convert
+bits to and from 64 lanes per uint64 word, the layout of boolean BTE tables.
 """
 from __future__ import annotations
 
@@ -69,7 +71,9 @@ Z64 = RingSpec(64)
 class Share:
     """One party's additive (or XOR, for width 1) share of a secret vector:
     the per-party view of a ``SharePair``. Values are normalised here: cast
-    to the ring's dtype, width 1 masked to its low bit."""
+    to the ring's dtype, width 1 masked to its low bit when a value exceeds
+    it. In-range values are kept as given, so ``pair[i].values`` is a view
+    of ``pair.v`` at every width."""
 
     party_id: int
     ring: RingSpec
@@ -79,7 +83,7 @@ class Share:
         if self.party_id not in (0, 1):
             raise ShapeError(f"party_id must be 0 or 1, got {self.party_id}")
         self.values = np.atleast_1d(np.asarray(self.values, dtype=self.ring.dtype))
-        if self.ring.is_boolean:
+        if self.ring.is_boolean and self.values.max(initial=0) > 1:
             self.values = self.values & np.uint8(1)
 
     def __len__(self):
@@ -155,11 +159,34 @@ def uniform(ring: RingSpec, size: int, rng: np.random.Generator) -> np.ndarray:
     element.
     """
     words = rng.bit_generator.random_raw(-(-size * ring.width_bits // 64))
+    if ring.width_bits == 64:
+        return words
     raw = words.astype("<u8", copy=False).view(np.uint8)
     if ring.is_boolean:
         return np.unpackbits(raw, count=size, bitorder="little")
     elems = raw.view(np.dtype(ring.dtype).newbyteorder("<"))[:size]
     return elems.astype(ring.dtype, copy=False)
+
+
+def pack_lanes(bits: np.ndarray) -> np.ndarray:
+    """Pack ``(k, batch)`` bits, one uint8 0/1 each, into ``(k, ceil(batch/64))``
+    uint64 words: lane i of word w is element 64·w + i, little-endian lane
+    order on any host (the order of ``uniform`` at width 1). The padding
+    lanes of each row's last word are zero."""
+    k, batch = np.shape(bits)
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    if batch % 64:
+        padded = np.zeros((k, -(-batch // 64) * 8), dtype=np.uint8)
+        padded[:, :packed.shape[1]] = packed
+        packed = padded
+    return packed.view("<u8").astype(np.uint64, copy=False)
+
+
+def unpack_lanes(words: np.ndarray, batch: int) -> np.ndarray:
+    """Inverse of ``pack_lanes``: the first ``batch`` lanes of each row of
+    ``words`` as uint8 0/1, along the last axis."""
+    raw = np.ascontiguousarray(words).astype("<u8", copy=False).view(np.uint8)
+    return np.unpackbits(raw, axis=-1, count=batch, bitorder="little")
 
 
 def share(x, ring: RingSpec, rng: np.random.Generator) -> SharePair:

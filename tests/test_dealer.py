@@ -18,7 +18,7 @@ from ringmpc.errors import (
     MaterialError,
     MaterialReuseError,
 )
-from ringmpc.ring import BOOL, Z8, Z16, Z32, Z64, RingSpec, uniform
+from ringmpc.ring import BOOL, Z8, Z16, Z32, Z64, RingSpec, pack_lanes, uniform, unpack_lanes
 
 
 @pytest.fixture
@@ -30,28 +30,35 @@ def masks(fan_in):
     return range(1, 1 << fan_in)
 
 
+def plain_rows(table):
+    """A table's rows with one ring element per entry element."""
+    if table.ring.is_boolean:
+        return unpack_lanes(table.rows, table.batch)
+    return table.rows
+
+
 @pytest.mark.parametrize("ring", [BOOL, Z8, Z32, Z64])
 @pytest.mark.parametrize("fan_in", [2, 3, 5, 9])
 def test_bte_entries_reconstruct_to_products(dealer, ring, fan_in):
     batch = 50
     t0, t1 = dealer.gen_bte(fan_in, ring, batch)
-    singles = {
-        1 << b: ring.wrap(t0.entries[1 << b] + t1.entries[1 << b])
-        for b in range(fan_in)
-    }
+    plain = ring.wrap(plain_rows(t0) + plain_rows(t1))
+    singles = {1 << b: plain[(1 << b) - 1] for b in range(fan_in)}
     for mask in masks(fan_in):
         expect = np.ones(batch, dtype=ring.dtype)
         for b in range(fan_in):
             if mask & (1 << b):
                 expect = ring.wrap(expect * singles[1 << b])
-        assert np.array_equal(ring.wrap(t0.entries[mask] + t1.entries[mask]), expect)
+        assert np.array_equal(plain[mask - 1], expect)
 
 
 @pytest.mark.parametrize("ring", [BOOL, Z16, Z64])
 def test_bte_rows_are_one_array_per_party(dealer, ring):
     t0, t1 = dealer.gen_bte(4, ring, 3)
+    # Boolean rows are packed: 3 lanes of one uint64 word per row.
+    shape, dtype = ((15, 1), np.uint64) if ring.is_boolean else ((15, 3), ring.dtype)
     for table in (t0, t1):
-        assert table.rows.shape == (15, 3) and table.rows.dtype == ring.dtype
+        assert table.rows.shape == shape and table.rows.dtype == dtype
         assert table.rows.flags.c_contiguous
         assert sorted(table.entries) == list(masks(4)) and len(table.entries) == 15
         for mask in masks(4):
@@ -71,13 +78,22 @@ def test_gen_bte_takes_two_draws_party0_rows_in_one(ring, fan_in):
     d = Dealer(np.random.default_rng(3))
     t0, t1 = d.gen_bte(fan_in, ring, batch)
     assert d.draw_count == 2
-    # Replaying the two draws: the singleton masks, then all of party 0's rows.
+    # Replaying the two draws: the singleton masks, then all of party 0's
+    # rows. At width 1 both are raw Z_2^64 words, one per row of 7 lanes,
+    # with the 57 padding lanes of each word cleared.
     replay = np.random.default_rng(3)
-    singles = uniform(ring, fan_in * batch, replay).reshape(fan_in, batch)
-    rows0 = uniform(ring, ((1 << fan_in) - 1) * batch, replay)
-    assert np.array_equal(t0.rows.ravel(), rows0)
+    rows = (1 << fan_in) - 1
+    if ring.is_boolean:
+        keep = np.uint64((1 << batch) - 1)
+        singles = unpack_lanes(uniform(Z64, fan_in, replay).reshape(fan_in, 1) & keep, batch)
+        rows0 = uniform(Z64, rows, replay).reshape(rows, 1) & keep
+    else:
+        singles = uniform(ring, fan_in * batch, replay).reshape(fan_in, batch)
+        rows0 = uniform(ring, rows * batch, replay).reshape(rows, batch)
+    assert np.array_equal(t0.rows, rows0)
+    plain = ring.wrap(plain_rows(t0) + plain_rows(t1))
     for l in range(fan_in):
-        assert np.array_equal(ring.wrap(t0.entries[1 << l] + t1.entries[1 << l]), singles[l])
+        assert np.array_equal(plain[(1 << l) - 1], singles[l])
 
 
 def test_bte_has_all_subsets(dealer):
@@ -159,6 +175,66 @@ def test_recording_store_serves_zero_material_and_records_takes():
         assert arr.dtype == np.uint8 and arr.shape == (2,) and not arr.any()
 
 
+def test_recording_store_serves_packed_boolean_zero_block():
+    t0, t1 = RecordingStore().take_bte(4, BOOL, 130)
+    assert t0.rows is t1.rows
+    assert t0.rows.dtype == np.uint64 and t0.rows.shape == (15, 3)
+    assert not t0.rows.any()
+
+
+def _padding_lanes(table) -> np.ndarray:
+    """The lanes past the batch in each row's last word."""
+    return table.rows[:, -1] >> np.uint64(table.batch % 64)
+
+
+@pytest.mark.parametrize("batch", [1, 63, 130])
+def test_gen_bte_boolean_padding_lanes_are_zero(batch):
+    t0, t1 = Dealer(np.random.default_rng(batch)).gen_bte(5, BOOL, batch)
+    for table in (t0, t1):
+        assert table.rows.shape == (31, -(-batch // 64))
+        assert not _padding_lanes(table).any()
+    assert t0.rows[:, -1].any()  # the last word still carries the batch's lanes
+
+
+def test_boolean_dump_is_one_byte_per_entry_element(dealer, tmp_path):
+    store = MaterialStore()
+    dealer.provision(store, [Need("bte", 1, 130, fan_in=3)])
+    path = tmp_path / "material.bin"
+    dump_material(str(path), store)
+    assert path.stat().st_size == 12 + 16 + 2 * 7 * 130
+    body = np.frombuffer(path.read_bytes()[28:], dtype=np.uint8).reshape(2, 7, 130)
+    loaded = load_material(str(path))
+    orig, back = store.take_bte(3, BOOL, 130), loaded.take_bte(3, BOOL, 130)
+    for party in (0, 1):
+        assert np.array_equal(body[party], plain_rows(orig[party]))
+        assert back[party].rows.dtype == np.uint64 and back[party].rows.shape == (7, 3)
+        assert np.array_equal(back[party].rows, orig[party].rows)
+        assert not _padding_lanes(back[party]).any()
+
+
+def test_load_packs_a_byte_per_bit_dump(tmp_path):
+    """A dump holding one byte per boolean entry element, as every dump of
+    this format does, loads as packed rows whatever the bytes' origin."""
+    bits = np.random.default_rng(4).integers(0, 2, (2, 3, 70), dtype=np.uint8)
+    path = tmp_path / "material.bin"
+    path.write_bytes(b"RMPCMAT1" + struct.pack("<I", 1)
+                     + struct.pack("<4sIII", b"bte", 1, 2, 70) + bits.tobytes())
+    t0, t1 = load_material(str(path)).take_bte(2, BOOL, 70)
+    for party, table in enumerate((t0, t1)):
+        assert np.array_equal(table.rows, pack_lanes(bits[party]))
+        assert np.array_equal(unpack_lanes(table.rows, 70), bits[party])
+
+
+def test_load_rejects_boolean_entry_above_one(tmp_path):
+    bits = np.zeros((2, 3, 5), dtype=np.uint8)
+    bits[1, 2, 4] = 2
+    path = tmp_path / "material.bin"
+    path.write_bytes(b"RMPCMAT1" + struct.pack("<I", 1)
+                     + struct.pack("<4sIII", b"bte", 1, 2, 5) + bits.tobytes())
+    with pytest.raises(MaterialError):
+        load_material(str(path))
+
+
 def test_provision_unknown_kind(dealer):
     with pytest.raises(DomainError):
         dealer.provision(MaterialStore(), [Need("nope", 8, 1)])
@@ -205,7 +281,7 @@ def test_dump_bytes_are_mask_ordered_entries(dealer, tmp_path):
     for fan, ring, batch in [(2, Z32, 2), (3, BOOL, 3)]:  # by (fan-in, width)
         expect.append(struct.pack("<4sIII", b"bte", ring.width_bits, fan, batch))
         for table in store.take_bte(fan, ring, batch):
-            expect += [le(table.entries[mask], ring) for mask in masks(fan)]
+            expect += [le(plain_rows(table)[mask - 1], ring) for mask in masks(fan)]
     mat = store.take_b2a(Z16, 2)
     expect.append(struct.pack("<4sIII", b"b2a", 16, 0, 2))
     expect += [le(arr, Z16) for arr in (mat.a, mat.c0, mat.b, mat.c1)]

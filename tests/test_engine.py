@@ -142,6 +142,16 @@ def test_transcript_appends_copies():
     assert tr.rounds[0][0].p0[0] == 1
 
 
+def test_exchange_item_keeps_payload_arrays_of_its_width():
+    arr = np.arange(4, dtype=np.uint16)
+    item = ExchangeItem(arr, arr[::-1], 16)
+    assert item.p0 is arr and np.shares_memory(item.p1, arr)
+    for other in ([1, 2, 3, 4], np.arange(4, dtype=np.uint32), 5):
+        converted = ExchangeItem(other, other, 16)
+        assert converted.p0.dtype == np.uint16 and converted.p0.ndim == 1
+    assert ExchangeItem(np.arange(4, dtype=np.int64), arr, 16).p0.dtype == np.uint16
+
+
 def test_parallel_outside_session():
     gen = parallel([simple_protocol(1)])
     items = gen.send(None)

@@ -16,7 +16,7 @@ from ringmpc.gates import (
     schedule_gate_bits,
     schedule_rounds,
 )
-from ringmpc.ring import BOOL, Z8, Z16, Z32, Z64, reconst
+from ringmpc.ring import BOOL, Z8, Z16, Z32, Z64, reconst, unpack_lanes
 
 
 def truth_table_inputs(sess, fan_in):
@@ -83,7 +83,9 @@ def test_fold_equals_reference_subset_sum(ring, fan_in):
         for _ in range(fan_in)
     ]
     t0, t1 = sess.store.take_bte(fan_in, ring, batch)
-    rows = (t0.rows.copy(), t1.rows.copy())  # the fold overwrites the tables
+    # The fold overwrites the tables; boolean rows are read lane by lane.
+    rows = tuple(unpack_lanes(t.rows, batch) if ring.is_boolean else t.rows.copy()
+                 for t in (t0, t1))
     z = sess.run(mult_n(inputs, t0, t1))
     (items,) = sess.transcript.rounds
     opened = [ring.wrap(item.p0 + item.p1) for item in items]
@@ -104,6 +106,38 @@ def test_gate_rejects_table_rows_of_the_wrong_shape():
         with pytest.raises(ShapeError):
             next(mult_n(inputs, t0, replace(t1, rows=bad)))
     assert not (t0.consumed or t1.consumed)
+
+
+def test_gate_rejects_byte_per_bit_boolean_rows():
+    sess = Session(seed=5)
+    sess.provision([Need("bte", 1, 70, fan_in=2)])
+    inputs = [sess.share_input(np.ones(70, np.uint64), BOOL) for _ in range(2)]
+    t0, t1 = sess.store.take_bte(2, BOOL, 70)
+    assert t0.rows.shape == (3, 2) and t0.rows.dtype == np.uint64
+    for bad in (unpack_lanes(t0.rows, 70), t0.rows.astype(np.uint8), t0.rows[:, :1]):
+        with pytest.raises(ShapeError):
+            next(and_n(inputs, replace(t0, rows=bad), t1))
+    assert not (t0.consumed or t1.consumed)
+
+
+@pytest.mark.parametrize("batch", [1, 63, 65, 130, 1000])
+@pytest.mark.parametrize("op,ring", [(and_n, BOOL), (or_n, BOOL), (mult_n, Z16)])
+def test_gate_oracle_at_batches_off_the_word(op, ring, batch):
+    fan_in = 3
+    sess = Session(seed=batch)
+    sess.provision([Need("bte", ring.width_bits, batch, fan_in=fan_in)])
+    rng = np.random.default_rng(batch)
+    high = 2 if ring.is_boolean else ring.modulus
+    vals = rng.integers(0, high, (fan_in, batch), dtype=np.uint64)
+    inputs = [sess.share_input(v, ring) for v in vals]
+    z = sess.run(op(inputs, *sess.store.take_bte(fan_in, ring, batch)))
+    if op is or_n:
+        expect = np.bitwise_or.reduce(vals)
+    else:
+        expect = ring.wrap(np.prod(vals, axis=0, dtype=np.uint64))
+    assert z.v.shape == (2, batch) and z.v.dtype == ring.dtype
+    assert np.array_equal(reconst(*z), ring.wrap(expect))
+    assert sess.bits == [fan_in * batch * ring.width_bits] * 2
 
 
 @pytest.mark.parametrize("fan_in", range(2, 10))
@@ -220,6 +254,24 @@ def test_bank_takes_one_table_per_fanin_in_ascending_order(op, ring):
     assert store.needs == [
         Need("bte", ring.width_bits, b, fan_in=f) for f, b in BANK_TAKES
     ]
+
+
+@pytest.mark.parametrize("op", [and_n, or_n])
+def test_bank_stacks_boolean_gates_across_word_boundaries(op):
+    """Gates of batches 1, 63 and 130 share one packed table of 194 lanes
+    (4 words); each output is cut back out at its own offset."""
+    sess = Session(seed=9)
+    sess.provision([Need("bte", 1, 194, fan_in=3)])
+    rng = np.random.default_rng(9)
+    plain = [rng.integers(0, 2, (3, b), dtype=np.uint64) for b in (1, 63, 130)]
+    gates = [[sess.share_input(v, BOOL) for v in vals] for vals in plain]
+    outs = sess.run(bank(sess.store, op, gates))
+    reduce = np.bitwise_or.reduce if op is or_n else np.bitwise_and.reduce
+    for vals, out in zip(plain, outs):
+        assert np.array_equal(reconst(*out), reduce(vals).astype(np.uint8))
+    assert sess.rounds == 1
+    assert sess.bits == [3 * 194] * 2
+    assert sess.store.is_empty()
 
 
 def test_bank_without_gates_costs_nothing():

@@ -24,6 +24,7 @@ from ringmpc.ring import (
     const_pair,
     neg,
     not_,
+    pack_lanes,
     reconst,
     share,
     slice_pair,
@@ -32,6 +33,7 @@ from ringmpc.ring import (
     sub_mirror,
     trivial,
     uniform,
+    unpack_lanes,
     xor,
 )
 
@@ -65,6 +67,45 @@ def test_share_out_of_range_rejected(rng):
 def test_boolean_shares_are_xor(rng):
     pair = share([1, 0, 1, 1], BOOL, rng)
     assert np.array_equal(reconst(*pair), pair[0].values ^ pair[1].values)
+
+
+@pytest.mark.parametrize("ring", [BOOL, Z8])
+def test_party_share_is_a_view_of_the_pair(ring, rng):
+    pair = share([1, 0, 1], ring, rng)
+    for party in (0, 1):
+        assert np.shares_memory(pair[party].values, pair.v)
+    before = int(pair.v[0, 0])
+    pair[0].values[0] ^= 1
+    assert pair.v[0, 0] == before ^ 1
+
+
+def test_boolean_share_masks_out_of_range_values():
+    s = Share(0, BOOL, [0, 1, 2, 3, 255])
+    assert s.values.dtype == np.uint8
+    assert np.array_equal(s.values, [0, 1, 0, 1, 1])
+    raw = np.array([2, 3], dtype=np.uint8)
+    masked = Share(1, BOOL, raw)
+    assert np.array_equal(masked.values, [0, 1]) and np.array_equal(raw, [2, 3])
+
+
+@pytest.mark.parametrize("batch", [1, 63, 64, 65, 300])
+def test_pack_unpack_lanes_roundtrip(batch, rng):
+    bits = rng.integers(0, 2, (3, batch), dtype=np.uint8)
+    words = pack_lanes(bits)
+    assert words.dtype == np.uint64 and words.shape == (3, -(-batch // 64))
+    assert np.array_equal(unpack_lanes(words, batch), bits)
+    if batch % 64:
+        assert not (words[:, -1] >> np.uint64(batch % 64)).any()  # zero padding
+    # Lane i of word w is element 64 w + i, whatever the host's byte order.
+    first = sum(int(b) << i for i, b in enumerate(bits[0, :64]))
+    assert int(words[0, 0]) == first
+
+
+def test_boolean_uniform_lanes_are_the_raw_words():
+    """Packing a width-1 draw gives back the generator's raw words."""
+    bits = uniform(BOOL, 128, np.random.default_rng(5))
+    words = uniform(Z64, 2, np.random.default_rng(5))
+    assert np.array_equal(pack_lanes(bits[None])[0], words)
 
 
 @pytest.mark.parametrize("ring", [Z8, Z16, Z32, Z64])

@@ -131,28 +131,28 @@ def _configs():
 
 
 PINS = {
-    "equality": "fb3dc6b78f7a1ad01412d788bf9d939d0eb3c87c1ffa3f921fdd270e766170b8",
-    "equality-baseline": "d96548996b32c3bdc4118890138d55ab6b30805a963a003ae61eaa68d6b8dc52",
-    "comparison": "9dff2ab0df5db4e8b02c55fa74c39de2aeec2260f26370f0aa4118e4bf480598",
-    "comparison-baseline": "61a420bca6d8f274eb8c4106701bb77e2fadc246715098d8aceffd9813534d53",
-    "max3": "cd774467fa7f49607c46f066a16590c345293bae79b04ff3f0ecebb9902d6da3",
-    "max3-baseline": "e6a748c59b48ed0360967def1ecf9fdf5ca41cf01f94d94387944a14806e9b35",
-    "min3": "13a0f94eae510638150d590d2bcdeb11235ce8b49c5c5f84a6b09c7457d5835f",
-    "argmax3": "56039e77fa63f244c6f47fac9e668d7d6b1ca75e6005ddc0225ad26c8bcb6fe6",
-    "argmin3": "5a93df36e9384b6b141b40981af1847df24dbacf2f39a4787fbe1196e03b3191",
-    "overflow": "c6a7c35116a843006b774e9095a2ea95a04e0156645dfab27fb392fc3711c520",
-    "overflow1r": "3bc64656923c960b19f9ac798689fcb0f7176dd10da090faff07ea68381f1158",
-    "msnzb": "38439e0eb777c1c4ca086749f2e70640926c6db3666744d89df7ed1b8b4ad539",
+    "equality": "3336f24be32547ab7f57482386a53cb6cc1f2d5067b93cc50895544063f559f2",
+    "equality-baseline": "c7d3a7dd09f39c61072539805cff14af231c5f457f89380f45cc5fde28188a31",
+    "comparison": "768f892a1ec94e47bd4fbd5baa623d3b44eefbcc5d9b89706a80eb94768af81e",
+    "comparison-baseline": "5f8ea12c5abadcf5455e34b75342374ffc9f7356ae6cb031d4adf6b5509a57dd",
+    "max3": "74612df1b48f0d4576f9730355d6a7f3e0de8aaa43a47da68cbfa9a680c2f2cd",
+    "max3-baseline": "88757f8954b96f57472591e72c81575210f132af6bdd8b4039dc20ab470da556",
+    "min3": "8fb7b7bfa040f27f9d6f4f68fab259647b51fef0d3facea400faf01190f27a70",
+    "argmax3": "bd9f993c77c1ea6cd05944016af17f6552625aa842d01d3041eab45caecd8297",
+    "argmin3": "a672e10ff69fa3487bcfab73b9063fc7fa09106a66e4d3793b4e94ec913b1c52",
+    "overflow": "31d6f9c4ea68d59e75d2c9efa4fb16876b949604d19a844585b5e7528f0dc2cc",
+    "overflow1r": "2c8ea6dc6cfbb0013fcc1a67877cec9c89ab322cc68e0c082242b24a592be99b",
+    "msnzb": "76f6c883b81e124b592b14b4f01782f9cb5fbdf2f053f41bbc69d1c3723a6ed6",
     "b2a": "ad4d479ee6ee9ecd38d36d5b625c95bf053d0d0a9fa1c01b1562c9c9095d81fc",
     "bx2a": "ec9efa6da15b53d9a73add8d0b883be817ecc0d04de478025de234c43e9d1241",
     "bc2a": "412c7443341cc2aaf36c0ed52c7c8d8cae061d6556d2008caf744c7e05aefc4a",
     "bcx2a": "b2cf2b02b724cf9224c02f67792511cb767653799f4e47aebdbeba23bfaf2cd9",
-    "max5-cap9": "50d7aa9c08cb5f9d1ad634cc463733f3cc1169a46902b7007d33539e8bcbc24d",
-    "max5-cap3": "944eda720a8e5cf731c00294b2db2e9fdb1ce8cc9614d475b9b8d33e21560d5d",
-    "tlu3": "02fe4d437cc47c47f8a1925281e0e145c77a1caa25747ac9d4ff10dd295eb1dc",
+    "max5-cap9": "2207a0d20dd1f6222ece78b840d85434455e2a6b5a184a2c1135e27cb8d25f72",
+    "max5-cap3": "4b0c60435bc3441a6cce36e2ecbad74d2b8c353b5058f9129515fe274473736d",
+    "tlu3": "bef4809a2dbb5fc520c063786ff6b9bd2d6388032ec778a03ba769fad6238621",
     "9-mult-z64": "8b0250ad8d499f1f68e286645f2294d6b2abc82bb409d59cc356e85a48f41208",
-    "9-and-bool": "d10e350525c3fd4952fc1f0e7cc209aa5a8cd2da7fdae3d13fdd27d7a10e9580",
-    "editdist-L5-P3": "7266c1b2d9c0ba4945df38b7490bdd9e919174df0559d8630bced72fc5d85237",
+    "9-and-bool": "dafd5f7882433043b108da64be3350edcebc7b0f0e9fe5883a95ddbb3e6ddf57",
+    "editdist-L5-P3": "29add6edbc9c04ee4a31dfb2acf1d22663a5873c36b86f5fd4bad3246d484baa",
 }
 
 
