@@ -7,6 +7,13 @@ advances the round counter by exactly one per non-empty yield, charges each
 party's outbound-bit ledger, appends the payloads to the transcript, and
 resumes the generator with the raw ``(p0, p1)`` payload pairs — so each
 party can either open the sum or use the counterpart's raw masked value.
+Ledgers count logical bits, ``count * width`` per item and party.
+
+Boolean payloads travel packed, 64 lanes per uint64 word in
+``ring.pack_lanes`` layout, from the gate that masks them through the
+transcript to the gate that opens them. Only ``Transcript.to_bytes``
+unpacks them: its canonical bytes hold one element per payload entry at
+every width, one byte per bit at width 1.
 
 ``parallel`` merges several sub-protocol generators so their rounds
 coalesce: total rounds = max over the branches, never the sum.
@@ -20,7 +27,7 @@ import numpy as np
 
 from .dealer import DEFAULT_FANIN_CAP, Dealer, MaterialStore, Need, RecordingStore
 from .errors import MaterialError, ProtocolDesyncError, ShapeError
-from .ring import RingSpec, SUPPORTED_WIDTHS, _DTYPES
+from .ring import RingSpec, SUPPORTED_WIDTHS, _DTYPES, pack_lanes, unpack_lanes
 
 
 def _payload(arr, width: int) -> np.ndarray:
@@ -33,26 +40,60 @@ def _payload(arr, width: int) -> np.ndarray:
 @dataclass
 class ExchangeItem:
     """One message pair inside a round: party 0 sends ``p0`` and party 1
-    sends ``p1``, both vectors of ``width``-bit ring elements. A 1-D array
-    of the width's dtype is kept as given; other input is converted."""
+    sends ``p1``, each ``count`` elements of ``width`` bits.
+
+    Above width 1 a payload is a vector of ring elements; a 1-D array of
+    the width's dtype is kept as given, other input is converted, and
+    ``count`` is its length. At width 1 a payload is ``ceil(count/64)``
+    uint64 words in ``ring.pack_lanes`` layout: 64 lanes per word,
+    little-endian lane order, padding lanes zero. Words are kept as given
+    and need ``count``; bits (a list or a uint8 array) are packed, and
+    ``count`` is their length."""
 
     p0: np.ndarray
     p1: np.ndarray
     width: int
+    count: int | None = None
 
     def __post_init__(self):
+        if self.width == 1 and self.count is not None:
+            self._check_words()
+            return
         if self.width not in SUPPORTED_WIDTHS:
             raise ShapeError(f"unsupported payload width {self.width}")
-        self.p0 = _payload(self.p0, self.width)
-        self.p1 = _payload(self.p1, self.width)
-        if self.p0.shape != self.p1.shape:
+        if self.width == 1 and np.uint64 in (getattr(self.p0, "dtype", None),
+                                             getattr(self.p1, "dtype", None)):
+            raise ShapeError("packed boolean words need their element count")
+        p0, p1 = _payload(self.p0, self.width), _payload(self.p1, self.width)
+        if p0.shape != p1.shape:
             raise ProtocolDesyncError(
                 "parties disagree on payload length at a round barrier"
             )
+        if self.count is not None and self.count != len(p0):
+            raise ShapeError(f"{len(p0)} payload elements, count says {self.count}")
+        self.count = len(p0)
+        if self.width == 1:
+            p0, p1 = pack_lanes(np.stack((p0, p1)))
+        self.p0, self.p1 = p0, p1
+
+    def _check_words(self):
+        shape = (-(-self.count // 64),)
+        p0, p1 = self.p0, self.p1
+        if (isinstance(p0, np.ndarray) and isinstance(p1, np.ndarray)
+                and p0.shape == shape == p1.shape
+                and p0.dtype == np.uint64 and p1.dtype == np.uint64):
+            return
+        if np.shape(self.p0) != np.shape(self.p1):
+            raise ProtocolDesyncError(
+                "parties disagree on payload length at a round barrier"
+            )
+        raise ShapeError(f"a packed payload of {self.count} bits is {shape[0]} "
+                         f"uint64 words, got {np.shape(self.p0)} "
+                         f"{np.asarray(self.p0).dtype}")
 
     @property
     def bits(self) -> int:
-        return len(self.p0) * self.width
+        return self.count * self.width
 
 
 @dataclass(frozen=True)
@@ -71,18 +112,22 @@ class Transcript:
 
     def append(self, items: list[ExchangeItem]):
         self.rounds.append(
-            [ExchangeItem(i.p0.copy(), i.p1.copy(), i.width) for i in items]
+            [ExchangeItem(i.p0.copy(), i.p1.copy(), i.width, i.count) for i in items]
         )
 
     def to_bytes(self) -> bytes:
         """Canonical serialization: per round, per item, per party —
-        (round, party, payload length, payload) with little-endian payloads."""
+        (round, party, payload length, payload) with little-endian payloads
+        of one element each, so a packed width-1 payload is unpacked to one
+        byte per bit."""
         out = [struct.pack("<I", len(self.rounds))]
         for r, items in enumerate(self.rounds):
             out.append(struct.pack("<II", r, len(items)))
             for item in items:
                 dt = np.dtype(_DTYPES[item.width]).newbyteorder("<")
                 for party, arr in ((0, item.p0), (1, item.p1)):
+                    if item.width == 1:
+                        arr = unpack_lanes(arr, item.count)
                     payload = np.ascontiguousarray(arr).astype(dt).tobytes()
                     out.append(
                         struct.pack("<BBI", party, item.width, len(payload))

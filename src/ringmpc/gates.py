@@ -9,9 +9,9 @@ one round and decides how they share material.
 The subset sum is a fold over the table's rows with the ring's two ops:
 multiply and add in the ring's own dtype, which wraps natively, above
 width 1; at width 1 AND and XOR over the table's packed uint64 words, 64
-elements per word op. Shares and payloads stay one uint8 per bit, so a
-boolean gate unpacks the singleton rows it masks with and packs the opened
-slots it folds with.
+elements per word op. Boolean payloads are packed words too, from the
+masking through the exchange to the open. Shares stay one uint8 per bit,
+so a boolean gate packs its inputs once and unpacks only its output.
 """
 from __future__ import annotations
 
@@ -55,9 +55,9 @@ def mult_n(inputs: list[SharePair], t0: BteTable, t1: BteTable):
     parties open x'_l. Since x_l = x'_l + a_l, the product is the sum over
     subsets I of a_I times the opened values outside I, with a_{} = 1 held
     by party 0 alone. Each party folds that sum out of its own table into
-    its row of the output. At width 1 the tables are packed: the singleton
-    rows are unpacked to mask the inputs, the opened slots are packed to
-    fold with, and the folded words are unpacked into the output.
+    its row of the output. At width 1 the inputs are packed once, 64 lanes
+    per uint64 word; masking, payloads, opening and fold are word ops, and
+    only the folded head is unpacked into the output.
     """
     ring, batch, n = _validate(inputs, t0, t1)
     t0.consume()
@@ -81,15 +81,18 @@ def mult_n(inputs: list[SharePair], t0: BteTable, t1: BteTable):
 
 
 def _mult_packed(inputs: list[SharePair], t0: BteTable, t1: BteTable, batch: int, n: int):
-    """``mult_n`` at width 1, over tables of packed lanes."""
-    singles = [(1 << l) - 1 for l in range(n)]
-    masked = unpack_lanes(np.concatenate((t0.rows[singles], t1.rows[singles])), batch)
-    masked = masked.reshape(2, n, batch)
+    """``mult_n`` at width 1: mask, exchange, open and fold packed words."""
+    masked = np.zeros((n, 2, t0.rows.shape[1]), dtype="<u8")
     for l, pair in enumerate(inputs):
-        masked[:, l] ^= pair.v
-    responses = yield [ExchangeItem(masked[0, l], masked[1, l], 1) for l in range(n)]
-    payloads = np.array(responses)
-    opened = pack_lanes(payloads[:, 0] ^ payloads[:, 1])
+        pack_lanes(pair.v, out=masked[l])
+    masked = masked.astype(np.uint64, copy=False)
+    singles = [(1 << l) - 1 for l in range(n)]
+    masked[:, 0] ^= t0.rows[singles]
+    masked[:, 1] ^= t1.rows[singles]
+    responses = yield [ExchangeItem(p0, p1, 1, batch) for p0, p1 in masked]
+    opened = np.empty((n, masked.shape[2]), dtype=np.uint64)
+    for l, (p0, p1) in enumerate(responses):
+        np.bitwise_xor(p0, p1, out=opened[l])
     out = np.empty((2, opened.shape[1]), dtype=np.uint64)
     out[0] = ~np.uint64(0)
     out[1] = 0

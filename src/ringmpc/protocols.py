@@ -398,12 +398,12 @@ def b2a(store: MaterialStore, x: SharePair, ring: RingSpec):
     directly instead of running a full multiplication."""
     if not x.ring.is_boolean:
         raise DomainError("b2a converts boolean shares")
+    if ring.is_boolean:
+        raise DomainError("b2a needs an arithmetic target ring")
     mat = store.take_b2a(ring, x.batch)
     mat.consume()
     z = x.v.astype(ring.dtype)
-    ((xp, xpp),) = yield [
-        ExchangeItem(ring.wrap(z[0] - mat.a), ring.wrap(z[1] - mat.b), ring.width_bits)
-    ]
+    ((xp, xpp),) = yield [ExchangeItem(z[0] - mat.a, z[1] - mat.b, ring.width_bits)]
     z[0] -= 2 * (xp * xpp + xpp * mat.a + mat.c0)
     z[1] -= 2 * (xp * mat.b + mat.c1)
     return SharePair(ring, z)

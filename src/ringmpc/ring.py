@@ -8,7 +8,8 @@ concatenates along the batch axis. ``Share`` is the per-party view:
 Width 1 is the boolean domain: addition and subtraction coincide with XOR,
 multiplication with AND, so the same code path serves both share types.
 Shares keep one uint8 per bit; ``pack_lanes`` and ``unpack_lanes`` convert
-bits to and from 64 lanes per uint64 word, the layout of boolean BTE tables.
+bits to and from 64 lanes per uint64 word, the layout of boolean BTE tables
+and of boolean gate payloads.
 """
 from __future__ import annotations
 
@@ -168,18 +169,20 @@ def uniform(ring: RingSpec, size: int, rng: np.random.Generator) -> np.ndarray:
     return elems.astype(ring.dtype, copy=False)
 
 
-def pack_lanes(bits: np.ndarray) -> np.ndarray:
-    """Pack ``(k, batch)`` bits, one uint8 0/1 each, into ``(k, ceil(batch/64))``
-    uint64 words: lane i of word w is element 64·w + i, little-endian lane
-    order on any host (the order of ``uniform`` at width 1). The padding
-    lanes of each row's last word are zero."""
-    k, batch = np.shape(bits)
-    packed = np.packbits(bits, axis=1, bitorder="little")
-    if batch % 64:
-        padded = np.zeros((k, -(-batch // 64) * 8), dtype=np.uint8)
-        padded[:, :packed.shape[1]] = packed
-        packed = padded
-    return packed.view("<u8").astype(np.uint64, copy=False)
+def pack_lanes(bits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Pack ``(..., batch)`` bits, one uint8 0/1 each, into ``(...,
+    ceil(batch/64))`` uint64 words: lane i of word w is element 64·w + i,
+    little-endian lane order on any host (the order of ``uniform`` at
+    width 1). The padding lanes of each row's last word are zero.
+
+    The words go into ``out`` if given, a zeroed little-endian (``"<u8"``)
+    array of that shape, else into one freshly zeroed buffer."""
+    if out is None:
+        *lead, batch = np.shape(bits)
+        out = np.zeros((*lead, -(-batch // 64)), dtype="<u8")
+    packed = np.packbits(bits, axis=-1, bitorder="little")
+    out.view(np.uint8)[..., :packed.shape[-1]] = packed
+    return out.astype(np.uint64, copy=False)
 
 
 def unpack_lanes(words: np.ndarray, batch: int) -> np.ndarray:

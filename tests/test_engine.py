@@ -1,9 +1,12 @@
+import struct
+
 import numpy as np
 import pytest
 
 from ringmpc.dealer import Need
 from ringmpc.engine import CostModel, ExchangeItem, Session, Transcript, parallel
 from ringmpc.errors import MaterialError, ProtocolDesyncError, ShapeError
+from ringmpc.ring import pack_lanes, unpack_lanes
 
 
 def _noise_round(n_items=1, length=4, width=8):
@@ -150,6 +153,63 @@ def test_exchange_item_keeps_payload_arrays_of_its_width():
         converted = ExchangeItem(other, other, 16)
         assert converted.p0.dtype == np.uint16 and converted.p0.ndim == 1
     assert ExchangeItem(np.arange(4, dtype=np.int64), arr, 16).p0.dtype == np.uint16
+
+
+@pytest.mark.parametrize("batch", [1, 63, 64, 65, 130])
+def test_boolean_item_packs_bits_into_words(batch):
+    rng = np.random.default_rng(batch)
+    bits = rng.integers(0, 2, (2, batch), dtype=np.uint8)
+    for given in (bits, bits.tolist()):
+        item = ExchangeItem(given[0], given[1], 1)
+        assert item.count == batch and item.bits == batch
+        for words, row in ((item.p0, bits[0]), (item.p1, bits[1])):
+            assert words.dtype == np.uint64 and words.shape == (-(-batch // 64),)
+            assert np.array_equal(unpack_lanes(words, batch), row)
+            if batch % 64:
+                assert not words[-1] >> np.uint64(batch % 64)  # zero padding
+    packed = ExchangeItem(item.p0, item.p1, 1, batch)
+    assert packed.p0 is item.p0 and packed.bits == batch
+
+
+def test_boolean_item_checks_its_words():
+    words = pack_lanes(np.ones((2, 70), dtype=np.uint8))
+    with pytest.raises(ShapeError):
+        ExchangeItem(words[0], words[1], 1)  # words need their count
+    for count in (64, 129):
+        with pytest.raises(ShapeError):
+            ExchangeItem(words[0], words[1], 1, count)
+    with pytest.raises(ShapeError):
+        ExchangeItem(words[0].astype(np.uint32), words[1].astype(np.uint32), 1, 70)
+    with pytest.raises(ShapeError):
+        ExchangeItem(words[0].view(np.uint8), words[1].view(np.uint8), 1, 70)
+    with pytest.raises(ProtocolDesyncError):
+        ExchangeItem(words[0], words[1, :1], 1, 70)
+    with pytest.raises(ProtocolDesyncError):
+        ExchangeItem([1, 0, 1], [1, 0], 1)
+    with pytest.raises(ShapeError):
+        ExchangeItem([1, 2], [3, 4], 8, 3)
+
+
+def test_boolean_transcript_bytes_are_one_byte_per_bit():
+    bits = np.random.default_rng(4).integers(0, 2, (2, 70), dtype=np.uint8)
+    words = pack_lanes(bits)
+    tr = Transcript()
+    tr.append([ExchangeItem(words[0], words[1], 1, 70)])
+    expect = struct.pack("<I", 1) + struct.pack("<II", 0, 1)
+    for party in (0, 1):
+        expect += struct.pack("<BBI", party, 1, 70) + bits[party].tobytes()
+    assert tr.to_bytes() == expect
+
+
+def test_transcript_appends_copies_of_packed_words():
+    words = pack_lanes(np.ones((2, 70), dtype=np.uint8))
+    item = ExchangeItem(words[0], words[1], 1, 70)
+    tr = Transcript()
+    tr.append([item])
+    item.p0[0] = 0
+    kept = tr.rounds[0][0]
+    assert kept.count == 70 and not np.shares_memory(kept.p0, words)
+    assert np.array_equal(unpack_lanes(kept.p0, 70), np.ones(70, np.uint8))
 
 
 def test_parallel_outside_session():

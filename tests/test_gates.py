@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.stats
 
 from ringmpc.dealer import Need, RecordingStore
 from ringmpc.engine import Session
@@ -88,7 +89,9 @@ def test_fold_equals_reference_subset_sum(ring, fan_in):
                  for t in (t0, t1))
     z = sess.run(mult_n(inputs, t0, t1))
     (items,) = sess.transcript.rounds
-    opened = [ring.wrap(item.p0 + item.p1) for item in items]
+    # Boolean payloads are packed words; the reference reads them lane by lane.
+    opened = [unpack_lanes(item.p0 ^ item.p1, item.count) if ring.is_boolean
+              else ring.wrap(item.p0 + item.p1) for item in items]
     for party in (0, 1):
         expect = _reference_subset_sum(rows[party], opened, head=1 - party)
         assert np.array_equal(z[party].values, ring.wrap(expect))
@@ -138,6 +141,40 @@ def test_gate_oracle_at_batches_off_the_word(op, ring, batch):
     assert z.v.shape == (2, batch) and z.v.dtype == ring.dtype
     assert np.array_equal(reconst(*z), ring.wrap(expect))
     assert sess.bits == [fan_in * batch * ring.width_bits] * 2
+
+
+@pytest.mark.parametrize("batch", [1, 63, 65, 130])
+@pytest.mark.parametrize("op", [and_n, or_n])
+def test_boolean_payloads_carry_no_bit_past_the_batch(op, batch):
+    sess = Session(seed=batch)
+    sess.provision([Need("bte", 1, batch, fan_in=3)])
+    inputs = [sess.share_input(np.ones(batch, np.uint64), BOOL) for _ in range(3)]
+    sess.run(op(inputs, *sess.store.take_bte(3, BOOL, batch)))
+    (items,) = sess.transcript.rounds
+    for item in items:
+        assert item.count == batch
+        for words in (item.p0, item.p1):
+            assert words.dtype == np.uint64 and words.shape == (-(-batch // 64),)
+            if batch % 64:
+                assert not words[-1] >> np.uint64(batch % 64)
+
+
+def test_boolean_opened_bits_balanced_and_secret_independent():
+    """Criterion 7 at width 1: the opened bits of a 2-AND at batch 1e5 are
+    balanced (chi-square p > 0.001), whatever the secret."""
+    batch = 100_000
+    counts = []
+    for secret in (0, 1):
+        sess = Session(seed=700)  # same seed: same masks for both secrets
+        sess.provision([Need("bte", 1, batch, fan_in=2)])
+        x = sess.share_input(np.full(batch, secret, np.uint64), BOOL)
+        y = sess.share_input(np.full(batch, secret ^ 1, np.uint64), BOOL)
+        sess.run(and_n([x, y], *sess.store.take_bte(2, BOOL, batch)))
+        (items,) = sess.transcript.rounds
+        opened = np.concatenate([unpack_lanes(i.p0 ^ i.p1, i.count) for i in items])
+        counts.append(np.bincount(opened, minlength=2))
+        assert scipy.stats.chisquare(counts[-1]).pvalue > 0.001
+    assert scipy.stats.chi2_contingency(np.stack(counts)).pvalue > 0.001
 
 
 @pytest.mark.parametrize("fan_in", range(2, 10))

@@ -276,6 +276,15 @@ def test_b2a_rejects_arithmetic_input():
         next(P.b2a(sess.store, x, Z8))
 
 
+def test_b2a_rejects_boolean_target_ring():
+    sess = Session(seed=0)
+    x = sess.share_input([1], BOOL)
+    with pytest.raises(DomainError):
+        next(P.b2a(sess.store, x, BOOL))
+    with pytest.raises(DomainError):
+        P.b2a_manifest(BOOL, 4)
+
+
 @pytest.mark.parametrize("width", [16, 32, 64])
 def test_bx2a(width):
     ring = RINGS[width]

@@ -101,6 +101,25 @@ def test_pack_unpack_lanes_roundtrip(batch, rng):
     assert int(words[0, 0]) == first
 
 
+@pytest.mark.parametrize("batch", [1, 63, 64, 65, 130])
+def test_pack_lanes_takes_any_leading_shape(batch, rng):
+    bits = rng.integers(0, 2, (3, 2, batch), dtype=np.uint8)
+    words = pack_lanes(bits)
+    assert words.dtype == np.uint64 and words.shape == (3, 2, -(-batch // 64))
+    assert np.array_equal(unpack_lanes(words, batch), bits)
+    for k in range(3):
+        assert np.array_equal(words[k], pack_lanes(bits[k]))
+    assert np.array_equal(pack_lanes(bits[0, 0]), words[0, 0])
+
+
+def test_pack_lanes_writes_into_a_given_buffer(rng):
+    bits = rng.integers(0, 2, (2, 70), dtype=np.uint8)
+    out = np.zeros((2, 2), dtype="<u8")
+    words = pack_lanes(bits, out=out)
+    assert np.shares_memory(words, out)
+    assert np.array_equal(words, pack_lanes(bits))
+
+
 def test_boolean_uniform_lanes_are_the_raw_words():
     """Packing a width-1 draw gives back the generator's raw words."""
     bits = uniform(BOOL, 128, np.random.default_rng(5))
