@@ -48,7 +48,9 @@ class ExchangeItem:
     uint64 words in ``ring.pack_lanes`` layout: 64 lanes per word,
     little-endian lane order, padding lanes zero. Words are kept as given
     and need ``count``; bits (a list or a uint8 array) are packed, and
-    ``count`` is their length."""
+    ``count`` is their length. Either way the item charges ``count * width``
+    bits, and ``Transcript.to_bytes`` writes ``count`` elements per party,
+    one byte per bit at width 1."""
 
     p0: np.ndarray
     p1: np.ndarray
