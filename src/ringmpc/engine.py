@@ -27,7 +27,7 @@ import numpy as np
 
 from .dealer import DEFAULT_FANIN_CAP, Dealer, MaterialStore, Need, RecordingStore
 from .errors import MaterialError, ProtocolDesyncError, ShapeError
-from .ring import RingSpec, SUPPORTED_WIDTHS, _DTYPES, pack_lanes, unpack_lanes
+from .ring import RingSpec, SUPPORTED_WIDTHS, _DTYPES, unpack_lanes
 
 
 def _payload(arr, width: int) -> np.ndarray:
@@ -46,11 +46,10 @@ class ExchangeItem:
     the width's dtype is kept as given, other input is converted, and
     ``count`` is its length. At width 1 a payload is ``ceil(count/64)``
     uint64 words in ``ring.pack_lanes`` layout: 64 lanes per word,
-    little-endian lane order, padding lanes zero. Words are kept as given
-    and need ``count``; bits (a list or a uint8 array) are packed, and
-    ``count`` is their length. Either way the item charges ``count * width``
-    bits, and ``Transcript.to_bytes`` writes ``count`` elements per party,
-    one byte per bit at width 1."""
+    little-endian lane order, padding lanes zero. The words are kept as
+    given and ``count`` is required. Either way the item charges
+    ``count * width`` bits, and ``Transcript.to_bytes`` writes ``count``
+    elements per party, one byte per bit at width 1."""
 
     p0: np.ndarray
     p1: np.ndarray
@@ -58,14 +57,11 @@ class ExchangeItem:
     count: int | None = None
 
     def __post_init__(self):
-        if self.width == 1 and self.count is not None:
+        if self.width == 1:
             self._check_words()
             return
         if self.width not in SUPPORTED_WIDTHS:
             raise ShapeError(f"unsupported payload width {self.width}")
-        if self.width == 1 and np.uint64 in (getattr(self.p0, "dtype", None),
-                                             getattr(self.p1, "dtype", None)):
-            raise ShapeError("packed boolean words need their element count")
         p0, p1 = _payload(self.p0, self.width), _payload(self.p1, self.width)
         if p0.shape != p1.shape:
             raise ProtocolDesyncError(
@@ -74,11 +70,11 @@ class ExchangeItem:
         if self.count is not None and self.count != len(p0):
             raise ShapeError(f"{len(p0)} payload elements, count says {self.count}")
         self.count = len(p0)
-        if self.width == 1:
-            p0, p1 = pack_lanes(np.stack((p0, p1)))
         self.p0, self.p1 = p0, p1
 
     def _check_words(self):
+        if self.count is None:
+            raise ShapeError("packed boolean words need their element count")
         shape = (-(-self.count // 64),)
         p0, p1 = self.p0, self.p1
         if (isinstance(p0, np.ndarray) and isinstance(p1, np.ndarray)

@@ -156,25 +156,29 @@ def test_exchange_item_keeps_payload_arrays_of_its_width():
 
 
 @pytest.mark.parametrize("batch", [1, 63, 64, 65, 130])
-def test_boolean_item_packs_bits_into_words(batch):
+def test_boolean_item_holds_packed_words(batch):
     rng = np.random.default_rng(batch)
     bits = rng.integers(0, 2, (2, batch), dtype=np.uint8)
-    for given in (bits, bits.tolist()):
-        item = ExchangeItem(given[0], given[1], 1)
-        assert item.count == batch and item.bits == batch
-        for words, row in ((item.p0, bits[0]), (item.p1, bits[1])):
-            assert words.dtype == np.uint64 and words.shape == (-(-batch // 64),)
-            assert np.array_equal(unpack_lanes(words, batch), row)
-            if batch % 64:
-                assert not words[-1] >> np.uint64(batch % 64)  # zero padding
-    packed = ExchangeItem(item.p0, item.p1, 1, batch)
-    assert packed.p0 is item.p0 and packed.bits == batch
+    p0, p1 = pack_lanes(bits)
+    item = ExchangeItem(p0, p1, 1, batch)
+    assert item.p0 is p0 and item.p1 is p1  # words are kept as given
+    assert item.count == batch and item.bits == batch
+    for words, row in ((item.p0, bits[0]), (item.p1, bits[1])):
+        assert words.dtype == np.uint64 and words.shape == (-(-batch // 64),)
+        assert np.array_equal(unpack_lanes(words, batch), row)
+        if batch % 64:
+            assert not words[-1] >> np.uint64(batch % 64)  # zero padding
 
 
 def test_boolean_item_checks_its_words():
-    words = pack_lanes(np.ones((2, 70), dtype=np.uint8))
+    bits = np.ones((2, 70), dtype=np.uint8)
+    words = pack_lanes(bits)
     with pytest.raises(ShapeError):
         ExchangeItem(words[0], words[1], 1)  # words need their count
+    with pytest.raises(ShapeError):
+        ExchangeItem(bits[0], bits[1], 1, 70)  # bits are not words
+    with pytest.raises(ShapeError):
+        ExchangeItem(words[0].tolist(), words[1].tolist(), 1, 70)
     for count in (64, 129):
         with pytest.raises(ShapeError):
             ExchangeItem(words[0], words[1], 1, count)
@@ -184,8 +188,6 @@ def test_boolean_item_checks_its_words():
         ExchangeItem(words[0].view(np.uint8), words[1].view(np.uint8), 1, 70)
     with pytest.raises(ProtocolDesyncError):
         ExchangeItem(words[0], words[1, :1], 1, 70)
-    with pytest.raises(ProtocolDesyncError):
-        ExchangeItem([1, 0, 1], [1, 0], 1)
     with pytest.raises(ShapeError):
         ExchangeItem([1, 2], [3, 4], 8, 3)
 
