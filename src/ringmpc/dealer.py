@@ -27,6 +27,7 @@ from .ring import (
     Z64,
     RingSpec,
     SharePair,
+    clear_padding,
     pack_lanes,
     uniform,
     unpack_lanes,
@@ -116,12 +117,6 @@ def table_layout(fan_in: int, ring: RingSpec, batch: int) -> tuple[tuple[int, in
     return ((1 << fan_in) - 1, batch), ring.dtype
 
 
-def _clear_padding(words: np.ndarray, batch: int):
-    """Zero the lanes past ``batch`` in the last word of each row."""
-    if batch % 64:
-        words[:, -1] &= np.uint64((1 << (batch % 64)) - 1)
-
-
 def check_fan_in(fan_in: int, cap: int):
     """Refuse a BTE table outside fan-in [2, cap]: it has 2**fan_in - 1 entries."""
     if not 2 <= fan_in <= cap:
@@ -163,8 +158,8 @@ class Dealer:
         singles = self._draw(draw_ring, fan_in * cols).reshape(fan_in, cols)
         s0 = self._draw(draw_ring, rows * cols).reshape(rows, cols)
         if ring.is_boolean:
-            _clear_padding(singles, batch)
-            _clear_padding(s0, batch)
+            clear_padding(singles, batch)
+            clear_padding(s0, batch)
             mul, sub = np.bitwise_and, np.bitwise_xor
         else:
             mul, sub = np.multiply, np.subtract

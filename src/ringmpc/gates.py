@@ -8,19 +8,22 @@ one round and decides how they share material.
 
 The subset sum is a fold over the table's rows with the ring's two ops:
 multiply and add in the ring's own dtype, which wraps natively, above
-width 1; at width 1 AND and XOR over the table's packed uint64 words, 64
-elements per word op. Boolean payloads are packed words too, from the
-masking through the exchange to the open. Shares stay one uint8 per bit,
-so a boolean gate packs its inputs once and unpacks only its output.
+width 1; at width 1 AND and XOR over packed uint64 words, 64 elements per
+word op. Boolean shares, tables and payloads share one packed layout, so a
+boolean gate XORs its table's singleton rows straight into its input
+words, sends and opens words, and returns the folded words as its output:
+nothing is packed or unpacked on the way.
 """
 from __future__ import annotations
+
+from itertools import accumulate
 
 import numpy as np
 
 from .dealer import BteTable, table_layout
 from .engine import ExchangeItem, parallel
 from .errors import DomainError, ShapeError
-from .ring import SharePair, concat_pairs, not_, pack_lanes, slice_pair, unpack_lanes
+from .ring import SharePair, concat_each, not_, slice_pair, split_each
 
 
 def _validate(inputs, t0: BteTable, t1: BteTable):
@@ -55,9 +58,9 @@ def mult_n(inputs: list[SharePair], t0: BteTable, t1: BteTable):
     parties open x'_l. Since x_l = x'_l + a_l, the product is the sum over
     subsets I of a_I times the opened values outside I, with a_{} = 1 held
     by party 0 alone. Each party folds that sum out of its own table into
-    its row of the output. At width 1 the inputs are packed once, 64 lanes
-    per uint64 word; masking, payloads, opening and fold are word ops, and
-    only the folded head is unpacked into the output.
+    its row of the output. At width 1 the inputs are already packed, 64
+    lanes per uint64 word; masking, payloads, opening and fold are word
+    ops, and the folded head is the output's words.
     """
     ring, batch, n = _validate(inputs, t0, t1)
     t0.consume()
@@ -82,10 +85,7 @@ def mult_n(inputs: list[SharePair], t0: BteTable, t1: BteTable):
 
 def _mult_packed(inputs: list[SharePair], t0: BteTable, t1: BteTable, batch: int, n: int):
     """``mult_n`` at width 1: mask, exchange, open and fold packed words."""
-    masked = np.zeros((n, 2, t0.rows.shape[1]), dtype="<u8")
-    for l, pair in enumerate(inputs):
-        pack_lanes(pair.v, out=masked[l])
-    masked = masked.astype(np.uint64, copy=False)
+    masked = np.concatenate([pair.v for pair in inputs]).reshape(n, 2, -1)
     singles = [(1 << l) - 1 for l in range(n)]
     masked[:, 0] ^= t0.rows[singles]
     masked[:, 1] ^= t1.rows[singles]
@@ -98,7 +98,7 @@ def _mult_packed(inputs: list[SharePair], t0: BteTable, t1: BteTable, batch: int
     out[1] = 0
     for party, table in enumerate((t0, t1)):
         _fold(table.rows, opened, out[party], np.bitwise_and, np.bitwise_xor)
-    return SharePair(t0.ring, unpack_lanes(out, batch))
+    return SharePair(t0.ring, out, batch)  # the first fold cleared the padding
 
 
 def _fold(rows: np.ndarray, opened, head: np.ndarray, mul, add):
@@ -147,31 +147,51 @@ def bank(store, op, gates: list[list[SharePair]]):
     Each gate is a list of input pairs and may have any batch. Gates of
     equal fan-in are stacked in gate order into one table of their summed
     batch, and the tables are taken in ascending fan-in order; a group of
-    one gate is neither stacked nor sliced. No gates cost no round.
+    one gate is neither stacked nor sliced. All groups are stacked by one
+    ``concat_each`` and, when their gates share one batch and count, cut
+    back by one ``split_each``. No gates cost no round.
     """
     groups: dict[int, list[int]] = {}
     for i, gate in enumerate(gates):
         groups.setdefault(len(gate), []).append(i)
     groups = dict(sorted(groups.items()))
+    stacked = iter(concat_each([
+        [gates[i][slot] for i in idxs]
+        for fan, idxs in groups.items() if len(idxs) > 1 for slot in range(fan)
+    ]))
     gens = []
     for fan, idxs in groups.items():
-        inputs = gates[idxs[0]] if len(idxs) == 1 else [
-            concat_pairs([gates[i][slot] for i in idxs]) for slot in range(fan)
-        ]
+        inputs = gates[idxs[0]] if len(idxs) == 1 else [next(stacked) for _ in range(fan)]
         gens.append(op(inputs, *store.take_bte(fan, inputs[0].ring, inputs[0].batch)))
     results = yield from parallel(gens)
 
     out = [None] * len(gates)
+    cuts = []
     for idxs, res in zip(groups.values(), results):
         if len(idxs) == 1:
             out[idxs[0]] = res
-            continue
-        lo = 0
-        for i in idxs:
-            hi = lo + gates[i][0].batch
-            out[i] = slice_pair(res, lo, hi)
-            lo = hi
+        else:
+            cuts.append((idxs, res))
+    for (idxs, _), parts in zip(cuts, _cut(cuts, gates)):
+        for i, part in zip(idxs, parts):
+            out[i] = part
     return out
+
+
+def _cut(cuts, gates) -> list[list[SharePair]]:
+    """Each stacked output of ``cuts`` (gate indices, output) cut back at
+    its gates' batches: by one ``split_each`` when every group has as many
+    gates, all of one batch."""
+    sizes = [[gates[i][0].batch for i in idxs] for idxs, _ in cuts]
+    flat = [b for group in sizes for b in group]
+    if flat and flat.count(flat[0]) == len(flat) and all(
+            [len(group) == len(sizes[0]) for group in sizes]):
+        return split_each([res for _, res in cuts], len(sizes[0]))
+    parts = []
+    for group, (_, res) in zip(sizes, cuts):
+        bounds = [0, *accumulate(group)]
+        parts.append([slice_pair(res, lo, hi) for lo, hi in zip(bounds, bounds[1:])])
+    return parts
 
 
 def fanin_schedule(total_inputs: int, max_fanin: int) -> list[list[int]]:

@@ -37,15 +37,19 @@ from .ring import (
     SharePair,
     add,
     bit_decompose_local,
+    bit_plane,
     bits_of,
+    concat_each,
     concat_pairs,
     const_mult,
     const_pair,
     not_,
+    pack_lanes,
     split_pair,
     sub,
     sub_mirror,
     trivial,
+    unpack_lanes,
     xor,
 )
 
@@ -94,17 +98,13 @@ def _xor_fold(pairs: list[SharePair]) -> SharePair:
 
 def _fold_groups(pair: SharePair, groups: int) -> SharePair:
     """XOR-fold a stacked boolean batch of ``groups`` equal segments."""
-    folded = np.bitwise_xor.reduce(pair.v.reshape(2, groups, pair.batch // groups), axis=1)
-    return SharePair(BOOL, folded)
-
-
-def _tile(pair: SharePair, times: int) -> SharePair:
-    return concat_pairs([pair] * times)
+    parts = split_pair(pair, groups)
+    return SharePair(BOOL, np.bitwise_xor.reduce([p.v for p in parts]), pair.batch // groups)
 
 
 def _plane(pair: SharePair, j: int) -> SharePair:
     """Boolean share plane j of an arithmetic pair (each party's own bit)."""
-    return SharePair(BOOL, ((pair.v >> pair.ring.dtype(j)) & 1).astype(np.uint8))
+    return SharePair(BOOL, bit_plane(pair.v, j), pair.batch)
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +163,8 @@ def msnzb(store: MaterialStore, planes: list[SharePair]):
         t[j] = part
 
     tp = [t[j] if j % 4 == 3 else xor(t[j], t[j + 1]) for j in range(16)]
-    empty = {b: not_(_xor_fold(tp[4 * b:4 * b + 4])) for b in (1, 2, 3)}
+    # A block's tp fold (XOR) back to its suffix OR from the bottom.
+    empty = {b: not_(t[4 * b]) for b in (1, 2, 3)}
 
     # Round 2: clear a block's hits when any higher block already has one.
     cleared = yield from bank(store, and_n, [
@@ -181,15 +182,15 @@ def msnzb_manifest(batch: int) -> list[Need]:
 
 def _overflow_planes(x: SharePair, k: int):
     """Boolean planes of a = <x>_0 mod 2^k and u = -<x>_1 mod 2^k, LSB first:
-    ``dplanes[j]`` pairs party 0's a_j with party 1's u_j. Also the
+    ``dplanes[j]`` pairs party 0's a_j with party 1's u_j. Also the packed
     per-element flag of the zero-share correction."""
     ring = x.ring
     mask = ring.dtype((1 << k) - 1) if k < 64 else ring.dtype(np.uint64(2**64 - 1))
     d = x.v.copy()
     np.negative(d[1], out=d[1])
     d &= mask
-    dplanes = [SharePair(BOOL, plane) for plane in bits_of(d, ring.width_bits)]
-    zero_flag = (x.v[1] & mask) == 0
+    dplanes = [SharePair(BOOL, plane, x.batch) for plane in bits_of(d, ring.width_bits)]
+    zero_flag = pack_lanes((x.v[1] & mask) == 0)
     return dplanes, zero_flag
 
 
@@ -235,19 +236,26 @@ def overflow_2r(store: MaterialStore, x: SharePair, k: int):
         for j in range(lo, hi_ - 1):
             tp[j] = xor(t[j], t[j + 1])
 
-    # w_i: whether block i holds the top set bit (weight-at-most-one fold).
-    w = [_xor_fold(tp[lo:hi_]) for lo, hi_ in spans]
+    # Whether block i is empty: the tp of a block fold (XOR) back to its
+    # suffix OR from the bottom, t[lo], the OR of the whole block.
+    empty = [not_(t[lo]) for lo, _ in spans]
 
     # Round 2: block i needs its own hit, the u bit, and emptiness of every
-    # higher block — fan-in 2 + i. One gate stacked over the block's bits,
-    # folded by one reshape, costs fewer small calls than a gate per bit.
-    results = yield from bank(store, and_n, [
-        [concat_pairs(tp[lo:hi_]), _u_only(dplanes[lo:hi_]),
-         *(_tile(not_(w[h]), hi_ - lo) for h in range(i))]
+    # higher block — fan-in 2 + i. One gate stacked over the block's bits
+    # costs fewer small calls than a gate per bit; its inputs are cut from
+    # one concatenation, and all outputs are folded at once.
+    inputs = concat_each([
+        segments
         for i, (lo, hi_) in enumerate(spans)
+        for segments in (tp[lo:hi_], dplanes[lo:hi_], *([empty[h]] * (hi_ - lo) for h in range(i)))
     ])
-    v = _xor_fold([_fold_groups(res, hi_ - lo) for res, (lo, hi_) in zip(results, spans)])
-    return _overflow_out(v, zero_flag)
+    gates, pos = [], 0
+    for i in range(len(spans)):
+        gates.append(inputs[pos:pos + 2 + i])
+        inputs[pos + 1].v[0] = 0  # the u bits are party 1's alone
+        pos += 2 + i
+    results = yield from bank(store, and_n, gates)
+    return _overflow_out(_fold_groups(concat_pairs(results), n), zero_flag)
 
 
 def overflow_manifest(ring: RingSpec, batch: int) -> list[Need]:
@@ -274,44 +282,34 @@ def overflow_1r(store: MaterialStore, x: SharePair, n1: int | None = None,
     y = x.v >> ring.dtype(n2)
     z = x.v & ring.dtype((1 << n2) - 1)
     (y0, y1), (z0, z1) = y, z
-    ybits = bits_of(y, n1)
+    # The conditions are plain bits, one row per candidate a1 (or a2) and
+    # the rows laid end to end, each packed once into a boolean pair.
+    a1 = np.arange(1, 1 << n1)[:, None]
+    a2 = np.arange(1, 1 << n2)[:, None]
 
     def bits(cond):
-        """Each party's own condition bits as a boolean pair."""
-        return SharePair(BOOL, cond.astype(np.uint8))
+        """Each party's own condition bits, ``(2, ..., batch)``, as a pair."""
+        cond = cond.reshape(2, -1)
+        return SharePair(BOOL, pack_lanes(cond), cond.shape[1])
 
     # Bank 1: overflow of the high halves, expanded over all possible y0.
-    alpha0 = concat_pairs([
-        trivial(0, (y0 == a1).astype(np.uint8), BOOL) for a1 in range(1, 1 << n1)
-    ])
-    alpha1 = concat_pairs([
-        trivial(1, (y1 >= (1 << n1) - a1).astype(np.uint8), BOOL)
-        for a1 in range(1, 1 << n1)
-    ])
+    alpha0 = trivial(0, (y0 == a1).ravel(), BOOL)
+    alpha1 = trivial(1, (y1 >= (1 << n1) - a1).ravel(), BOOL)
 
     # Bank 2: high halves sum to all-ones AND the low halves overflow; each
     # party degrades its y bits to 1 whenever its own low-half condition
     # fails (or its y is zero), which zeroes the XOR-AND term.
-    keeps = [
-        np.stack(((y0 != 0) & (z0 == a2), (y1 != 0) & (z1 >= (1 << n2) - a2)))
-        for a2 in range(1, 1 << n2)
-    ]
+    keep = np.stack(((y0 != 0) & (z0 == a2), (y1 != 0) & (z1 >= (1 << n2) - a2)))
     beta_inputs = [
-        bits(np.concatenate([np.where(keep, ybits[j], 1) for keep in keeps], axis=1))
-        for j in range(n1)
+        bits(np.where(keep, (y[:, None] >> ring.dtype(j)) & 1, 1)) for j in range(n1)
     ]
 
     # Bank 3: correction when exactly one party's high half is zero.
     groups = (1 << n2) - 1
-    g1 = _tile(bits(y == 0), groups)
-    g2 = _tile(bits(y == (1 << n1) - 1), groups)
-    g3 = concat_pairs([
-        trivial(0, (z0 == a3).astype(np.uint8), BOOL) for a3 in range(1, 1 << n2)
-    ])
-    g4 = concat_pairs([
-        trivial(1, (z1 >= (1 << n2) - a3).astype(np.uint8), BOOL)
-        for a3 in range(1, 1 << n2)
-    ])
+    g1 = bits(np.tile(y == 0, groups))
+    g2 = bits(np.tile(y == (1 << n1) - 1, groups))
+    g3 = trivial(0, (z0 == a2).ravel(), BOOL)
+    g4 = trivial(1, (z1 >= (1 << n2) - a2).ravel(), BOOL)
 
     gens = [
         and_n([alpha0, alpha1], *store.take_bte(2, BOOL, ((1 << n1) - 1) * batch)),
@@ -387,11 +385,6 @@ def baseline_comparison_manifest(ring: RingSpec, batch: int) -> list[Need]:
 # ---------------------------------------------------------------------------
 # Share-type conversions
 
-def _as_ring(pair: SharePair, ring: RingSpec) -> SharePair:
-    """Reinterpret each party's boolean share bit as a ring element."""
-    return SharePair(ring, pair.v.astype(ring.dtype))
-
-
 def b2a(store: MaterialStore, x: SharePair, ring: RingSpec):
     """Boolean-to-arithmetic conversion. One round, n bits per party:
     thanks to pre-disclosed blinds each party sends its masked share
@@ -402,7 +395,7 @@ def b2a(store: MaterialStore, x: SharePair, ring: RingSpec):
         raise DomainError("b2a needs an arithmetic target ring")
     mat = store.take_b2a(ring, x.batch)
     mat.consume()
-    z = x.v.astype(ring.dtype)
+    z = unpack_lanes(x.v, x.batch).astype(ring.dtype)
     ((xp, xpp),) = yield [ExchangeItem(z[0] - mat.a, z[1] - mat.b, ring.width_bits)]
     z[0] -= 2 * (xp * xpp + xpp * mat.a + mat.c0)
     z[1] -= 2 * (xp * mat.b + mat.c1)
@@ -414,21 +407,21 @@ def b2a_manifest(ring: RingSpec, batch: int) -> list[Need]:
 
 
 def _lifts(pair: SharePair, ring: RingSpec):
-    """Trivial-share lifts of a boolean pair: each party's own bit and its
-    complement as arithmetic values."""
-    own0 = trivial(0, pair.v[0], ring)
-    own1 = trivial(1, pair.v[1], ring)
-    neg0 = trivial(0, 1 - pair.v[0].astype(np.int64), ring)
-    neg1 = trivial(1, 1 - pair.v[1].astype(np.int64), ring)
-    return own0, own1, neg0, neg1
+    """A boolean pair's bits as ring elements, each party's share bit read
+    as its share; then the trivial-share lifts of each party's own bit and
+    of its complement."""
+    bits = unpack_lanes(pair.v, pair.batch)
+    b0, b1 = bits
+    return (SharePair(ring, bits.astype(ring.dtype)), trivial(0, b0, ring),
+            trivial(1, b1, ring), trivial(0, b0 ^ 1, ring), trivial(1, b1 ^ 1, ring))
 
 
 def bx2a(store: MaterialStore, b: SharePair, x: SharePair):
     """b * x in one round: the naive product bx over-counts by 2*b0*b1*x."""
     ring = x.ring
     _check_arith(x)
-    bp, bpp, _, _ = _lifts(b, ring)
-    s, t = yield from bank(store, mult_n, [[_as_ring(b, ring), x], [bp, bpp, x]])
+    b_ring, bp, bpp, _, _ = _lifts(b, ring)
+    s, t = yield from bank(store, mult_n, [[b_ring, x], [bp, bpp, x]])
     return sub(s, const_mult(2, t))
 
 
@@ -439,10 +432,10 @@ def bx2a_manifest(ring: RingSpec, batch: int) -> list[Need]:
 def _bc_gates(b: SharePair, c: SharePair, ring: RingSpec) -> list[list[SharePair]]:
     """The five products whose combination g1 + 2(g4 + g5 - g2 - g3) is b * c:
     three 2-MULTs and two 4-MULTs over the trivial-share lifts."""
-    bp, bpp, nbp, nbpp = _lifts(b, ring)
-    cp, cpp, ncp, ncpp = _lifts(c, ring)
+    b_ring, bp, bpp, nbp, nbpp = _lifts(b, ring)
+    c_ring, cp, cpp, ncp, ncpp = _lifts(c, ring)
     return [
-        [_as_ring(b, ring), _as_ring(c, ring)], [bp, bpp], [cp, cpp],
+        [b_ring, c_ring], [bp, bpp], [cp, cpp],
         [bp, ncp, bpp, ncpp], [nbp, cp, nbpp, cpp],
     ]
 
@@ -655,8 +648,9 @@ def tlu_manifest(ring: RingSpec, n_keys: int, batch: int) -> list[Need]:
 
 def _baseline_b2a(store, b: SharePair, ring: RingSpec):
     """Trivial-share product conversion: x0' + x1'' - 2 * x0' * x1''."""
-    bp = trivial(0, b.v[0], ring)
-    bpp = trivial(1, b.v[1], ring)
+    b0, b1 = unpack_lanes(b.v, b.batch)
+    bp = trivial(0, b0, ring)
+    bpp = trivial(1, b1, ring)
     prod = yield from mult_n([bp, bpp], *store.take_bte(2, ring, b.batch))
     return sub(add(bp, bpp), const_mult(2, prod))
 

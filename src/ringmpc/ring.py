@@ -1,19 +1,22 @@
 """Arithmetic over Z_2^n, additive/XOR secret shares, and local share algebra.
 
-A share pair is one ``(2, batch)`` array in the ring's dtype, row i being
-party i's share (``SharePair``); a scalar is a batch of one. Each local op
-is one numpy operation over both rows, and batch plumbing slices or
-concatenates along the batch axis. ``Share`` is the per-party view:
-``pair[i]`` is party i's share, so ``reconst(*pair)`` opens a pair.
-Width 1 is the boolean domain: addition and subtraction coincide with XOR,
-multiplication with AND, so the same code path serves both share types.
-Shares keep one uint8 per bit; ``pack_lanes`` and ``unpack_lanes`` convert
-bits to and from 64 lanes per uint64 word, the layout of boolean BTE tables
-and of boolean gate payloads.
+A share pair is one two-row array, row i being party i's share
+(``SharePair``); a scalar is a batch of one. Above width 1 the array is
+``(2, batch)`` in the ring's dtype. Width 1 is the boolean domain, where
+addition and subtraction coincide with XOR and multiplication with AND:
+there the array is ``(2, ceil(batch/64))`` uint64 words, 64 lanes per word
+in ``pack_lanes`` layout (little-endian lane order, padding lanes zero),
+the layout of boolean BTE tables and of boolean gate payloads too. Each
+local op is one numpy operation over both rows, on words at width 1, and
+batch plumbing concatenates, slices and splits along the batch axis, at
+bit offsets at width 1. ``Share`` is the per-party view in ring elements:
+``pair[i]`` is party i's share (unpacked to one uint8 per bit at width 1),
+so ``reconst(*pair)`` opens a pair.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -28,6 +31,19 @@ _DTYPES = {
     32: np.uint32,
     64: np.uint64,
 }
+
+# Boolean plumbing that moves fewer lanes than this in all unpacks them to
+# one byte each and packs them once: a fixed number of numpy calls, since
+# below it a call costs more than the lanes it moves. Above it, segments
+# move as whole words with shifts, a few calls per segment.
+_UNPACK_LANES = 32768
+# ``bits_of`` transposes a whole batch below this many lanes and goes byte
+# plane by byte plane above it.
+_TRANSPOSE_LANES = 2048
+
+_LE64 = np.dtype("<u8")
+# On a little-endian host the bytes of a uint64 word are its lanes in order.
+_NATIVE_LANES = np.dtype(np.uint64) == _LE64
 
 
 @dataclass(frozen=True)
@@ -71,10 +87,11 @@ Z64 = RingSpec(64)
 @dataclass
 class Share:
     """One party's additive (or XOR, for width 1) share of a secret vector:
-    the per-party view of a ``SharePair``. Values are normalised here: cast
-    to the ring's dtype, width 1 masked to its low bit when a value exceeds
-    it. In-range values are kept as given, so ``pair[i].values`` is a view
-    of ``pair.v`` at every width."""
+    the per-party view of a ``SharePair`` in ring elements. Values are
+    normalised here: cast to the ring's dtype, width 1 masked to its low bit
+    when a value exceeds it. In-range values are kept as given, so above
+    width 1 ``pair[i].values`` is a view of ``pair.v``; at width 1 it is
+    the unpacked copy of party i's words."""
 
     party_id: int
     ring: RingSpec
@@ -93,11 +110,14 @@ class Share:
 
 @dataclass(eq=False, slots=True)
 class SharePair:
-    """Both parties' shares of one secret vector: ``v`` is one ``(2, batch)``
-    array in the ring's dtype whose row i is party i's share.
+    """Both parties' shares of one secret vector: ``v`` is one two-row
+    array whose row i is party i's share. Above width 1 it is ``(2,
+    batch)`` in the ring's dtype. At width 1 it is ``(2, ceil(n/64))``
+    uint64 words in ``pack_lanes`` layout with zero padding lanes, and
+    ``n`` is the logical batch; ``n`` is unused above width 1.
 
     The constructor trusts its arguments; the local ops below keep ``v`` in
-    the ring (width 1 masked to {0, 1}). Pairs built by hand from two
+    the ring and the padding lanes zero. Pairs built by hand from two
     ``Share``s go through ``SharePair.of``, which checks them. ``pair[i]``
     is party i's ``Share``, so ``s0, s1 = pair`` and ``reconst(*pair)``
     work as on a tuple.
@@ -105,19 +125,25 @@ class SharePair:
 
     ring: RingSpec
     v: np.ndarray
+    n: int | None = None
 
     @classmethod
     def of(cls, s0: Share, s1: Share) -> "SharePair":
         """Pair party 0's and party 1's shares of one ring and batch."""
         _check_pair(s0, s1)
-        return cls(s0.ring, np.stack((s0.values, s1.values)))
+        v = np.stack((s0.values, s1.values))
+        if s0.ring.is_boolean:
+            return cls(BOOL, pack_lanes(v), len(s0))
+        return cls(s0.ring, v)
 
     @property
     def batch(self) -> int:
-        return self.v.shape[1]
+        return self.v.shape[1] if self.n is None else self.n
 
     def __getitem__(self, party: int) -> Share:
-        return Share(party, self.ring, self.v[party])
+        if self.n is None:
+            return Share(party, self.ring, self.v[party])
+        return Share(party, BOOL, unpack_lanes(self.v[party], self.n))
 
     def __iter__(self):
         yield self[0]
@@ -134,18 +160,125 @@ def _check_pair(s0: Share, s1: Share):
 
 
 def _check_same(a: SharePair, b: SharePair):
-    if a.ring != b.ring:
+    if a.ring is not b.ring and a.ring != b.ring:
         raise ShapeError("ring mismatch between operands")
-    if a.v.shape != b.v.shape:
+    if a.v.shape != b.v.shape or a.n != b.n:
         raise ShapeError("batch length mismatch between operands")
 
 
-def _wrapped(ring: RingSpec, v: np.ndarray) -> SharePair:
-    """A pair over ``v`` after arithmetic that can leave {0, 1} at width 1,
-    which keeps the low bit. ``v`` is fresh, so it is masked in place."""
-    if ring.is_boolean:
-        v &= 1
-    return SharePair(ring, v)
+# ---------------------------------------------------------------------------
+# Packed boolean lanes.
+
+def _words(lanes: int) -> int:
+    return -(-lanes // 64)
+
+
+def clear_padding(words: np.ndarray, lanes: int):
+    """Zero the lanes past ``lanes`` in the last word of each row, in place."""
+    if lanes % 64:
+        words[..., -1] &= np.uint64((1 << (lanes % 64)) - 1)
+
+
+def _lane_bytes(words: np.ndarray) -> np.ndarray:
+    """The bytes of ``(..., W)`` words in lane order, ``(..., 8W)`` uint8:
+    a view on a little-endian host when the last axis is contiguous."""
+    if _NATIVE_LANES:
+        try:
+            return words.view(np.uint8)
+        except ValueError:  # a strided last axis
+            pass
+    return np.ascontiguousarray(words).astype(_LE64, copy=False).view(np.uint8)
+
+
+def _as_words(packed: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``packbits`` output, ``(..., nbytes)``, as ``(..., ceil(nbytes/8))``
+    uint64 words, zero-extended; into ``out`` if given, a zeroed ``"<u8"``
+    array of that shape."""
+    nbytes = packed.shape[-1]
+    if out is None:
+        if nbytes % 8 == 0:
+            return np.ascontiguousarray(packed).view(_LE64).astype(np.uint64, copy=False)
+        out = np.zeros(packed.shape[:-1] + (-(-nbytes // 8),), dtype=_LE64)
+    out.view(np.uint8)[..., :nbytes] = packed
+    return out.astype(np.uint64, copy=False)
+
+
+def pack_lanes(bits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Pack ``(..., batch)`` bits, one 0/1 (or bool) each, into ``(...,
+    ceil(batch/64))`` uint64 words: lane i of word w is element 64·w + i,
+    little-endian lane order on any host (the order of ``uniform`` at
+    width 1). The padding lanes of each row's last word are zero.
+
+    The words go into ``out`` if given, a zeroed little-endian (``"<u8"``)
+    array of that shape, else into one fresh buffer."""
+    return _as_words(np.packbits(bits, axis=-1, bitorder="little"), out)
+
+
+def unpack_lanes(words: np.ndarray, batch: int) -> np.ndarray:
+    """Inverse of ``pack_lanes``: the first ``batch`` lanes of each row of
+    ``words`` as uint8 0/1, along the last axis."""
+    return np.unpackbits(_lane_bytes(words), axis=-1, count=batch, bitorder="little")
+
+
+@lru_cache(maxsize=1024)
+def _flip(lanes: int) -> np.ndarray:
+    """The read-only pair (1, 0) of ``lanes`` lanes: all lanes set in
+    party 0's row, padding lanes clear."""
+    v = np.zeros((2, _words(lanes)), dtype=np.uint64)
+    v[0] = ~np.uint64(0)
+    clear_padding(v, lanes)
+    v.flags.writeable = False
+    return v
+
+
+def _extract(words: np.ndarray, lo: int, lanes: int) -> np.ndarray:
+    """Fresh words holding lanes ``[lo, lo + lanes)`` of each row of
+    ``words`` (along the last axis), shifted down to lane 0, padding lanes
+    zero."""
+    q, r = divmod(lo, 64)
+    count = _words(lanes)
+    if r == 0:
+        out = words[..., q:q + count].copy()
+    else:
+        src = words[..., q:q + count + 1]
+        out = src[..., :count] >> np.uint64(r)
+        out[..., :src.shape[-1] - 1] |= src[..., 1:] << np.uint64(64 - r)
+    clear_padding(out, lanes)
+    return out
+
+
+def _place(dst: np.ndarray, words: np.ndarray, lo: int):
+    """OR ``words`` (zero padding lanes) into ``dst`` from lane ``lo`` on,
+    along the last axis."""
+    q, r = divmod(lo, 64)
+    count = words.shape[-1]
+    if r == 0:
+        dst[..., q:q + count] |= words
+        return
+    dst[..., q:q + count] |= words << np.uint64(r)
+    spill = min(count, dst.shape[-1] - q - 1)  # a last spill past dst is all padding
+    dst[..., q + 1:q + 1 + spill] |= words[..., :spill] >> np.uint64(64 - r)
+
+
+def _concat_words(rows: list, sizes: list) -> np.ndarray:
+    """Concatenate ``(2, W)`` packed segments of ``sizes`` lanes into fresh
+    words."""
+    first, count = sizes[0], len(sizes)
+    equal = sizes.count(first) == count
+    if first % 64 == 0 if equal else not any([m % 64 for m in sizes[:-1]]):
+        return np.concatenate(rows, axis=1)
+    total = sum(sizes)
+    if total >= _UNPACK_LANES:
+        out = np.zeros((2, _words(total)), dtype=np.uint64)
+        lo = 0
+        for words, m in zip(rows, sizes):
+            _place(out, words, lo)
+            lo += m
+        return out
+    if equal:  # unpack all segments side by side, pack once
+        stacked = np.concatenate(rows, axis=1).reshape(2, count, -1)
+        return pack_lanes(unpack_lanes(stacked, first).reshape(2, total))
+    return pack_lanes(np.concatenate([unpack_lanes(w, m) for w, m in zip(rows, sizes)], axis=1))
 
 
 def uniform(ring: RingSpec, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -169,37 +302,22 @@ def uniform(ring: RingSpec, size: int, rng: np.random.Generator) -> np.ndarray:
     return elems.astype(ring.dtype, copy=False)
 
 
-def pack_lanes(bits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Pack ``(..., batch)`` bits, one uint8 0/1 each, into ``(...,
-    ceil(batch/64))`` uint64 words: lane i of word w is element 64·w + i,
-    little-endian lane order on any host (the order of ``uniform`` at
-    width 1). The padding lanes of each row's last word are zero.
-
-    The words go into ``out`` if given, a zeroed little-endian (``"<u8"``)
-    array of that shape, else into one freshly zeroed buffer."""
-    if out is None:
-        *lead, batch = np.shape(bits)
-        out = np.zeros((*lead, -(-batch // 64)), dtype="<u8")
-    packed = np.packbits(bits, axis=-1, bitorder="little")
-    out.view(np.uint8)[..., :packed.shape[-1]] = packed
-    return out.astype(np.uint64, copy=False)
-
-
-def unpack_lanes(words: np.ndarray, batch: int) -> np.ndarray:
-    """Inverse of ``pack_lanes``: the first ``batch`` lanes of each row of
-    ``words`` as uint8 0/1, along the last axis."""
-    raw = np.ascontiguousarray(words).astype("<u8", copy=False).view(np.uint8)
-    return np.unpackbits(raw, axis=-1, count=batch, bitorder="little")
-
-
 def share(x, ring: RingSpec, rng: np.random.Generator) -> SharePair:
-    """Split a plaintext vector into a uniformly random share pair."""
+    """Split a plaintext vector into a uniformly random share pair. At
+    width 1 party 0's share is the raw generator words with the padding
+    lanes cleared: the lanes of ``uniform(BOOL, batch, rng)``."""
     x = np.atleast_1d(np.asarray(x, dtype=np.uint64))
     if ring.width_bits < 64 and np.any(x >= ring.modulus):
         raise DomainError("plaintext value out of ring range")
+    if ring.is_boolean:
+        v = np.empty((2, _words(len(x))), dtype=np.uint64)
+        v[0] = rng.bit_generator.random_raw(v.shape[1])
+        clear_padding(v[0], len(x))
+        np.bitwise_xor(pack_lanes(x.astype(np.uint8)), v[0], out=v[1])
+        return SharePair(BOOL, v, len(x))
     x = x.astype(ring.dtype)
     r = uniform(ring, len(x), rng)
-    return _wrapped(ring, np.stack((r, x - r)))
+    return SharePair(ring, np.stack((r, x - r)))
 
 
 def reconst(s0: Share, s1: Share) -> np.ndarray:
@@ -212,28 +330,40 @@ def trivial(holder: int, values, ring: RingSpec) -> SharePair:
     """Lift a value held in the clear by one party into a share pair
     (v, 0) or (0, v). No communication."""
     values = np.atleast_1d(np.asarray(values, dtype=np.uint64)).astype(ring.dtype)
+    if ring.is_boolean:
+        v = np.zeros((2, _words(len(values))), dtype=np.uint64)
+        v[holder] = pack_lanes(values & np.uint8(1))
+        return SharePair(BOOL, v, len(values))
     v = np.zeros((2, len(values)), dtype=ring.dtype)
     v[holder] = values
-    return _wrapped(ring, v)
+    return SharePair(ring, v)
 
 
 def const_pair(c, ring: RingSpec, batch: int) -> SharePair:
     """A public constant as the trivial pair (c, 0)."""
+    if ring.is_boolean:
+        return SharePair(BOOL, _flip(batch) * np.uint64(c & 1), batch)
     return trivial(0, np.full(batch, c, dtype=np.uint64), ring)
 
 
 # ---------------------------------------------------------------------------
 # Local (communication-free) share algebra: one numpy op over both parties.
+# At width 1 every op is a word op: add, sub and sub_mirror are XOR, neg
+# is the identity, and a public constant acts through its low bit.
 
 def add(a: SharePair, b: SharePair) -> SharePair:
     _check_same(a, b)
-    return _wrapped(a.ring, a.v + b.v)
+    if a.n is not None:
+        return SharePair(BOOL, a.v ^ b.v, a.n)
+    return SharePair(a.ring, a.v + b.v)
 
 
 def sub(a: SharePair, b: SharePair) -> SharePair:
     """Additive subtraction: both parties subtract; reconstructs a - b."""
     _check_same(a, b)
-    return _wrapped(a.ring, a.v - b.v)
+    if a.n is not None:
+        return SharePair(BOOL, a.v ^ b.v, a.n)
+    return SharePair(a.ring, a.v - b.v)
 
 
 def sub_mirror(a: SharePair, b: SharePair) -> SharePair:
@@ -243,13 +373,17 @@ def sub_mirror(a: SharePair, b: SharePair) -> SharePair:
     t0 == t1 iff a == b, which is what the bitwise equality check consumes.
     """
     _check_same(a, b)
+    if a.n is not None:
+        return SharePair(BOOL, a.v ^ b.v, a.n)
     t = a.v - b.v
     np.negative(t[1], out=t[1])
-    return _wrapped(a.ring, t)
+    return SharePair(a.ring, t)
 
 
 def neg(a: SharePair) -> SharePair:
-    return _wrapped(a.ring, 0 - a.v)
+    if a.n is not None:
+        return SharePair(BOOL, a.v.copy(), a.n)
+    return SharePair(a.ring, 0 - a.v)
 
 
 def _public(c, ring: RingSpec):
@@ -258,38 +392,68 @@ def _public(c, ring: RingSpec):
 
 def const_add(c, a: SharePair) -> SharePair:
     """Add a public constant: party 0 adds c, party 1 adds zero."""
+    if a.n is not None:
+        return not_(a) if c & 1 else neg(a)
     v = a.v.copy()
     v[0] += _public(c, a.ring)
-    return _wrapped(a.ring, v)
+    return SharePair(a.ring, v)
 
 
 def const_mult(c, a: SharePair) -> SharePair:
     """Multiply by a public constant: both parties scale their share."""
-    return _wrapped(a.ring, a.v * _public(c, a.ring))
+    if a.n is not None:
+        return SharePair(BOOL, a.v * np.uint64(c & 1), a.n)
+    return SharePair(a.ring, a.v * _public(c, a.ring))
 
 
 def xor(a: SharePair, b: SharePair) -> SharePair:
     if not a.ring.is_boolean:
         raise DomainError("xor requires boolean shares")
     _check_same(a, b)
-    return SharePair(BOOL, a.v ^ b.v)
+    return SharePair(BOOL, a.v ^ b.v, a.n)
 
 
 def not_(a: SharePair) -> SharePair:
-    """Boolean NOT: only party 0 flips its share."""
+    """Boolean NOT: only party 0 flips its share, one word XOR with a ones
+    mask whose padding lanes are clear."""
     if not a.ring.is_boolean:
         raise DomainError("not requires boolean shares")
-    v = a.v.copy()
-    v[0] ^= 1
-    return SharePair(BOOL, v)
+    return SharePair(BOOL, a.v ^ _flip(a.n), a.n)
 
 
 # ---------------------------------------------------------------------------
 # Bit planes.
 
+def _le_bytes(values: np.ndarray) -> np.ndarray:
+    """The little-endian bytes of a ``(..., batch)`` value array, ``(...,
+    batch, itemsize)``: byte b of a value holds its bits 8b to 8b + 7."""
+    raw = np.ascontiguousarray(values).astype(values.dtype.newbyteorder("<"), copy=False)
+    return raw.view(np.uint8).reshape(*values.shape, values.dtype.itemsize)
+
+
+def bit_plane(values: np.ndarray, j: int) -> np.ndarray:
+    """Bit j of every value of a plain ``(..., batch)`` array, packed."""
+    return pack_lanes(_le_bytes(values)[..., j // 8] & np.uint8(1 << j % 8))
+
+
 def bits_of(values: np.ndarray, width: int) -> list:
-    """LSB-first bit arrays of a plain value array, shifted in its own dtype."""
-    return [(values >> values.dtype.type(j)).astype(np.uint8) & 1 for j in range(width)]
+    """LSB-first packed bit planes of a plain ``(..., batch)`` value array:
+    plane j is ``pack_lanes`` of bit j of every value, ``(...,
+    ceil(batch/64))`` uint64 words. Small batches take one bit transpose
+    (unpack the bytes, move the bit axis first, pack); large ones pack
+    each bit of each byte plane, which stays in cache."""
+    raw = _le_bytes(values)
+    *lead, batch, _ = raw.shape
+    if batch < _TRANSPOSE_LANES:
+        bits = np.unpackbits(raw, axis=-1, bitorder="little")[..., :width]
+        planes = bits.transpose(bits.ndim - 1, *range(bits.ndim - 1))
+        return list(pack_lanes(np.ascontiguousarray(planes)))
+    out = np.zeros((width, *lead, _words(batch)), dtype=_LE64)
+    for b in range(-(-width // 8)):
+        plane = np.ascontiguousarray(raw[..., b])
+        for k in range(min(8, width - 8 * b)):
+            pack_lanes(plane & np.uint8(1 << k), out=out[8 * b + k])
+    return list(out.astype(np.uint64, copy=False))
 
 
 def bit_decompose_local(pair: SharePair) -> list[SharePair]:
@@ -300,22 +464,39 @@ def bit_decompose_local(pair: SharePair) -> list[SharePair]:
     rely on protocol-level structure, not on XOR-recomposition."""
     if pair.ring.is_boolean:
         raise DomainError("bit decomposition needs an arithmetic share")
-    return [SharePair(BOOL, plane) for plane in bits_of(pair.v, pair.ring.width_bits)]
+    return [SharePair(BOOL, plane, pair.batch)
+            for plane in bits_of(pair.v, pair.ring.width_bits)]
 
 
 # ---------------------------------------------------------------------------
-# Batch plumbing used by the protocol layer. Slices and splits are views.
+# Batch plumbing used by the protocol layer. Above width 1 slices and splits
+# are views and a concatenation is one ``concatenate``. At width 1 they cut
+# at bit offsets: a slice or split on word boundaries is a view, any other
+# cut is a fresh array, and a concatenation is always fresh.
 
 def concat_pairs(pairs) -> SharePair:
+    if not pairs:
+        raise ShapeError("concat of no pairs")
     ring = pairs[0].ring
     for p in pairs:
-        if p.ring != ring:
+        if p.ring is not ring and p.ring != ring:
             raise ShapeError("ring mismatch in concat")
-    return SharePair(ring, np.concatenate([p.v for p in pairs], axis=1))
+    rows = [p.v for p in pairs]
+    if not ring.is_boolean:
+        return SharePair(ring, np.concatenate(rows, axis=1))
+    sizes = [p.n for p in pairs]
+    return SharePair(BOOL, _concat_words(rows, sizes), sum(sizes))
 
 
 def slice_pair(pair: SharePair, lo: int, hi: int) -> SharePair:
-    return SharePair(pair.ring, pair.v[:, lo:hi])
+    n = pair.batch
+    if not 0 <= lo <= hi <= n:
+        raise ShapeError(f"slice [{lo}, {hi}) outside a batch of {n}")
+    if pair.n is None:
+        return SharePair(pair.ring, pair.v[:, lo:hi])
+    if lo % 64 == 0 and (hi % 64 == 0 or hi == n):
+        return SharePair(BOOL, pair.v[:, lo // 64:_words(hi)], hi - lo)
+    return SharePair(BOOL, _extract(pair.v, lo, hi - lo), hi - lo)
 
 
 def split_pair(pair: SharePair, parts: int) -> list[SharePair]:
@@ -323,4 +504,54 @@ def split_pair(pair: SharePair, parts: int) -> list[SharePair]:
     if n % parts:
         raise ShapeError("batch not divisible for split")
     step = n // parts
-    return [slice_pair(pair, k * step, (k + 1) * step) for k in range(parts)]
+    if pair.n is None or step % 64 == 0:
+        return [slice_pair(pair, k * step, (k + 1) * step) for k in range(parts)]
+    return split_each([pair], parts)[0]
+
+
+def concat_each(groups) -> list[SharePair]:
+    """``concat_pairs`` of each list of pairs in ``groups``, in order. Boolean
+    lists of one length and one batch are joined together: one unpack and
+    one pack below ``_UNPACK_LANES`` lanes in all; above it, the j-th pairs
+    of all lists are shifted into place by one set of word ops per j."""
+    if not groups:
+        return []
+    count, first = len(groups[0]), groups[0][0]
+    if not first.ring.is_boolean or any([len(group) != count for group in groups]):
+        return [concat_pairs(group) for group in groups]
+    step = first.n
+    if any([p.n != step for group in groups for p in group]):
+        return [concat_pairs(group) for group in groups]
+    lanes = count * step
+    if len(groups) * lanes < _UNPACK_LANES:
+        words = np.concatenate([p.v for group in groups for p in group])
+        bits = unpack_lanes(words.reshape(len(groups), count, 2, -1), step)
+        out = np.zeros((len(groups), 2, 64 * _words(lanes)), dtype=np.uint8)
+        out[..., :lanes].reshape(len(groups), 2, count, step)[...] = bits.transpose(0, 2, 1, 3)
+        out = pack_lanes(out)
+    else:
+        out = np.zeros((len(groups), 2, _words(lanes)), dtype=np.uint64)
+        for j in range(count):
+            words = np.concatenate([group[j].v for group in groups])
+            _place(out, words.reshape(len(groups), 2, -1), j * step)
+    return [SharePair(BOOL, words, lanes) for words in out]
+
+
+def split_each(pairs: list[SharePair], parts: int) -> list[list[SharePair]]:
+    """``split_pair(pair, parts)`` of each pair, in order. Boolean pairs of
+    one batch are cut together: one unpack and one pack below
+    ``_UNPACK_LANES`` lanes in all, word shifts per part above it."""
+    first = pairs[0]
+    n = first.batch
+    if (not first.ring.is_boolean or n % parts or (n // parts) % 64 == 0
+            or any([p.n != n for p in pairs])):
+        return [split_pair(p, parts) for p in pairs]
+    step = n // parts
+    words = np.concatenate([p.v for p in pairs]).reshape(len(pairs), 2, -1)
+    if len(pairs) * n >= _UNPACK_LANES:
+        cut = [_extract(words, k * step, step) for k in range(parts)]
+        return [[SharePair(BOOL, part[i], step) for part in cut] for i in range(len(pairs))]
+    bits = np.zeros((len(pairs), 2, parts, 64 * _words(step)), dtype=np.uint8)
+    bits[..., :step] = unpack_lanes(words, n).reshape(len(pairs), 2, parts, step)
+    out = pack_lanes(bits)
+    return [[SharePair(BOOL, o[:, k], step) for k in range(parts)] for o in out]

@@ -1,9 +1,10 @@
 """Protocols never write into their input pairs.
 
-Slices and splits of a pair are views of its array, so a protocol that
-wrote in place into an input would corrupt its caller's data. Each input
-here is itself a view of a larger parent pair; after the run both the
-inputs and the parent must be bit-identical to before.
+Slices and splits of a pair are views of its array (for packed boolean
+pairs, when they cut on word boundaries), so a protocol that wrote in place
+into an input would corrupt its caller's data. Each input here is cut from
+a larger parent pair, a view wherever the layout allows; after the run both
+the inputs and the parent must be bit-identical to before.
 """
 import numpy as np
 import pytest
@@ -16,9 +17,10 @@ from ringmpc.ring import BOOL, Z32, concat_pairs, split_pair
 BATCH = 6
 
 
-def _views(sess, ring, count, high, seed):
-    """``count`` pairs that are split views of one parent pair."""
-    vals = np.random.default_rng(seed).integers(0, high, count * BATCH, dtype=np.uint64)
+def _views(sess, ring, count, high, seed, batch=BATCH):
+    """``count`` pairs split from one parent pair: views of it above width
+    1, and at width 1 too when ``batch`` is a whole number of words."""
+    vals = np.random.default_rng(seed).integers(0, high, count * batch, dtype=np.uint64)
     parent = sess.share_input(vals, ring)
     return parent, split_pair(parent, count)
 
@@ -40,6 +42,14 @@ def _bcx2a(sess):
             P.bcx2a(sess.store, b, c, x))
 
 
+def _bcx2a_word_views(sess):
+    bits, (b, c) = _views(sess, BOOL, 2, 2, 3, batch=64)
+    assert np.shares_memory(b.v, bits.v) and np.shares_memory(c.v, bits.v)
+    parent, (x,) = _views(sess, Z32, 1, 1 << 32, 4, batch=64)
+    return ([bits, b, c, parent, x], P.bcx2a_manifest(Z32, 64),
+            P.bcx2a(sess.store, b, c, x))
+
+
 def _tlu(sess):
     parent, pairs = _views(sess, Z32, 7, 1 << 32, 5)
     keys = [sess.share_input(np.full(BATCH, k, np.uint64), Z32) for k in (4, 9, 2)]
@@ -55,7 +65,8 @@ def _edit_distance(sess):
     return [s.shares, t.shares], E.edit_distance_manifest(3, 2), E.edit_distance(sess.store, s, t)
 
 
-@pytest.mark.parametrize("case", [_comparison, _max3, _bcx2a, _tlu, _edit_distance],
+@pytest.mark.parametrize("case", [_comparison, _max3, _bcx2a, _bcx2a_word_views, _tlu,
+                                  _edit_distance],
                          ids=lambda f: f.__name__.lstrip("_"))
 def test_protocol_leaves_its_inputs_untouched(case):
     sess = Session(seed=8)

@@ -72,6 +72,15 @@ def test_boolean_shares_are_xor(rng):
 @pytest.mark.parametrize("ring", [BOOL, Z8])
 def test_party_share_is_a_view_of_the_pair(ring, rng):
     pair = share([1, 0, 1], ring, rng)
+    if ring.is_boolean:
+        # Packed words hold boolean shares; a party's Share is its lanes
+        # unpacked to one uint8 each, a copy that leaves the words alone.
+        before = pair.v.copy()
+        for party in (0, 1):
+            assert np.array_equal(pair[party].values, unpack_lanes(pair.v[party], 3))
+        pair[0].values[0] ^= 1
+        assert np.array_equal(pair.v, before)
+        return
     for party in (0, 1):
         assert np.shares_memory(pair[party].values, pair.v)
     before = int(pair.v[0, 0])
@@ -173,7 +182,9 @@ def test_bits_of_lsb_first():
         top = 1 << (width - 1)
         planes = bits_of(np.array([top | 0b1011, 0b0100], dtype=dtype), width)
         assert len(planes) == width
-        assert all(p.dtype == np.uint8 for p in planes)
+        # Each plane is packed: one uint64 word holding the two values' bits.
+        assert all(p.dtype == np.uint64 and p.shape == (1,) for p in planes)
+        planes = [unpack_lanes(p, 2) for p in planes]
         assert [int(p[0]) for p in planes] == [1, 1, 0, 1] + [0] * (width - 5) + [1]
         assert [int(p[1]) for p in planes] == [0, 0, 1] + [0] * (width - 3)
 
@@ -183,6 +194,7 @@ def test_bit_decompose_local_planes_are_own_bits(rng):
     planes = bit_decompose_local(pair)
     assert len(planes) == 16
     for j in range(16):
+        assert planes[j].batch == 8 and planes[j].v.shape == (2, 1)
         assert np.array_equal(
             planes[j][0].values, (pair[0].values >> j).astype(np.uint8) & 1
         )
@@ -269,9 +281,15 @@ def test_pair_is_one_two_row_array(ring, rng):
     for pair in (share(_vals(ring, rng), ring, rng), trivial(1, [1, 0, 1], ring),
                  const_pair(1, ring, 4)):
         assert isinstance(pair.v, np.ndarray)
-        assert pair.v.shape == (2, pair.batch)
-        assert pair.v.dtype == ring.dtype
         assert pair.ring == ring
+        if ring.is_boolean:
+            # 64 lanes per uint64 word, padding lanes zero.
+            assert pair.v.shape == (2, -(-pair.batch // 64))
+            assert pair.v.dtype == np.uint64
+            assert not (pair.v[:, -1] >> np.uint64(pair.batch % 64)).any()
+        else:
+            assert pair.v.shape == (2, pair.batch)
+            assert pair.v.dtype == ring.dtype
 
 
 @pytest.mark.parametrize("ring", RINGS)
@@ -280,11 +298,13 @@ def test_pair_unpacks_to_party_shares(ring, rng):
     pair = share(vals, ring, rng)
     s0, s1 = pair
     assert (s0.party_id, s1.party_id) == (0, 1)
-    assert np.array_equal(s0.values, pair.v[0]) and np.array_equal(s1.values, pair.v[1])
+    rows = unpack_lanes(pair.v, pair.batch) if ring.is_boolean else pair.v
+    assert np.array_equal(s0.values, rows[0]) and np.array_equal(s1.values, rows[1])
     assert np.array_equal(reconst(*pair), ring.wrap(vals.astype(ring.dtype)))
     again = SharePair.of(s0, s1)
     assert again.ring == ring
-    assert again.v.dtype == ring.dtype
+    assert again.v.dtype == (np.uint64 if ring.is_boolean else ring.dtype)
+    assert again.batch == pair.batch
     assert np.array_equal(again.v, pair.v)
 
 
@@ -307,6 +327,17 @@ def test_split_and_slice_return_in_order_views(rng):
     middle = slice_pair(big, 4, 8)
     assert np.shares_memory(middle.v, big.v)
     assert np.array_equal(middle.v, pairs[1].v)
+    # Packed boolean pairs: cuts on word boundaries are views, in order;
+    # any other cut is fresh words with zero padding lanes.
+    for step in (64, 130):
+        bits = [share(rng.integers(0, 2, step, dtype=np.uint64), BOOL, rng) for _ in range(3)]
+        big = concat_pairs(bits)
+        for orig, part in zip(bits, split_pair(big, 3)):
+            assert np.shares_memory(part.v, big.v) == (step % 64 == 0)
+            assert part.batch == step and np.array_equal(part.v, orig.v)
+        middle = slice_pair(big, step, 2 * step)
+        assert np.shares_memory(middle.v, big.v) == (step % 64 == 0)
+        assert np.array_equal(middle.v, bits[1].v)
 
 
 def _low_bit_pairs():
@@ -332,8 +363,9 @@ def test_boolean_algebra_keeps_the_low_bit():
         "share": (share([1, 0, 1, 0], BOOL, np.random.default_rng(3)), [1, 0, 1, 0]),
     }
     for name, (out, expect) in results.items():
-        assert out.v.dtype == np.uint8, name
-        assert np.all(out.v <= 1), name
+        # Four lanes in one packed word: lanes 4 to 63 must stay zero.
+        assert out.v.dtype == np.uint64 and out.v.shape == (2, 1), name
+        assert np.all(out.v >> np.uint64(4) == 0), name
         if expect is not None:
             assert np.array_equal(reconst(*out), expect), name
 
@@ -346,7 +378,6 @@ def test_boolean_gate_output_keeps_the_low_bit(gate):
     bits = np.random.default_rng(12).integers(0, 2, (fan_in, batch), dtype=np.uint64)
     inputs = [sess.share_input(row, BOOL) for row in bits]
     out = sess.run(gate(inputs, *sess.store.take_bte(fan_in, BOOL, batch)))
-    assert out.v.dtype == np.uint8
-    assert np.all(out.v <= 1)
+    assert out.v.dtype == np.uint64 and out.v.shape == (2, 1)  # 64 lanes, one word
     expect = bits.min(axis=0) if gate is and_n else bits.max(axis=0)
     assert np.array_equal(reconst(*out), expect)
