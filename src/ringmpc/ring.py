@@ -263,22 +263,17 @@ def _place(dst: np.ndarray, words: np.ndarray, lo: int):
 def _concat_words(rows: list, sizes: list) -> np.ndarray:
     """Concatenate ``(2, W)`` packed segments of ``sizes`` lanes into fresh
     words."""
-    first, count = sizes[0], len(sizes)
-    equal = sizes.count(first) == count
-    if first % 64 == 0 if equal else not any([m % 64 for m in sizes[:-1]]):
+    if not any([m % 64 for m in sizes[:-1]]):
         return np.concatenate(rows, axis=1)
     total = sum(sizes)
-    if total >= _UNPACK_LANES:
-        out = np.zeros((2, _words(total)), dtype=np.uint64)
-        lo = 0
-        for words, m in zip(rows, sizes):
-            _place(out, words, lo)
-            lo += m
-        return out
-    if equal:  # unpack all segments side by side, pack once
-        stacked = np.concatenate(rows, axis=1).reshape(2, count, -1)
-        return pack_lanes(unpack_lanes(stacked, first).reshape(2, total))
-    return pack_lanes(np.concatenate([unpack_lanes(w, m) for w, m in zip(rows, sizes)], axis=1))
+    if total < _UNPACK_LANES:
+        return pack_lanes(np.concatenate([unpack_lanes(w, m) for w, m in zip(rows, sizes)], axis=1))
+    out = np.zeros((2, _words(total)), dtype=np.uint64)
+    lo = 0
+    for words, m in zip(rows, sizes):
+        _place(out, words, lo)
+        lo += m
+    return out
 
 
 def uniform(ring: RingSpec, size: int, rng: np.random.Generator) -> np.ndarray:
