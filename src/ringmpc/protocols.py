@@ -43,6 +43,7 @@ from .ring import (
     concat_pairs,
     const_mult,
     const_pair,
+    fold_segments,
     not_,
     pack_lanes,
     split_pair,
@@ -98,8 +99,7 @@ def _xor_fold(pairs: list[SharePair]) -> SharePair:
 
 def _fold_groups(pair: SharePair, groups: int) -> SharePair:
     """XOR-fold a stacked boolean batch of ``groups`` equal segments."""
-    parts = split_pair(pair, groups)
-    return SharePair(BOOL, np.bitwise_xor.reduce([p.v for p in parts]), pair.batch // groups)
+    return fold_segments([pair], pair.batch // groups)
 
 
 def _plane(pair: SharePair, j: int) -> SharePair:
@@ -255,7 +255,7 @@ def overflow_2r(store: MaterialStore, x: SharePair, k: int):
         inputs[pos + 1].v[0] = 0  # the u bits are party 1's alone
         pos += 2 + i
     results = yield from bank(store, and_n, gates)
-    return _overflow_out(_fold_groups(concat_pairs(results), n), zero_flag)
+    return _overflow_out(fold_segments(results, x.batch), zero_flag)
 
 
 def overflow_manifest(ring: RingSpec, batch: int) -> list[Need]:
@@ -411,9 +411,12 @@ def _lifts(pair: SharePair, ring: RingSpec):
     as its share; then the trivial-share lifts of each party's own bit and
     of its complement."""
     bits = unpack_lanes(pair.v, pair.batch)
-    b0, b1 = bits
-    return (SharePair(ring, bits.astype(ring.dtype)), trivial(0, b0, ring),
-            trivial(1, b1, ring), trivial(0, b0 ^ 1, ring), trivial(1, b1 ^ 1, ring))
+    lifts = np.zeros((4, 2, pair.batch), dtype=ring.dtype)
+    lifts[0, 0] = bits[0]
+    lifts[1, 1] = bits[1]
+    lifts[2, 0] = bits[0] ^ 1
+    lifts[3, 1] = bits[1] ^ 1
+    return (SharePair(ring, bits.astype(ring.dtype)), *(SharePair(ring, v) for v in lifts))
 
 
 def bx2a(store: MaterialStore, b: SharePair, x: SharePair):

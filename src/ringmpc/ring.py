@@ -550,3 +550,17 @@ def split_each(pairs: list[SharePair], parts: int) -> list[list[SharePair]]:
     bits[..., :step] = unpack_lanes(words, n).reshape(len(pairs), 2, parts, step)
     out = pack_lanes(bits)
     return [[SharePair(BOOL, o[:, k], step) for k in range(parts)] for o in out]
+
+
+def fold_segments(pairs: list[SharePair], step: int) -> SharePair:
+    """The XOR of every ``step``-lane segment of the boolean ``pairs``, whose
+    batches are multiples of ``step``: one unpack per pair, one reduce and
+    one pack below ``_UNPACK_LANES`` lanes in all, word shifts above it."""
+    if any([p.batch % step for p in pairs]):
+        raise ShapeError("batch not divisible into segments")
+    if sum([p.batch for p in pairs]) < _UNPACK_LANES:
+        bits = np.concatenate([unpack_lanes(p.v, p.batch) for p in pairs], axis=1)
+        return SharePair(BOOL, pack_lanes(np.bitwise_xor.reduce(bits.reshape(2, -1, step), axis=1)),
+                         step)
+    parts = [part.v for p in pairs for part in split_pair(p, p.batch // step)]
+    return SharePair(BOOL, np.bitwise_xor.reduce(parts), step)

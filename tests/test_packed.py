@@ -30,6 +30,7 @@ from ringmpc.ring import (
     const_add,
     const_mult,
     const_pair,
+    fold_segments,
     neg,
     not_,
     pack_lanes,
@@ -184,6 +185,17 @@ def test_fold_groups_matches_byte_reference(step):
     pair = _pair(rng, 4 * step)
     bits = _bits(pair).reshape(2, 4, step)
     _check(P._fold_groups(pair, 4), np.bitwise_xor.reduce(bits, axis=1))
+
+
+@pytest.mark.parametrize("step", [1, 63, 64, 65, BIG])
+def test_fold_segments_matches_byte_reference(step):
+    rng = np.random.default_rng(step)
+    pairs = [_pair(rng, k * step) for k in (1, 3, 2)]
+    bits = np.concatenate([_bits(p) for p in pairs], axis=1).reshape(2, -1, step)
+    _check(fold_segments(pairs, step), np.bitwise_xor.reduce(bits, axis=1))
+    if step > 1:
+        with pytest.raises(ShapeError):
+            fold_segments([_pair(rng, step + 1)], step)
 
 
 @pytest.mark.parametrize("batch", [1, 63, 64, 65, 130, _TRANSPOSE_LANES + 3])
