@@ -3,8 +3,8 @@
 Every gate is a protocol generator (see engine): it yields exactly one
 round carrying the N masked inputs (N * width bits per party) and finishes
 locally. Over the boolean ring multiplication *is* AND and addition *is*
-XOR, so one protocol serves both share types. ``bank`` runs many gates in
-one round and decides how they share material.
+XOR, so one protocol serves both share types, on packed words at width 1.
+``bank`` runs many gates in one round and decides how they share material.
 
 The subset sum is a fold over the table's rows with the ring's two ops:
 multiply and add in the ring's own dtype, which wraps natively, above
