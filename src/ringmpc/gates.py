@@ -16,14 +16,12 @@ nothing is packed or unpacked on the way.
 """
 from __future__ import annotations
 
-from itertools import accumulate
-
 import numpy as np
 
 from .dealer import BteTable, table_layout
 from .engine import ExchangeItem, parallel
 from .errors import DomainError, ShapeError
-from .ring import SharePair, concat_each, not_, slice_pair, split_each
+from .ring import SharePair, concat_each, cut_each, not_
 
 
 def _validate(inputs, t0: BteTable, t1: BteTable):
@@ -148,8 +146,8 @@ def bank(store, op, gates: list[list[SharePair]]):
     equal fan-in are stacked in gate order into one table of their summed
     batch, and the tables are taken in ascending fan-in order; a group of
     one gate is neither stacked nor sliced. All groups are stacked by one
-    ``concat_each`` and, when their gates share one batch and count, cut
-    back by one ``split_each``. No gates cost no round.
+    ``concat_each`` and cut back at their gates' batches by one
+    ``cut_each``. No gates cost no round.
     """
     groups: dict[int, list[int]] = {}
     for i, gate in enumerate(gates):
@@ -166,32 +164,17 @@ def bank(store, op, gates: list[list[SharePair]]):
     results = yield from parallel(gens)
 
     out = [None] * len(gates)
-    cuts = []
+    cut = []
     for idxs, res in zip(groups.values(), results):
         if len(idxs) == 1:
             out[idxs[0]] = res
         else:
-            cuts.append((idxs, res))
-    for (idxs, _), parts in zip(cuts, _cut(cuts, gates)):
+            cut.append((idxs, res))
+    sizes = [[gates[i][0].batch for i in idxs] for idxs, _ in cut]
+    for (idxs, _), parts in zip(cut, cut_each([res for _, res in cut], sizes)):
         for i, part in zip(idxs, parts):
             out[i] = part
     return out
-
-
-def _cut(cuts, gates) -> list[list[SharePair]]:
-    """Each stacked output of ``cuts`` (gate indices, output) cut back at
-    its gates' batches: by one ``split_each`` when every group has as many
-    gates, all of one batch."""
-    sizes = [[gates[i][0].batch for i in idxs] for idxs, _ in cuts]
-    flat = [b for group in sizes for b in group]
-    if flat and flat.count(flat[0]) == len(flat) and all(
-            [len(group) == len(sizes[0]) for group in sizes]):
-        return split_each([res for _, res in cuts], len(sizes[0]))
-    parts = []
-    for group, (_, res) in zip(sizes, cuts):
-        bounds = [0, *accumulate(group)]
-        parts.append([slice_pair(res, lo, hi) for lo, hi in zip(bounds, bounds[1:])])
-    return parts
 
 
 def fanin_schedule(total_inputs: int, max_fanin: int) -> list[list[int]]:

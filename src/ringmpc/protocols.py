@@ -90,18 +90,6 @@ def _check_arith(pair: SharePair):
         raise DomainError("protocol needs arithmetic shares")
 
 
-def _xor_fold(pairs: list[SharePair]) -> SharePair:
-    out = pairs[0]
-    for p in pairs[1:]:
-        out = xor(out, p)
-    return out
-
-
-def _fold_groups(pair: SharePair, groups: int) -> SharePair:
-    """XOR-fold a stacked boolean batch of ``groups`` equal segments."""
-    return fold_segments([pair], pair.batch // groups)
-
-
 def _plane(pair: SharePair, j: int) -> SharePair:
     """Boolean share plane j of an arithmetic pair (each party's own bit)."""
     return SharePair(BOOL, bit_plane(pair.v, j), pair.batch)
@@ -194,11 +182,11 @@ def _overflow_planes(x: SharePair, k: int):
     return dplanes, zero_flag
 
 
-def _u_only(dplanes: list[SharePair]) -> SharePair:
-    """The u bits of ``dplanes``, stacked, shared by party 1 alone."""
-    u = concat_pairs(dplanes)
-    u.v[0] = 0
-    return u
+def _u_bits(pair: SharePair) -> SharePair:
+    """Zero party 0's row of ``pair`` in place and return it: the u bits of
+    ``_overflow_planes`` are party 1's alone."""
+    pair.v[0] = 0
+    return pair
 
 
 def _overflow_out(v: SharePair, zero_flag: np.ndarray) -> SharePair:
@@ -252,7 +240,7 @@ def overflow_2r(store: MaterialStore, x: SharePair, k: int):
     gates, pos = [], 0
     for i in range(len(spans)):
         gates.append(inputs[pos:pos + 2 + i])
-        inputs[pos + 1].v[0] = 0  # the u bits are party 1's alone
+        _u_bits(inputs[pos + 1])
         pos += 2 + i
     results = yield from bank(store, and_n, gates)
     return _overflow_out(fold_segments(results, x.batch), zero_flag)
@@ -317,11 +305,7 @@ def overflow_1r(store: MaterialStore, x: SharePair, n1: int | None = None,
         and_n([g1, g2, g3, g4], *store.take_bte(4, BOOL, groups * batch)),
     ]
     b1, b2, b3 = yield from parallel(gens)
-    return _xor_fold([
-        _fold_groups(b1, (1 << n1) - 1),
-        _fold_groups(b2, groups),
-        _fold_groups(b3, groups),
-    ])
+    return fold_segments([b1, b2, b3], batch)
 
 
 def overflow_1r_manifest(ring: RingSpec, batch: int, n1: int | None = None,
@@ -357,7 +341,7 @@ def baseline_overflow(store: MaterialStore, x: SharePair, k: int):
     _check_arith(x)
     n = x.ring.width_bits
     suffix, zero_flag = _overflow_planes(x, k)
-    u = _u_only(suffix)
+    u = _u_bits(concat_pairs(suffix))
     dist = 1
     while dist < n:
         gates = [[suffix[j], suffix[j + dist]] for j in range(n - dist)]
@@ -365,7 +349,7 @@ def baseline_overflow(store: MaterialStore, x: SharePair, k: int):
         dist *= 2
     tp = [xor(suffix[j], suffix[j + 1]) for j in range(n - 1)] + [suffix[n - 1]]
     (res,) = yield from bank(store, and_n, [[concat_pairs(tp), u]])
-    return _overflow_out(_fold_groups(res, n), zero_flag)
+    return _overflow_out(fold_segments([res], x.batch), zero_flag)
 
 
 def baseline_overflow_manifest(ring: RingSpec, batch: int) -> list[Need]:

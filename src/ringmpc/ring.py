@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -32,14 +33,17 @@ _DTYPES = {
     64: np.uint64,
 }
 
-# Boolean plumbing that moves fewer lanes than this in all unpacks them to
-# one byte each and packs them once: a fixed number of numpy calls, since
-# below it a call costs more than the lanes it moves. Above it, segments
-# move as whole words with shifts, a few calls per segment.
-_UNPACK_LANES = 32768
-# ``bits_of`` transposes a whole batch below this many lanes and goes byte
-# plane by byte plane above it.
-_TRANSPOSE_LANES = 2048
+# Boolean plumbing moves pieces that average fewer lanes than this through
+# one unpack to a byte per lane and one pack: a fixed number of numpy calls
+# when the pieces share one size. Longer pieces move as whole words with
+# shifts, a few numpy calls per piece, which then costs less than a byte
+# per lane.
+_SHIFT_LANES = 8192
+# The weight of each bit of a byte, low bit first.
+_BIT_WEIGHTS = np.uint8(1) << np.arange(8, dtype=np.uint8)
+# Zero lanes that pad a piece out to whole words.
+_PAD = np.zeros((2, 63), dtype=np.uint8)
+_PAD.flags.writeable = False
 
 _LE64 = np.dtype("<u8")
 # On a little-endian host the bytes of a uint64 word are its lanes in order.
@@ -260,20 +264,64 @@ def _place(dst: np.ndarray, words: np.ndarray, lo: int):
     dst[..., q + 1:q + 1 + spill] |= words[..., :spill] >> np.uint64(64 - r)
 
 
-def _concat_words(rows: list, sizes: list) -> np.ndarray:
-    """Concatenate ``(2, W)`` packed segments of ``sizes`` lanes into fresh
-    words."""
-    if not any([m % 64 for m in sizes[:-1]]):
-        return np.concatenate(rows, axis=1)
-    total = sum(sizes)
-    if total < _UNPACK_LANES:
-        return pack_lanes(np.concatenate([unpack_lanes(w, m) for w, m in zip(rows, sizes)], axis=1))
-    out = np.zeros((2, _words(total)), dtype=np.uint64)
-    lo = 0
-    for words, m in zip(rows, sizes):
-        _place(out, words, lo)
-        lo += m
-    return out
+def _by_words(lanes: int, pieces: int) -> bool:
+    """Whether ``pieces`` pieces of ``lanes`` lanes in all are long enough
+    to move as whole words with shifts."""
+    return lanes >= _SHIFT_LANES * pieces
+
+
+def _lanes(pairs: list) -> np.ndarray:
+    """The lanes of the boolean ``pairs`` laid end to end, ``(2, lanes)``
+    uint8: one unpack when they share one batch."""
+    n = pairs[0].n
+    if all([p.n == n for p in pairs]):
+        words = np.concatenate([p.v for p in pairs]).reshape(len(pairs), 2, -1)
+        return unpack_lanes(words, n).transpose(1, 0, 2).reshape(2, -1)
+    return np.concatenate([unpack_lanes(p.v, p.n) for p in pairs], axis=1)
+
+
+def _rechop(pairs: list, sizes: list) -> list[np.ndarray]:
+    """The lanes of the boolean ``pairs`` laid end to end and cut into
+    consecutive outputs of ``sizes`` lanes, which sum to all of them: each
+    output fresh packed words with zero padding lanes. A join is one output
+    of many pairs, a cut many outputs of one pair; both go through here.
+    Short pieces go through one unpack and one pack, equal outputs by
+    reshapes alone; long ones move with shifts."""
+    if _by_words(sum([p.n for p in pairs]), len(pairs) + len(sizes) - 1):
+        return _rechop_words(pairs, sizes)
+    bits = _lanes(pairs)
+    q = sizes[0]
+    if sizes.count(q) == len(sizes):
+        out = np.zeros((2, len(sizes), 64 * _words(q)), dtype=np.uint8)
+        out[..., :q] = bits.reshape(2, len(sizes), q)
+        return list(pack_lanes(out).transpose(1, 0, 2))
+    ends = list(accumulate(sizes, initial=0))
+    pieces = []
+    for lo, hi in zip(ends, ends[1:]):
+        pieces += [bits[:, lo:hi], _PAD[:, :-(hi - lo) % 64]]
+    out = pack_lanes(np.concatenate(pieces, axis=1))
+    ends = list(accumulate([_words(q) for q in sizes], initial=0))
+    return [out[:, lo:hi] for lo, hi in zip(ends, ends[1:])]
+
+
+def _rechop_words(pairs: list, sizes: list) -> list[np.ndarray]:
+    """``_rechop`` by word shifts: each piece of a pair that lands in one
+    output is shifted out of the pair and into the output."""
+    outs = [np.zeros((2, _words(q)), dtype=np.uint64) for q in sizes]
+    j, at = 0, 0
+    for p in pairs:
+        lo = 0
+        while lo < p.n:
+            while at == sizes[j]:
+                j, at = j + 1, 0
+            take = min(p.n - lo, sizes[j] - at)
+            if take == sizes[j]:
+                outs[j] = _extract(p.v, lo, take)
+            else:
+                _place(outs[j], p.v if take == p.n else _extract(p.v, lo, take), at)
+            lo += take
+            at += take
+    return outs
 
 
 def uniform(ring: RingSpec, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -305,11 +353,9 @@ def share(x, ring: RingSpec, rng: np.random.Generator) -> SharePair:
     if ring.width_bits < 64 and np.any(x >= ring.modulus):
         raise DomainError("plaintext value out of ring range")
     if ring.is_boolean:
-        v = np.empty((2, _words(len(x))), dtype=np.uint64)
-        v[0] = rng.bit_generator.random_raw(v.shape[1])
-        clear_padding(v[0], len(x))
-        np.bitwise_xor(pack_lanes(x.astype(np.uint8)), v[0], out=v[1])
-        return SharePair(BOOL, v, len(x))
+        r = uniform(Z64, _words(len(x)), rng)
+        clear_padding(r, len(x))
+        return SharePair(BOOL, np.stack((r, r ^ pack_lanes(x.astype(np.uint8)))), len(x))
     x = x.astype(ring.dtype)
     r = uniform(ring, len(x), rng)
     return SharePair(ring, np.stack((r, x - r)))
@@ -434,20 +480,16 @@ def bit_plane(values: np.ndarray, j: int) -> np.ndarray:
 def bits_of(values: np.ndarray, width: int) -> list:
     """LSB-first packed bit planes of a plain ``(..., batch)`` value array:
     plane j is ``pack_lanes`` of bit j of every value, ``(...,
-    ceil(batch/64))`` uint64 words. Small batches take one bit transpose
-    (unpack the bytes, move the bit axis first, pack); large ones pack
-    each bit of each byte plane, which stays in cache."""
+    ceil(batch/64))`` uint64 words. Each byte of the values is copied out
+    once, masked with all its bit weights in one op and packed in one call:
+    a few numpy calls per byte at any batch."""
     raw = _le_bytes(values)
-    *lead, batch, _ = raw.shape
-    if batch < _TRANSPOSE_LANES:
-        bits = np.unpackbits(raw, axis=-1, bitorder="little")[..., :width]
-        planes = bits.transpose(bits.ndim - 1, *range(bits.ndim - 1))
-        return list(pack_lanes(np.ascontiguousarray(planes)))
-    out = np.zeros((width, *lead, _words(batch)), dtype=_LE64)
+    lead = raw.shape[:-2]
+    out = np.zeros((width, *lead, _words(raw.shape[-2])), dtype=_LE64)
+    weights = _BIT_WEIGHTS.reshape(8, *[1] * (len(lead) + 1))
     for b in range(-(-width // 8)):
-        plane = np.ascontiguousarray(raw[..., b])
-        for k in range(min(8, width - 8 * b)):
-            pack_lanes(plane & np.uint8(1 << k), out=out[8 * b + k])
+        k = min(8, width - 8 * b)
+        pack_lanes(np.ascontiguousarray(raw[..., b]) & weights[:k], out=out[8 * b:8 * b + k])
     return list(out.astype(np.uint64, copy=False))
 
 
@@ -464,23 +506,36 @@ def bit_decompose_local(pair: SharePair) -> list[SharePair]:
 
 
 # ---------------------------------------------------------------------------
-# Batch plumbing used by the protocol layer. Above width 1 slices and splits
-# are views and a concatenation is one ``concatenate``. At width 1 they cut
-# at bit offsets: a slice or split on word boundaries is a view, any other
-# cut is a fresh array, and a concatenation is always fresh.
+# Batch plumbing used by the protocol layer: one join, ``concat_each``, and
+# one cut, ``cut_each``, each over many pairs in one pass. Above width 1
+# cuts are views and a join is one ``concatenate`` per list. At width 1
+# they work at bit offsets: a cut on word boundaries is a view, any other
+# cut is fresh words, and a join is always fresh.
 
-def concat_pairs(pairs) -> SharePair:
-    if not pairs:
-        raise ShapeError("concat of no pairs")
+def concat_each(groups) -> list[SharePair]:
+    """The concatenation of each list of pairs in ``groups``, in order:
+    fresh arrays, one per list."""
+    pairs = [p for group in groups for p in group]
+    if not all(groups) or not pairs:
+        if groups:
+            raise ShapeError("concat of no pairs")
+        return []
     ring = pairs[0].ring
     for p in pairs:
         if p.ring is not ring and p.ring != ring:
             raise ShapeError("ring mismatch in concat")
-    rows = [p.v for p in pairs]
     if not ring.is_boolean:
-        return SharePair(ring, np.concatenate(rows, axis=1))
-    sizes = [p.n for p in pairs]
-    return SharePair(BOOL, _concat_words(rows, sizes), sum(sizes))
+        return [SharePair(ring, np.concatenate([p.v for p in group], axis=1)) for group in groups]
+    totals = [sum([p.n for p in group]) for group in groups]
+    if all(p.n % 64 == 0 for group in groups for p in group[:-1]):
+        outs = [np.concatenate([p.v for p in group], axis=1) for group in groups]
+    else:
+        outs = _rechop(pairs, totals)
+    return [SharePair(BOOL, out, total) for out, total in zip(outs, totals)]
+
+
+def concat_pairs(pairs) -> SharePair:
+    return concat_each([pairs])[0]
 
 
 def slice_pair(pair: SharePair, lo: int, hi: int) -> SharePair:
@@ -494,73 +549,39 @@ def slice_pair(pair: SharePair, lo: int, hi: int) -> SharePair:
     return SharePair(BOOL, _extract(pair.v, lo, hi - lo), hi - lo)
 
 
+def cut_each(pairs: list[SharePair], sizes: list[list[int]]) -> list[list[SharePair]]:
+    """Each pair cut into consecutive parts of ``sizes[i]`` elements, which
+    sum to its batch, in order: views where every part starts on a word
+    boundary (always above width 1), else fresh words from one ``_rechop``."""
+    for p, parts in zip(pairs, sizes, strict=True):
+        if sum(parts) != p.batch:
+            raise ShapeError(f"parts {parts} do not cut a batch of {p.batch}")
+    if pairs and pairs[0].n is not None and not all(
+            q % 64 == 0 for parts in sizes for q in parts[:-1]):
+        outs = iter(_rechop(pairs, [q for parts in sizes for q in parts]))
+        return [[SharePair(BOOL, next(outs), q) for q in parts] for parts in sizes]
+    out = []
+    for p, parts in zip(pairs, sizes):
+        ends = list(accumulate(parts, initial=0))
+        out.append([slice_pair(p, lo, hi) for lo, hi in zip(ends, ends[1:])])
+    return out
+
+
 def split_pair(pair: SharePair, parts: int) -> list[SharePair]:
-    n = pair.batch
-    if n % parts:
+    if pair.batch % parts:
         raise ShapeError("batch not divisible for split")
-    step = n // parts
-    if pair.n is None or step % 64 == 0:
-        return [slice_pair(pair, k * step, (k + 1) * step) for k in range(parts)]
-    return split_each([pair], parts)[0]
-
-
-def concat_each(groups) -> list[SharePair]:
-    """``concat_pairs`` of each list of pairs in ``groups``, in order. Boolean
-    lists of one length and one batch are joined together: one unpack and
-    one pack below ``_UNPACK_LANES`` lanes in all; above it, the j-th pairs
-    of all lists are shifted into place by one set of word ops per j."""
-    if not groups:
-        return []
-    count, first = len(groups[0]), groups[0][0]
-    if not first.ring.is_boolean or any([len(group) != count for group in groups]):
-        return [concat_pairs(group) for group in groups]
-    step = first.n
-    if any([p.n != step for group in groups for p in group]):
-        return [concat_pairs(group) for group in groups]
-    lanes = count * step
-    if len(groups) * lanes < _UNPACK_LANES:
-        words = np.concatenate([p.v for group in groups for p in group])
-        bits = unpack_lanes(words.reshape(len(groups), count, 2, -1), step)
-        out = np.zeros((len(groups), 2, 64 * _words(lanes)), dtype=np.uint8)
-        out[..., :lanes].reshape(len(groups), 2, count, step)[...] = bits.transpose(0, 2, 1, 3)
-        out = pack_lanes(out)
-    else:
-        out = np.zeros((len(groups), 2, _words(lanes)), dtype=np.uint64)
-        for j in range(count):
-            words = np.concatenate([group[j].v for group in groups])
-            _place(out, words.reshape(len(groups), 2, -1), j * step)
-    return [SharePair(BOOL, words, lanes) for words in out]
-
-
-def split_each(pairs: list[SharePair], parts: int) -> list[list[SharePair]]:
-    """``split_pair(pair, parts)`` of each pair, in order. Boolean pairs of
-    one batch are cut together: one unpack and one pack below
-    ``_UNPACK_LANES`` lanes in all, word shifts per part above it."""
-    first = pairs[0]
-    n = first.batch
-    if (not first.ring.is_boolean or n % parts or (n // parts) % 64 == 0
-            or any([p.n != n for p in pairs])):
-        return [split_pair(p, parts) for p in pairs]
-    step = n // parts
-    words = np.concatenate([p.v for p in pairs]).reshape(len(pairs), 2, -1)
-    if len(pairs) * n >= _UNPACK_LANES:
-        cut = [_extract(words, k * step, step) for k in range(parts)]
-        return [[SharePair(BOOL, part[i], step) for part in cut] for i in range(len(pairs))]
-    bits = np.zeros((len(pairs), 2, parts, 64 * _words(step)), dtype=np.uint8)
-    bits[..., :step] = unpack_lanes(words, n).reshape(len(pairs), 2, parts, step)
-    out = pack_lanes(bits)
-    return [[SharePair(BOOL, o[:, k], step) for k in range(parts)] for o in out]
+    return cut_each([pair], [[pair.batch // parts] * parts])[0]
 
 
 def fold_segments(pairs: list[SharePair], step: int) -> SharePair:
     """The XOR of every ``step``-lane segment of the boolean ``pairs``, whose
-    batches are multiples of ``step``: one unpack per pair, one reduce and
-    one pack below ``_UNPACK_LANES`` lanes in all, word shifts above it."""
+    batches are multiples of ``step``: short segments are XORed as unpacked
+    lanes and packed once, long ones as the words ``cut_each`` cuts."""
     if any([p.batch % step for p in pairs]):
         raise ShapeError("batch not divisible into segments")
-    if sum([p.batch for p in pairs]) < _UNPACK_LANES:
-        bits = np.concatenate([unpack_lanes(p.v, p.batch) for p in pairs], axis=1)
-        return SharePair(BOOL, pack_lanes(np.bitwise_xor.reduce(bits.reshape(2, -1, step), axis=1)),
-                         step)
-    parts = [part.v for p in pairs for part in split_pair(p, p.batch // step)]
-    return SharePair(BOOL, np.bitwise_xor.reduce(parts), step)
+    lanes = sum([p.batch for p in pairs])
+    if not _by_words(lanes, lanes // step):
+        folded = np.bitwise_xor.reduce(_lanes(pairs).reshape(2, -1, step), axis=1)
+        return SharePair(BOOL, pack_lanes(folded), step)
+    parts = cut_each(pairs, [[step] * (p.batch // step) for p in pairs])
+    return SharePair(BOOL, np.bitwise_xor.reduce([q.v for cut in parts for q in cut]), step)

@@ -3,7 +3,8 @@ reference (unpack, numpy op, pack) and leaves the padding lanes zero.
 
 Batches straddle word boundaries (1, 63, 64, 65, 130); plumbing also runs
 with mixed segment sizes and on both sides of the size at which it moves
-whole words with shifts instead of unpacking (``ring._UNPACK_LANES``).
+whole words with shifts instead of regrouping unpacked lanes
+(``ring._SHIFT_LANES`` on average).
 """
 import numpy as np
 import pytest
@@ -21,8 +22,7 @@ from ringmpc.ring import (
     Z16,
     Z32,
     Z64,
-    _UNPACK_LANES,
-    _TRANSPOSE_LANES,
+    _SHIFT_LANES,
     add,
     bits_of,
     concat_each,
@@ -30,6 +30,7 @@ from ringmpc.ring import (
     const_add,
     const_mult,
     const_pair,
+    cut_each,
     fold_segments,
     neg,
     not_,
@@ -37,7 +38,6 @@ from ringmpc.ring import (
     reconst,
     share,
     slice_pair,
-    split_each,
     split_pair,
     sub,
     sub_mirror,
@@ -48,7 +48,7 @@ from ringmpc.ring import (
 )
 
 BATCHES = [1, 63, 64, 65, 130]
-BIG = _UNPACK_LANES // 2 + 37  # two segments of this many lanes cross over
+BIG = _SHIFT_LANES + 37  # segments of this many lanes move with shifts
 
 
 def _pair(rng, batch) -> SharePair:
@@ -134,7 +134,7 @@ SEGMENTS = [
     [64, 128],  # aligned: whole words
     [130, 64],  # unaligned head, aligned tail
     [BIG, BIG],  # equal, above the crossover
-    [BIG, 63, BIG + 5],  # mixed, above the crossover
+    [BIG, 63, 2 * BIG],  # mixed, above the crossover
 ]
 
 
@@ -150,6 +150,8 @@ def test_concat_slice_split_match_byte_reference(sizes):
         _check(slice_pair(big, lo, lo + m), bits[:, lo:lo + m])
         _check(p, bits[:, lo:lo + m])  # the inputs are untouched
         lo += m
+    for p, part in zip(pairs, cut_each([big], [sizes])[0]):
+        _check(part, _bits(p))
     total = sum(sizes)
     for lo, hi in [(0, total), (1, total), (0, total - 1), (total // 3, total // 2),
                    (total, total)]:
@@ -162,29 +164,45 @@ def test_concat_slice_split_match_byte_reference(sizes):
 
 
 @pytest.mark.parametrize("step", [1, 37, 64, 65, 130, BIG])
-def test_concat_each_and_split_each_match_byte_reference(step):
+def test_concat_each_and_cut_each_match_byte_reference(step):
     rng = np.random.default_rng(step)
     pieces = [_pair(rng, step) for _ in range(5)]
     groups = [[pieces[(g + j) % 5] for j in range(3)] for g in range(4)]
     joined = concat_each(groups)
     for group, out in zip(groups, joined):
         _check(out, np.concatenate([_bits(p) for p in group], axis=1))
-    for pair, parts in zip(joined, split_each(joined, 3)):
+    for pair, parts in zip(joined, cut_each(joined, [[step] * 3] * 4)):
         bits = _bits(pair)
         for k, part in enumerate(parts):
             _check(part, bits[:, k * step:(k + 1) * step])
     ragged = [[pieces[0]], pieces[1:3], [pieces[3], _pair(rng, 7)]]
-    for group, out in zip(ragged, concat_each(ragged)):
+    joined = concat_each(ragged)
+    for group, out in zip(ragged, joined):
         _check(out, np.concatenate([_bits(p) for p in group], axis=1))
-    assert concat_each([]) == []
+    sizes = [[p.batch for p in group] for group in ragged]
+    for group, parts in zip(ragged, cut_each(joined, sizes)):
+        for p, part in zip(group, parts):
+            _check(part, _bits(p))
+    assert concat_each([]) == [] and cut_each([], []) == []
+    with pytest.raises(ShapeError):
+        concat_each([pieces[:1], []])
+    with pytest.raises(ShapeError):
+        cut_each(joined[:1], [[step, 1]])
 
 
-@pytest.mark.parametrize("step", [1, 63, 64, 65, BIG])
-def test_fold_groups_matches_byte_reference(step):
-    rng = np.random.default_rng(step)
-    pair = _pair(rng, 4 * step)
-    bits = _bits(pair).reshape(2, 4, step)
-    _check(P._fold_groups(pair, 4), np.bitwise_xor.reduce(bits, axis=1))
+def test_joins_are_fresh_and_leave_their_inputs():
+    """Every join is a fresh array, also of one pair, so a protocol may
+    write into it; the regrouped outputs of one call do not overlap."""
+    rng = np.random.default_rng(5)
+    for sizes in ([64], [65], [64, 64], [65, 3], [2 * BIG, 3]):
+        pairs = [_pair(rng, m) for m in sizes]
+        before = [p.v.copy() for p in pairs]
+        joined = concat_each([pairs, pairs[::-1]])
+        for out in joined:
+            assert not any([np.shares_memory(out.v, p.v) for p in pairs])
+            out.v[0] = 0
+        _check(joined[1], np.concatenate([_bits(p) for p in pairs[::-1]], axis=1) * [[0], [1]])
+        assert all([np.array_equal(p.v, b) for p, b in zip(pairs, before)])
 
 
 @pytest.mark.parametrize("step", [1, 63, 64, 65, BIG])
@@ -198,7 +216,7 @@ def test_fold_segments_matches_byte_reference(step):
             fold_segments([_pair(rng, step + 1)], step)
 
 
-@pytest.mark.parametrize("batch", [1, 63, 64, 65, 130, _TRANSPOSE_LANES + 3])
+@pytest.mark.parametrize("batch", [1, 63, 64, 65, 130, 2051])
 @pytest.mark.parametrize("ring", [Z8, Z16, Z32, Z64])
 def test_bit_planes_match_byte_reference(ring, batch):
     rng = np.random.default_rng(batch)
