@@ -13,7 +13,7 @@ import time
 
 import numpy as np
 
-from .dealer import check_fan_in
+from .dealer import DEFAULT_FANIN_CAP, check_fan_in
 from .editdist import (
     MAX_LENGTH,
     edit_distance,
@@ -169,8 +169,9 @@ class _ZeroSharer:
 
 
 def run_bench(target: str, name: str = "", ring_width: int = 32, batch: int = 1,
-              fanin_cap: int = 9, bandwidth_bits_per_ms: float = 80000.0,
-              rtt_ms: float = 40.0, seed: int = 0, baseline: bool = False,
+              fanin_cap: int = DEFAULT_FANIN_CAP,
+              bandwidth_bits_per_ms: float = CostModel.bandwidth_bits_per_ms,
+              rtt_ms: float = CostModel.rtt_ms, seed: int = 0, baseline: bool = False,
               length: int = 4, measure: bool = False) -> dict:
     """Execute one benchmark configuration and return its report row."""
     if batch < 1:

@@ -13,6 +13,8 @@ import json
 import sys
 
 from .bench import ROW_FIELDS, run_bench
+from .dealer import DEFAULT_FANIN_CAP
+from .engine import CostModel
 from .errors import RingmpcError
 
 
@@ -26,9 +28,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="gate (e.g. 2-AND, 3-MULT) or protocol name")
     p.add_argument("--ring", type=int, default=32, choices=[16, 32, 64])
     p.add_argument("--batch", type=int, default=1)
-    p.add_argument("--fanin-cap", type=int, default=9)
-    p.add_argument("--bandwidth-bits-per-ms", type=float, default=80000.0)
-    p.add_argument("--rtt-ms", type=float, default=40.0)
+    p.add_argument("--fanin-cap", type=int, default=DEFAULT_FANIN_CAP)
+    p.add_argument("--bandwidth-bits-per-ms", type=float,
+                   default=CostModel.bandwidth_bits_per_ms)
+    p.add_argument("--rtt-ms", type=float, default=CostModel.rtt_ms)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--baseline", action="store_true")
     p.add_argument("--length", type=int, default=4,

@@ -29,6 +29,7 @@ from .ring import (
     SharePair,
     clear_padding,
     pack_lanes,
+    share,
     uniform,
     unpack_lanes,
 )
@@ -146,11 +147,10 @@ class Dealer:
         The plain products are filled by doubling: once the rows of every
         subset of slots below l are known, slot l's row is a_l and the
         rows of its supersets are those rows times a_l. Party 1's half is
-        the plain table minus party 0's, computed in place. Above width 1
-        this is multiply and subtract in the ring's dtype, which wraps
-        natively. At width 1 both draws are raw Z_2^64 words, each word 64
-        packed lanes (``table_layout``), with the padding lanes zeroed;
-        products are AND and the minus is XOR, so the padding stays zero.
+        the plain table minus party 0's, computed in place with the ring's
+        ``mul`` and ``sub`` over its layout (``table_layout``). At width 1
+        both draws are raw Z_2^64 words, each word 64 packed lanes, with
+        the padding lanes zeroed; AND and XOR keep them zero.
         """
         check_fan_in(fan_in, self.fanin_cap)
         (rows, cols), dtype = table_layout(fan_in, ring, batch)
@@ -160,15 +160,12 @@ class Dealer:
         if ring.is_boolean:
             clear_padding(singles, batch)
             clear_padding(s0, batch)
-            mul, sub = np.bitwise_and, np.bitwise_xor
-        else:
-            mul, sub = np.multiply, np.subtract
         plain = np.empty((rows, cols), dtype=dtype)
         for l in range(fan_in):
             h = 1 << l
             plain[h - 1] = singles[l]
-            mul(plain[:h - 1], singles[l], out=plain[h:2 * h - 1])
-        sub(plain, s0, out=plain)
+            ring.mul(plain[:h - 1], singles[l], out=plain[h:2 * h - 1])
+        ring.sub(plain, s0, out=plain)
         return BteTable(0, fan_in, ring, batch, s0), BteTable(1, fan_in, ring, batch, plain)
 
     def gen_b2a_material(self, ring: RingSpec, batch: int) -> B2aMaterial:
@@ -180,8 +177,6 @@ class Dealer:
         return B2aMaterial(ring, batch, a=a, b=b, c0=r, c1=a * b - r)
 
     def share_input(self, x, ring: RingSpec) -> SharePair:
-        from .ring import share
-
         return share(x, ring, self.rng)
 
     def provision(self, store: "MaterialStore", needs: list[Need]):

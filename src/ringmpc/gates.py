@@ -6,12 +6,10 @@ locally. Over the boolean ring multiplication *is* AND and addition *is*
 XOR, so one protocol serves both share types, on packed words at width 1.
 ``bank`` runs many gates in one round and decides how they share material.
 
-The subset sum is a fold over the table's rows with the ring's two ops:
-multiply and add in the ring's own dtype, which wraps natively, above
-width 1; at width 1 AND and XOR over packed uint64 words, 64 elements per
-word op. Boolean shares, tables and payloads share one packed layout, so a
-boolean gate XORs its table's singleton rows straight into its input
-words, sends and opens words, and returns the folded words as its output:
+Shares, tables and payloads share one layout per ring (``table_layout``:
+the ring's dtype, or packed uint64 words, 64 lanes each, at width 1), and
+the ring owns its ops over that layout (``RingSpec.mul``, ``add``, ``sub``
+and ``one``). So one gate body masks, opens and folds at every width, and
 nothing is packed or unpacked on the way.
 """
 from __future__ import annotations
@@ -56,61 +54,40 @@ def mult_n(inputs: list[SharePair], t0: BteTable, t1: BteTable):
     parties open x'_l. Since x_l = x'_l + a_l, the product is the sum over
     subsets I of a_I times the opened values outside I, with a_{} = 1 held
     by party 0 alone. Each party folds that sum out of its own table into
-    its row of the output. At width 1 the inputs are already packed, 64
-    lanes per uint64 word; masking, payloads, opening and fold are word
-    ops, and the folded head is the output's words.
+    its row of the output. Every step is the ring's own op over the share
+    layout, so the body serves every width.
     """
     ring, batch, n = _validate(inputs, t0, t1)
     t0.consume()
     t1.consume()
-    if ring.is_boolean:
-        result = yield from _mult_packed(inputs, t0, t1, batch, n)
-        return result
-    items = [
-        ExchangeItem(inputs[l].v[0] - t0.rows[(1 << l) - 1],
-                     inputs[l].v[1] - t1.rows[(1 << l) - 1], ring.width_bits)
-        for l in range(n)
-    ]
-    responses = yield items
-    opened = [p0 + p1 for p0, p1 in responses]
-    out = np.empty((2, batch), dtype=ring.dtype)
-    out[0] = 1
-    out[1] = 0
-    for party, table in enumerate((t0, t1)):
-        _fold(table.rows, opened, out[party], np.multiply, np.add)
-    return SharePair(ring, out)
-
-
-def _mult_packed(inputs: list[SharePair], t0: BteTable, t1: BteTable, batch: int, n: int):
-    """``mult_n`` at width 1: mask, exchange, open and fold packed words."""
-    masked = np.concatenate([pair.v for pair in inputs]).reshape(n, 2, -1)
     singles = [(1 << l) - 1 for l in range(n)]
-    masked[:, 0] ^= t0.rows[singles]
-    masked[:, 1] ^= t1.rows[singles]
-    responses = yield [ExchangeItem(p0, p1, 1, batch) for p0, p1 in masked]
-    opened = np.empty((n, masked.shape[2]), dtype=np.uint64)
+    masked = np.concatenate([pair.v for pair in inputs]).reshape(n, 2, -1)
+    ring.sub(masked[:, 0], t0.rows[singles], out=masked[:, 0])
+    ring.sub(masked[:, 1], t1.rows[singles], out=masked[:, 1])
+    responses = yield [ExchangeItem(p0, p1, ring.width_bits, batch) for p0, p1 in masked]
+    opened = np.empty((n, masked.shape[2]), dtype=masked.dtype)
     for l, (p0, p1) in enumerate(responses):
-        np.bitwise_xor(p0, p1, out=opened[l])
-    out = np.empty((2, opened.shape[1]), dtype=np.uint64)
-    out[0] = ~np.uint64(0)
+        ring.add(p0, p1, out=opened[l])
+    out = np.empty((2, opened.shape[1]), dtype=opened.dtype)
+    out[0] = ring.one
     out[1] = 0
     for party, table in enumerate((t0, t1)):
-        _fold(table.rows, opened, out[party], np.bitwise_and, np.bitwise_xor)
-    return SharePair(t0.ring, out, batch)  # the first fold cleared the padding
+        _fold(table.rows, opened, out[party], ring.mul, ring.add)
+    return SharePair(ring, out, inputs[0].n)  # at width 1 the first fold cleared the padding
 
 
-def _fold(rows: np.ndarray, opened, head: np.ndarray, mul, add):
+def _fold(rows: np.ndarray, opened: np.ndarray, head: np.ndarray, mul, add):
     """Fold one opened slot at a time, top slot first: a fast Mobius/Yates
     transform in O(N) numpy calls, in place over ``rows`` and ``head``.
 
-    ``mul`` and ``add`` are the ring's two ops: ``multiply`` and ``add``
-    above width 1, ``bitwise_and`` and ``bitwise_xor`` over packed words
-    at width 1, where ``opened`` holds the packed slots too.
-    ``head`` starts as this party's share of a_{}. Once the slots above l
-    are folded, entry m < 2h (h = 2^l; row m - 1, or ``head`` for m = 0) is
-    the subset sum over those slots with the slots up to l fixed to m.
-    Folding slot l multiplies each entry without l by x'_l and adds its
-    partner with l; after slot 0, ``head`` is the output share.
+    ``mul`` and ``add`` are the ring's ops (``RingSpec.mul``,
+    ``RingSpec.add``) over the layout that ``rows``, ``opened`` and
+    ``head`` share. ``head`` starts as this party's share of a_{}. Once
+    the slots above l are folded, entry m < 2h (h = 2^l; row m - 1, or
+    ``head`` for m = 0) is the subset sum over those slots with the slots
+    up to l fixed to m. Folding slot l multiplies each entry without l by
+    x'_l and adds its partner with l; after slot 0, ``head`` is the output
+    share.
     """
     for l in reversed(range(len(opened))):
         h = 1 << l

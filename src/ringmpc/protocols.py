@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dealer import MaterialStore, Need
+from .dealer import DEFAULT_FANIN_CAP, MaterialStore, Need
 from .engine import ExchangeItem, derive_manifest, parallel
 from .errors import CapabilityError, DomainError, ShapeError
 from .gates import and_n, bank, fanin_schedule, mult_n, or_n
@@ -527,7 +527,7 @@ def argmax3_manifest(ring: RingSpec, batch: int) -> list[Need]:
 argmin3_manifest = argmax3_manifest  # same takes; only the comparison sides differ
 
 
-def maxn(store: MaterialStore, xs: list[SharePair], fanin_cap: int = 9,
+def maxn(store: MaterialStore, xs: list[SharePair], fanin_cap: int = DEFAULT_FANIN_CAP,
          smallest: bool = False):
     """Max (or min) of N > 3 values: all N(N-1)/2 comparisons in parallel,
     a layered AND for the N selector bits, then one BX2A round."""
@@ -585,11 +585,11 @@ def maxn(store: MaterialStore, xs: list[SharePair], fanin_cap: int = 9,
 
 
 def maxn_manifest(ring: RingSpec, n_vals: int, batch: int,
-                  fanin_cap: int = 9) -> list[Need]:
+                  fanin_cap: int = DEFAULT_FANIN_CAP) -> list[Need]:
     return derive_manifest(maxn, _zeros(ring, n_vals), fanin_cap, batch=batch)
 
 
-def maxn_rounds(n_vals: int, fanin_cap: int = 9) -> int:
+def maxn_rounds(n_vals: int, fanin_cap: int = DEFAULT_FANIN_CAP) -> int:
     return 3 + len(fanin_schedule(n_vals - 1, fanin_cap)) + 1
 
 

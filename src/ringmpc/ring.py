@@ -72,6 +72,27 @@ class RingSpec:
     def modulus(self) -> int:
         return 1 << self.width_bits
 
+    # The ring's ops over its share layout, as numpy ufuncs: over the dtype,
+    # which wraps natively, above width 1, and over packed words at width 1,
+    # where multiplication is AND and addition and subtraction are XOR.
+
+    @property
+    def mul(self) -> np.ufunc:
+        return np.bitwise_and if self.is_boolean else np.multiply
+
+    @property
+    def add(self) -> np.ufunc:
+        return np.bitwise_xor if self.is_boolean else np.add
+
+    @property
+    def sub(self) -> np.ufunc:
+        return np.bitwise_xor if self.is_boolean else np.subtract
+
+    @property
+    def one(self):
+        """The unit of ``mul``: 1, or at width 1 the word with every lane set."""
+        return ~np.uint64(0) if self.is_boolean else self.dtype(1)
+
     def wrap(self, arr: np.ndarray) -> np.ndarray:
         """Reduce into the ring. Only width 1 needs an explicit mask; the
         other widths coincide with their numpy dtype and wrap natively."""
@@ -382,29 +403,22 @@ def trivial(holder: int, values, ring: RingSpec) -> SharePair:
 
 def const_pair(c, ring: RingSpec, batch: int) -> SharePair:
     """A public constant as the trivial pair (c, 0)."""
-    if ring.is_boolean:
-        return SharePair(BOOL, _flip(batch) * np.uint64(c & 1), batch)
     return trivial(0, np.full(batch, c, dtype=np.uint64), ring)
 
 
 # ---------------------------------------------------------------------------
-# Local (communication-free) share algebra: one numpy op over both parties.
-# At width 1 every op is a word op: add, sub and sub_mirror are XOR, neg
-# is the identity, and a public constant acts through its low bit.
+# Local (communication-free) share algebra: one numpy op over both parties,
+# the ring's own op over its layout (word ops at width 1).
 
 def add(a: SharePair, b: SharePair) -> SharePair:
     _check_same(a, b)
-    if a.n is not None:
-        return SharePair(BOOL, a.v ^ b.v, a.n)
-    return SharePair(a.ring, a.v + b.v)
+    return SharePair(a.ring, a.ring.add(a.v, b.v), a.n)
 
 
 def sub(a: SharePair, b: SharePair) -> SharePair:
     """Additive subtraction: both parties subtract; reconstructs a - b."""
     _check_same(a, b)
-    if a.n is not None:
-        return SharePair(BOOL, a.v ^ b.v, a.n)
-    return SharePair(a.ring, a.v - b.v)
+    return SharePair(a.ring, a.ring.sub(a.v, b.v), a.n)
 
 
 def sub_mirror(a: SharePair, b: SharePair) -> SharePair:
@@ -414,21 +428,19 @@ def sub_mirror(a: SharePair, b: SharePair) -> SharePair:
     t0 == t1 iff a == b, which is what the bitwise equality check consumes.
     """
     _check_same(a, b)
-    if a.n is not None:
-        return SharePair(BOOL, a.v ^ b.v, a.n)
-    t = a.v - b.v
-    np.negative(t[1], out=t[1])
-    return SharePair(a.ring, t)
+    t = a.ring.sub(a.v, b.v)
+    a.ring.sub(0, t[1], out=t[1])
+    return SharePair(a.ring, t, a.n)
 
 
 def neg(a: SharePair) -> SharePair:
-    if a.n is not None:
-        return SharePair(BOOL, a.v.copy(), a.n)
-    return SharePair(a.ring, 0 - a.v)
+    return SharePair(a.ring, a.ring.sub(0, a.v), a.n)
 
 
 def _public(c, ring: RingSpec):
-    return ring.wrap(np.asarray(c, dtype=np.uint64).astype(ring.dtype))
+    """A public constant in the share layout: a ring element, or at width 1
+    a word holding the constant's low bit in every lane."""
+    return ring.one * ring.wrap(np.asarray(c, dtype=np.uint64).astype(ring.dtype))
 
 
 def const_add(c, a: SharePair) -> SharePair:
@@ -442,9 +454,7 @@ def const_add(c, a: SharePair) -> SharePair:
 
 def const_mult(c, a: SharePair) -> SharePair:
     """Multiply by a public constant: both parties scale their share."""
-    if a.n is not None:
-        return SharePair(BOOL, a.v * np.uint64(c & 1), a.n)
-    return SharePair(a.ring, a.v * _public(c, a.ring))
+    return SharePair(a.ring, a.ring.mul(a.v, _public(c, a.ring)), a.n)
 
 
 def xor(a: SharePair, b: SharePair) -> SharePair:

@@ -71,7 +71,7 @@ def _reference_subset_sum(rows, opened, head):
     return z
 
 
-@pytest.mark.parametrize("ring", [BOOL, Z8, Z64])
+@pytest.mark.parametrize("ring", [BOOL, Z8, Z64, Z16, Z32])
 @pytest.mark.parametrize("fan_in", [2, 3, 9])
 def test_fold_equals_reference_subset_sum(ring, fan_in):
     sess = Session(seed=fan_in)

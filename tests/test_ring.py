@@ -136,6 +136,40 @@ def test_boolean_uniform_lanes_are_the_raw_words():
     assert np.array_equal(pack_lanes(bits[None])[0], words)
 
 
+def _padding(ring, arr, batch) -> np.ndarray:
+    """The padding lanes of an array in the share layout (none above width 1)."""
+    if not ring.is_boolean:
+        return arr[..., :0]
+    return unpack_lanes(arr, 64 * arr.shape[-1])[..., batch:]
+
+
+@pytest.mark.parametrize("batch", [1, 63, 64, 65, 130])
+@pytest.mark.parametrize("ring", RINGS)
+def test_ring_ops_match_elementwise_reference(ring, batch, rng):
+    """``RingSpec.mul``, ``add`` and ``sub`` over the share layout are the
+    ring's multiply, add and subtract element by element and keep the
+    padding lanes zero; ``sub(0, x)`` is the additive inverse and ``one``
+    the unit of ``mul``."""
+    a, b = rng.integers(0, ring.modulus, (2, 2, batch), dtype=np.uint64)
+    if ring.is_boolean:  # one byte per bit
+        x, y = pack_lanes(a), pack_lanes(b)
+        expect = {"mul": a & b, "add": a ^ b, "sub": a ^ b}
+    else:  # exact integers, reduced mod 2^n
+        x, y = a.astype(ring.dtype), b.astype(ring.dtype)
+        big_a, big_b = a.astype(object), b.astype(object)
+        expect = {"mul": big_a * big_b, "add": big_a + big_b, "sub": big_a - big_b}
+    for name, want in expect.items():
+        got = getattr(ring, name)(x, y)
+        assert got.shape == x.shape and got.dtype == x.dtype
+        elems = unpack_lanes(got, batch) if ring.is_boolean else got
+        assert np.array_equal(elems.astype(object), want % ring.modulus), name
+        assert not _padding(ring, got, batch).any(), name
+    inverse = ring.sub(0, x)
+    assert inverse.dtype == x.dtype and not _padding(ring, inverse, batch).any()
+    assert not ring.add(x, inverse).any()
+    assert np.array_equal(ring.mul(x, ring.one), x)
+
+
 @pytest.mark.parametrize("ring", [Z8, Z16, Z32, Z64])
 def test_linear_ops(ring, rng):
     a_vals = uniform(ring, 64, rng)
