@@ -181,8 +181,9 @@ class Dealer:
 
     def provision(self, store: "MaterialStore", needs: list[Need]):
         """Generate one record per need, in order."""
+        rings = {width: RingSpec(width) for width in {need.width for need in needs}}
         for need in needs:
-            ring = RingSpec(need.width)
+            ring = rings[need.width]
             if need.kind == "bte":
                 store.put_bte(*self.gen_bte(need.fan_in, ring, need.batch))
             elif need.kind == "b2a":

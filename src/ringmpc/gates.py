@@ -60,15 +60,13 @@ def mult_n(inputs: list[SharePair], t0: BteTable, t1: BteTable):
     ring, batch, n = _validate(inputs, t0, t1)
     t0.consume()
     t1.consume()
-    singles = [(1 << l) - 1 for l in range(n)]
-    masked = np.concatenate([pair.v for pair in inputs]).reshape(n, 2, -1)
-    ring.sub(masked[:, 0], t0.rows[singles], out=masked[:, 0])
-    ring.sub(masked[:, 1], t1.rows[singles], out=masked[:, 1])
-    responses = yield [ExchangeItem(p0, p1, ring.width_bits, batch) for p0, p1 in masked]
-    opened = np.empty((n, masked.shape[2]), dtype=masked.dtype)
-    for l, (p0, p1) in enumerate(responses):
-        ring.add(p0, p1, out=opened[l])
-    out = np.empty((2, opened.shape[1]), dtype=opened.dtype)
+    responses = yield [
+        ExchangeItem(ring.sub(pair.v[0], t0.rows[(1 << l) - 1]),
+                     ring.sub(pair.v[1], t1.rows[(1 << l) - 1]), ring.width_bits, batch)
+        for l, pair in enumerate(inputs)
+    ]
+    opened = [ring.add(p0, p1) for p0, p1 in responses]
+    out = np.empty_like(inputs[0].v)
     out[0] = ring.one
     out[1] = 0
     for party, table in enumerate((t0, t1)):
@@ -76,12 +74,12 @@ def mult_n(inputs: list[SharePair], t0: BteTable, t1: BteTable):
     return SharePair(ring, out, inputs[0].n)  # at width 1 the first fold cleared the padding
 
 
-def _fold(rows: np.ndarray, opened: np.ndarray, head: np.ndarray, mul, add):
+def _fold(rows: np.ndarray, opened, head: np.ndarray, mul, add):
     """Fold one opened slot at a time, top slot first: a fast Mobius/Yates
     transform in O(N) numpy calls, in place over ``rows`` and ``head``.
 
     ``mul`` and ``add`` are the ring's ops (``RingSpec.mul``,
-    ``RingSpec.add``) over the layout that ``rows``, ``opened`` and
+    ``RingSpec.add``) over the layout that ``rows``, the opened slots and
     ``head`` share. ``head`` starts as this party's share of a_{}. Once
     the slots above l are folded, entry m < 2h (h = 2^l; row m - 1, or
     ``head`` for m = 0) is the subset sum over those slots with the slots

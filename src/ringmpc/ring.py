@@ -15,7 +15,7 @@ so ``reconst(*pair)`` opens a pair.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate
 
@@ -45,6 +45,13 @@ _BIT_WEIGHTS = np.uint8(1) << np.arange(8, dtype=np.uint8)
 _PAD = np.zeros((2, 63), dtype=np.uint8)
 _PAD.flags.writeable = False
 
+# ``RingSpec``'s ``mul``, ``add``, ``sub`` and ``one`` by width. The gates and
+# the local algebra read them on every call, so each ring holds them as fields.
+_OPS = {
+    width: dict(mul=np.multiply, add=np.add, sub=np.subtract, one=dtype(1))
+    for width, dtype in _DTYPES.items()
+} | {1: dict(mul=np.bitwise_and, add=np.bitwise_xor, sub=np.bitwise_xor, one=~np.uint64(0))}
+
 _LE64 = np.dtype("<u8")
 # On a little-endian host the bytes of a uint64 word are its lanes in order.
 _NATIVE_LANES = np.dtype(np.uint64) == _LE64
@@ -52,13 +59,24 @@ _NATIVE_LANES = np.dtype(np.uint64) == _LE64
 
 @dataclass(frozen=True)
 class RingSpec:
-    """The ring Z_2^n for n in {1, 8, 16, 32, 64}."""
+    """The ring Z_2^n for n in {1, 8, 16, 32, 64}.
+
+    ``mul``, ``add`` and ``sub`` are the ring's ops over its share layout,
+    as numpy ufuncs, and ``one`` is the unit of ``mul``, all set from the
+    width: over the dtype, which wraps natively, above width 1; over packed
+    uint64 words at width 1, where multiplication is AND, addition and
+    subtraction are XOR, and ``one`` is the word with every lane set."""
 
     width_bits: int
+    mul: np.ufunc = field(init=False, repr=False, compare=False)
+    add: np.ufunc = field(init=False, repr=False, compare=False)
+    sub: np.ufunc = field(init=False, repr=False, compare=False)
+    one: np.unsignedinteger = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.width_bits not in SUPPORTED_WIDTHS:
             raise DomainError(f"unsupported ring width {self.width_bits}")
+        vars(self).update(_OPS[self.width_bits])  # frozen: filled once, here
 
     @property
     def dtype(self):
@@ -71,27 +89,6 @@ class RingSpec:
     @property
     def modulus(self) -> int:
         return 1 << self.width_bits
-
-    # The ring's ops over its share layout, as numpy ufuncs: over the dtype,
-    # which wraps natively, above width 1, and over packed words at width 1,
-    # where multiplication is AND and addition and subtraction are XOR.
-
-    @property
-    def mul(self) -> np.ufunc:
-        return np.bitwise_and if self.is_boolean else np.multiply
-
-    @property
-    def add(self) -> np.ufunc:
-        return np.bitwise_xor if self.is_boolean else np.add
-
-    @property
-    def sub(self) -> np.ufunc:
-        return np.bitwise_xor if self.is_boolean else np.subtract
-
-    @property
-    def one(self):
-        """The unit of ``mul``: 1, or at width 1 the word with every lane set."""
-        return ~np.uint64(0) if self.is_boolean else self.dtype(1)
 
     def wrap(self, arr: np.ndarray) -> np.ndarray:
         """Reduce into the ring. Only width 1 needs an explicit mask; the
