@@ -176,6 +176,9 @@ def run_bench(target: str, name: str = "", ring_width: int = 32, batch: int = 1,
     """Execute one benchmark configuration and return its report row."""
     if batch < 1:
         raise DomainError(f"batch {batch} must be at least 1")
+    if seed < 0:
+        raise DomainError(f"seed {seed} must be non-negative")
+    model = CostModel(bandwidth_bits_per_ms, rtt_ms)
     sess = Session(seed=seed, fanin_cap=fanin_cap)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xB]))
     ring = RingSpec(ring_width)
@@ -214,7 +217,7 @@ def run_bench(target: str, name: str = "", ring_width: int = 32, batch: int = 1,
     sess.run(proto(sess.store, *args))
     online_ms = (time.perf_counter() - t0) * 1000.0
 
-    rep = sess.cost_report(CostModel(bandwidth_bits_per_ms, rtt_ms))
+    rep = sess.cost_report(model)
     return {
         "target": target,
         "name": name,

@@ -20,13 +20,14 @@ coalesce: total rounds = max over the branches, never the sum.
 """
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dealer import DEFAULT_FANIN_CAP, Dealer, MaterialStore, Need, RecordingStore
-from .errors import MaterialError, ProtocolDesyncError, ShapeError
+from .errors import DomainError, MaterialError, ProtocolDesyncError, ShapeError
 from .ring import RingSpec, SUPPORTED_WIDTHS, _DTYPES, unpack_lanes
 
 
@@ -96,10 +97,18 @@ class ExchangeItem:
 
 @dataclass(frozen=True)
 class CostModel:
-    """WAN model: DTT = bits / bandwidth, CL = rounds * rtt."""
+    """WAN model: DTT = bits / bandwidth, CL = rounds * rtt. The bandwidth
+    is finite and positive, the round-trip time finite and non-negative."""
 
     bandwidth_bits_per_ms: float = 80000.0
     rtt_ms: float = 40.0
+
+    def __post_init__(self):
+        if not (math.isfinite(self.bandwidth_bits_per_ms) and self.bandwidth_bits_per_ms > 0):
+            raise DomainError(f"bandwidth {self.bandwidth_bits_per_ms} bits/ms must be "
+                              "finite and positive")
+        if not (math.isfinite(self.rtt_ms) and self.rtt_ms >= 0):
+            raise DomainError(f"rtt {self.rtt_ms} ms must be finite and non-negative")
 
 
 class Transcript:
@@ -109,9 +118,13 @@ class Transcript:
         self.rounds: list[list[ExchangeItem]] = []
 
     def append(self, items: list[ExchangeItem]):
-        self.rounds.append(
-            [ExchangeItem(i.p0.copy(), i.p1.copy(), i.width, i.count) for i in items]
-        )
+        """Record copies of one round's items and payloads. The items were
+        checked when the protocol yielded them, so the copies bypass the
+        constructor and are not checked again."""
+        recorded = [object.__new__(ExchangeItem) for _ in items]
+        for rec, item in zip(recorded, items):
+            vars(rec).update(vars(item), p0=item.p0.copy(), p1=item.p1.copy())
+        self.rounds.append(recorded)
 
     def to_bytes(self) -> bytes:
         """Canonical serialization: per round, per item, per party —
@@ -139,9 +152,8 @@ class Session:
 
     def __init__(self, seed: int = 0, fanin_cap: int = DEFAULT_FANIN_CAP):
         ss = np.random.SeedSequence(seed)
-        k_dealer, k_p0, k_p1 = ss.spawn(3)
+        (k_dealer,) = ss.spawn(1)
         self.dealer = Dealer(np.random.default_rng(k_dealer), fanin_cap=fanin_cap)
-        self.party_rngs = (np.random.default_rng(k_p0), np.random.default_rng(k_p1))
         self.store = MaterialStore()
         self.rounds = 0
         self.bits = [0, 0]  # outbound bits per party
@@ -225,27 +237,21 @@ def parallel(gens):
     """
     gens = list(gens)
     results = [None] * len(gens)
-    current: dict[int, list] = {}
-    pending: dict[int, object] = {}
+    live: dict[int, list[ExchangeItem]] = {}  # branch -> its items this round, in branch order
     for idx, gen in enumerate(gens):
         try:
-            current[idx] = gen.send(None)
-            pending[idx] = gen
+            live[idx] = gen.send(None)
         except StopIteration as stop:
             results[idx] = stop.value
-    while pending:
-        merged: list[ExchangeItem] = []
-        spans: dict[int, tuple[int, int]] = {}
-        for idx in sorted(pending):
-            items = current[idx]
-            spans[idx] = (len(merged), len(merged) + len(items))
-            merged.extend(items)
-        responses = yield merged
-        for idx in sorted(pending):
-            lo, hi = spans[idx]
+    while live:
+        responses = yield [item for items in live.values() for item in items]
+        lo = 0
+        for idx, items in list(live.items()):
+            hi = lo + len(items)
             try:
-                current[idx] = pending[idx].send(responses[lo:hi])
+                live[idx] = gens[idx].send(responses[lo:hi])
             except StopIteration as stop:
                 results[idx] = stop.value
-                del pending[idx]
+                del live[idx]
+            lo = hi
     return results

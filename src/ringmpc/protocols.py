@@ -24,6 +24,7 @@ tables).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -475,8 +476,7 @@ def _extreme3(store, xs, smallest):
     sel_b = concat_pairs([not_(c01), c01, c02])
     sel_c = concat_pairs([not_(c02), not_(c12), c12])
     t = yield from bcx2a(store, sel_b, sel_c, concat_pairs(xs))
-    t0, t1, t2 = split_pair(t, 3)
-    return add(add(t0, t1), t2)
+    return fold_segments([t], xs[0].batch)
 
 
 def max3(store: MaterialStore, xs: list[SharePair]):
@@ -530,7 +530,12 @@ argmin3_manifest = argmax3_manifest  # same takes; only the comparison sides dif
 def maxn(store: MaterialStore, xs: list[SharePair], fanin_cap: int = DEFAULT_FANIN_CAP,
          smallest: bool = False):
     """Max (or min) of N > 3 values: all N(N-1)/2 comparisons in parallel,
-    a layered AND for the N selector bits, then one BX2A round."""
+    a layered AND for the N selector bits, then one BX2A round whose N
+    products are summed by one ``fold_segments``.
+
+    Each AND term is one pair stacked over all N selectors, so a layer's
+    gates take slices of the term list, one table per gate on
+    ``engine.parallel``, and their outputs are the next layer's terms."""
     n_vals = len(xs)
     if n_vals <= 3:
         raise ShapeError("maxn expects more than three inputs")
@@ -545,43 +550,23 @@ def maxn(store: MaterialStore, xs: list[SharePair], fanin_cap: int = DEFAULT_FAN
     c = yield from comparison(store, x_side, y_side)
     cmap = dict(zip(idx_pairs, split_pair(c, len(idx_pairs))))
 
-    # Selector j: every earlier value lost and no later value won.
-    terms = [
-        [cmap[(k, j)] for k in range(j)]
-        + [not_(cmap[(j, k)]) for k in range(j + 1, n_vals)]
-        for j in range(n_vals)
-    ]
+    # Selector j: every earlier value lost and no later value won. Term s
+    # of selector j is cmap[(s, j)] for s < j, else NOT cmap[(j, s + 1)].
+    terms = concat_each([
+        [cmap[(s, j)] if s < j else not_(cmap[(j, s + 1)]) for j in range(n_vals)]
+        for s in range(n_vals - 1)
+    ])
     for layer in fanin_schedule(n_vals - 1, fanin_cap):
-        gens, spans, pos = [], [], 0
-        for fan in layer:
-            if fan >= 2:
-                inputs = [
-                    concat_pairs([terms[j][pos + slot] for j in range(n_vals)])
-                    for slot in range(fan)
-                ]
-                gens.append(and_n(inputs, *store.take_bte(fan, BOOL, n_vals * batch)))
-            spans.append((pos, fan))
-            pos += fan
-        results = yield from parallel(gens)
-        nxt = [[] for _ in range(n_vals)]
-        res_iter = iter(results)
-        for pos, fan in spans:
-            if fan >= 2:
-                parts = split_pair(next(res_iter), n_vals)
-                for j in range(n_vals):
-                    nxt[j].append(parts[j])
-            else:
-                for j in range(n_vals):
-                    nxt[j].append(terms[j][pos])
-        terms = nxt
-    selectors = concat_pairs([terms[j][0] for j in range(n_vals)])
+        ends = list(accumulate(layer, initial=0))
+        groups = [terms[lo:hi] for lo, hi in zip(ends, ends[1:])]
+        anded = iter((yield from parallel(
+            and_n(group, *store.take_bte(len(group), BOOL, n_vals * batch))
+            for group in groups if len(group) > 1
+        )))
+        terms = [next(anded) if len(group) > 1 else group[0] for group in groups]
 
-    prod = yield from bx2a(store, selectors, concat_pairs(xs))
-    parts = split_pair(prod, n_vals)
-    out = parts[0]
-    for part in parts[1:]:
-        out = add(out, part)
-    return out
+    prod = yield from bx2a(store, terms[0], concat_pairs(xs))
+    return fold_segments([prod], batch)
 
 
 def maxn_manifest(ring: RingSpec, n_vals: int, batch: int,
@@ -618,11 +603,7 @@ def tlu(store: MaterialStore, table: LookupTable, idx: SharePair):
         concat_pairs(table.keys),
     )
     prods = yield from bx2a(store, hits, concat_pairs(table.values))
-    parts = split_pair(prods, n_keys)
-    out = parts[0]
-    for part in parts[1:]:
-        out = add(out, part)
-    return out
+    return fold_segments([prods], idx.batch)
 
 
 def tlu_manifest(ring: RingSpec, n_keys: int, batch: int) -> list[Need]:

@@ -581,11 +581,17 @@ def split_pair(pair: SharePair, parts: int) -> list[SharePair]:
 
 
 def fold_segments(pairs: list[SharePair], step: int) -> SharePair:
-    """The XOR of every ``step``-lane segment of the boolean ``pairs``, whose
-    batches are multiples of ``step``: short segments are XORed as unpacked
-    lanes and packed once, long ones as the words ``cut_each`` cuts."""
+    """The ring sum of every ``step``-element segment of ``pairs``, whose
+    batches are multiples of ``step``, as one pair of batch ``step``. Above
+    width 1 it is one ``add.reduce`` over the joined pairs. At width 1 the
+    sum is XOR: short segments are XORed as unpacked lanes and packed once,
+    long ones as the words ``cut_each`` cuts."""
     if any([p.batch % step for p in pairs]):
         raise ShapeError("batch not divisible into segments")
+    ring = pairs[0].ring
+    if not ring.is_boolean:
+        v = np.concatenate([p.v for p in pairs], axis=1)
+        return SharePair(ring, ring.add.reduce(v.reshape(2, -1, step), axis=1, dtype=ring.dtype))
     lanes = sum([p.batch for p in pairs])
     if not _by_words(lanes, lanes // step):
         folded = np.bitwise_xor.reduce(_lanes(pairs).reshape(2, -1, step), axis=1)

@@ -103,6 +103,11 @@ def test_error_is_machine_readable(capsys):
     ("--target", "editdist", "--batch", "0"),
     ("--target", "editdist", "--length", "-1"),
     ("--target", "gate", "--name", "2-AND", "--baseline"),
+    ("--target", "protocol", "--name", "comparison", "--seed", "-1"),
+    ("--target", "protocol", "--name", "comparison", "--bandwidth-bits-per-ms", "0"),
+    ("--target", "protocol", "--name", "comparison", "--bandwidth-bits-per-ms", "-5"),
+    ("--target", "protocol", "--name", "comparison", "--rtt-ms", "-5"),
+    ("--target", "protocol", "--name", "comparison", "--rtt-ms", "nan"),
 ])
 def test_invalid_input_is_a_json_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

@@ -216,6 +216,26 @@ def test_fold_segments_matches_byte_reference(step):
             fold_segments([_pair(rng, step + 1)], step)
 
 
+@pytest.mark.parametrize("step", [1, 63, 130])
+@pytest.mark.parametrize("ring", [Z8, Z16, Z32, Z64])
+def test_fold_segments_sums_arithmetic_segments(ring, step):
+    """Above width 1 each segment is summed mod 2^n, in the ring's dtype."""
+    rng = np.random.default_rng(step)
+
+    def pair(batch):
+        return SharePair(ring, uniform(ring, 2 * batch, rng).reshape(2, batch))
+
+    pairs = [pair(k * step) for k in (1, 3, 2)]
+    joined = np.concatenate([p.v for p in pairs], axis=1).astype(object)
+    exact = joined.reshape(2, -1, step).sum(axis=1) % ring.modulus
+    out = fold_segments(pairs, step)
+    assert out.ring == ring and out.batch == step and out.v.dtype == ring.dtype
+    assert np.array_equal(out.v, exact.astype(ring.dtype))
+    if step > 1:
+        with pytest.raises(ShapeError):
+            fold_segments([pair(step), pair(step + 1)], step)
+
+
 @pytest.mark.parametrize("batch", [1, 63, 64, 65, 130, 2051])
 @pytest.mark.parametrize("ring", [Z8, Z16, Z32, Z64])
 def test_bit_planes_match_byte_reference(ring, batch):
