@@ -121,9 +121,12 @@ class Transcript:
         """Record copies of one round's items and payloads. The items were
         checked when the protocol yielded them, so the copies bypass the
         constructor and are not checked again."""
-        recorded = [object.__new__(ExchangeItem) for _ in items]
-        for rec, item in zip(recorded, items):
-            vars(rec).update(vars(item), p0=item.p0.copy(), p1=item.p1.copy())
+        recorded = []
+        for item in items:
+            rec = object.__new__(ExchangeItem)
+            rec.p0, rec.p1 = item.p0.copy(), item.p1.copy()
+            rec.width, rec.count = item.width, item.count
+            recorded.append(rec)
         self.rounds.append(recorded)
 
     def to_bytes(self) -> bytes:
