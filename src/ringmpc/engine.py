@@ -104,10 +104,10 @@ class CostModel:
     rtt_ms: float = 40.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.bandwidth_bits_per_ms) and self.bandwidth_bits_per_ms > 0):
+        if not 0 < self.bandwidth_bits_per_ms < math.inf:  # NaN fails too
             raise DomainError(f"bandwidth {self.bandwidth_bits_per_ms} bits/ms must be "
                               "finite and positive")
-        if not (math.isfinite(self.rtt_ms) and self.rtt_ms >= 0):
+        if not 0 <= self.rtt_ms < math.inf:
             raise DomainError(f"rtt {self.rtt_ms} ms must be finite and non-negative")
 
 
