@@ -22,17 +22,7 @@ from .errors import (
     MaterialError,
     MaterialReuseError,
 )
-from .ring import (
-    SUPPORTED_WIDTHS,
-    Z64,
-    RingSpec,
-    SharePair,
-    clear_padding,
-    pack_lanes,
-    share,
-    uniform,
-    unpack_lanes,
-)
+from .ring import RINGS, RingSpec, SharePair, from_layout, share, to_layout, uniform_rows
 
 DEFAULT_FANIN_CAP = 9
 MAX_FANIN = 16  # a fan-in-N table holds 2**N - 1 entries per element
@@ -47,13 +37,12 @@ class BteTable:
     input slots encoded by the bitmask (bit ``l`` set means slot ``l`` is
     in I). Reconstructed across parties, a_I equals the product of the
     singleton masks a_{l} for l in I. There is no row for the empty set.
-    Ascending mask order is also the dump order. Arithmetic rows are one
-    ``(2^N - 1, batch)`` array in the ring's dtype. Boolean rows are packed
-    (``table_layout``): one ``(2^N - 1, ceil(batch/64))`` uint64 array, 64
-    lanes per word as ``ring.pack_lanes`` lays them out, padding lanes
-    zero. ``entries`` is a read-only mask-keyed view of the same rows. A
-    gate folds ``rows`` in place, which ``consume`` makes safe: a table is
-    used once.
+    Ascending mask order is also the dump order. The rows are one
+    ``(2^N - 1, ring.cols(batch))`` array in the ring's share layout
+    (``table_layout``): ring elements above width 1, uint64 words of 64
+    packed lanes with zero padding lanes at width 1. ``entries`` is a
+    read-only mask-keyed view of the same rows. A gate folds ``rows`` in
+    place, which ``consume`` makes safe: a table is used once.
     """
 
     party_id: int
@@ -111,11 +100,9 @@ class Need:
 
 
 def table_layout(fan_in: int, ring: RingSpec, batch: int) -> tuple[tuple[int, int], type]:
-    """Shape and dtype of one party's ``BteTable.rows``: ``batch`` columns in
-    the ring's dtype, or at width 1 ``ceil(batch/64)`` uint64 words."""
-    if ring.is_boolean:
-        return ((1 << fan_in) - 1, -(-batch // 64)), np.uint64
-    return ((1 << fan_in) - 1, batch), ring.dtype
+    """Shape and dtype of one party's ``BteTable.rows``: one row per nonempty
+    subset, each the ring's share layout of ``batch`` elements."""
+    return ((1 << fan_in) - 1, ring.cols(batch)), ring.word
 
 
 def check_fan_in(fan_in: int, cap: int):
@@ -137,9 +124,9 @@ class Dealer:
         self.fanin_cap = fanin_cap
         self.draw_count = 0
 
-    def _draw(self, ring: RingSpec, size: int) -> np.ndarray:
+    def _draw(self, ring: RingSpec, rows: int, batch: int) -> np.ndarray:
         self.draw_count += 1
-        return uniform(ring, size, self.rng)
+        return uniform_rows(ring, rows, batch, self.rng)
 
     def gen_bte(self, fan_in: int, ring: RingSpec, batch: int) -> tuple[BteTable, BteTable]:
         """Two draws per table: the N singleton masks, then party 0's half.
@@ -148,19 +135,14 @@ class Dealer:
         subset of slots below l are known, slot l's row is a_l and the
         rows of its supersets are those rows times a_l. Party 1's half is
         the plain table minus party 0's, computed in place with the ring's
-        ``mul`` and ``sub`` over its layout (``table_layout``). At width 1
-        both draws are raw Z_2^64 words, each word 64 packed lanes, with
-        the padding lanes zeroed; AND and XOR keep them zero.
+        ``mul`` and ``sub`` over its layout (``table_layout``). Both draws
+        are ``ring.uniform_rows`` arrays in that layout; at width 1 their
+        padding lanes are zero, and AND and XOR keep them zero.
         """
         check_fan_in(fan_in, self.fanin_cap)
-        (rows, cols), dtype = table_layout(fan_in, ring, batch)
-        draw_ring = Z64 if ring.is_boolean else ring
-        singles = self._draw(draw_ring, fan_in * cols).reshape(fan_in, cols)
-        s0 = self._draw(draw_ring, rows * cols).reshape(rows, cols)
-        if ring.is_boolean:
-            clear_padding(singles, batch)
-            clear_padding(s0, batch)
-        plain = np.empty((rows, cols), dtype=dtype)
+        singles = self._draw(ring, fan_in, batch)
+        s0 = self._draw(ring, (1 << fan_in) - 1, batch)
+        plain = np.empty_like(s0)
         for l in range(fan_in):
             h = 1 << l
             plain[h - 1] = singles[l]
@@ -171,9 +153,7 @@ class Dealer:
     def gen_b2a_material(self, ring: RingSpec, batch: int) -> B2aMaterial:
         if ring.is_boolean:
             raise DomainError("b2a material needs an arithmetic ring")
-        a = self._draw(ring, batch)
-        b = self._draw(ring, batch)
-        r = self._draw(ring, batch)
+        a, b, r = (self._draw(ring, 1, batch)[0] for _ in range(3))
         return B2aMaterial(ring, batch, a=a, b=b, c0=r, c1=a * b - r)
 
     def share_input(self, x, ring: RingSpec) -> SharePair:
@@ -181,9 +161,10 @@ class Dealer:
 
     def provision(self, store: "MaterialStore", needs: list[Need]):
         """Generate one record per need, in order."""
-        rings = {width: RingSpec(width) for width in {need.width for need in needs}}
         for need in needs:
-            ring = rings[need.width]
+            ring = RINGS.get(need.width)
+            if ring is None:
+                raise DomainError(f"unsupported ring width {need.width}")
             if need.kind == "bte":
                 store.put_bte(*self.gen_bte(need.fan_in, ring, need.batch))
             elif need.kind == "b2a":
@@ -252,13 +233,15 @@ class RecordingStore:
 
 
 # ---------------------------------------------------------------------------
-# Material dump file: lets the CLI separate the offline and online phases.
+# Material dump file: a store's material written out and read back, so it
+# can be generated in one process and consumed in another. No CLI option
+# writes or reads one yet.
 # Layout: magic, record count; per record a header (kind, ring width, fan-in,
 # batch >= 1) followed by the record's arrays as little-endian fixed-width
 # integers: for a BTE table each party's rows, i.e. its entries in ascending
-# mask order, one ring element per entry element (boolean rows are unpacked
-# to one byte per bit on dump and packed again on load); for B2A material
-# a, c0, b, c1.
+# mask order, one ring element per entry element (``ring.from_layout`` on
+# dump and ``ring.to_layout`` on load, so boolean rows are one byte per
+# bit); for B2A material a, c0, b, c1.
 
 _MAGIC = b"RMPCMAT1"
 
@@ -287,12 +270,11 @@ def dump_material(path: str, store: MaterialStore):
         fh.write(_MAGIC)
         fh.write(struct.pack("<I", len(records)))
         for kind, width, fan_in, batch, obj, other in records:
-            ring = RingSpec(width)
+            ring = RINGS[width]
             fh.write(struct.pack("<4sIII", kind.encode(), width, fan_in, batch))
             if kind == "bte":
                 for table in (obj, other):
-                    rows = unpack_lanes(table.rows, batch) if ring.is_boolean else table.rows
-                    fh.write(_arr_bytes(rows, ring))
+                    fh.write(_arr_bytes(from_layout(ring, table.rows, batch), ring))
             else:
                 for arr in (obj.a, obj.c0, obj.b, obj.c1):
                     fh.write(_arr_bytes(arr, ring))
@@ -319,9 +301,9 @@ def load_material(path: str) -> MaterialStore:
                 raise MaterialError(f"{path}: truncated record header")
             kind, width, fan_in, batch = struct.unpack("<4sIII", fh.read(16))
             kind = kind.rstrip(b"\x00")
-            if width not in SUPPORTED_WIDTHS or batch < 1:
+            ring = RINGS.get(width)
+            if ring is None or batch < 1:
                 raise MaterialError(f"{path}: bad record width {width} or batch {batch}")
-            ring = RingSpec(width)
             nbytes = batch * _le_dtype(ring).itemsize
             if kind == b"bte" and 2 <= fan_in <= MAX_FANIN:
                 arrays = 2 * ((1 << fan_in) - 1)
@@ -335,11 +317,9 @@ def load_material(path: str) -> MaterialStore:
                 rows = arrays // 2
                 halves = [_arr_from(fh.read(rows * nbytes), ring, rows * batch)
                           .reshape(rows, batch) for _ in (0, 1)]
-                if ring.is_boolean:
-                    if any(half.max() > 1 for half in halves):
-                        raise MaterialError(f"{path}: boolean table entry outside {{0, 1}}")
-                    halves = [pack_lanes(half) for half in halves]
-                store.put_bte(*(BteTable(party, fan_in, ring, batch, half)
+                if ring.is_boolean and any(half.max() > 1 for half in halves):
+                    raise MaterialError(f"{path}: boolean table entry outside {{0, 1}}")
+                store.put_bte(*(BteTable(party, fan_in, ring, batch, to_layout(ring, half))
                                 for party, half in enumerate(halves)))
             else:
                 a, c0, b, c1 = (_arr_from(fh.read(nbytes), ring, batch) for _ in range(4))

@@ -21,7 +21,7 @@ from .dealer import Dealer, MaterialStore, Need
 from .engine import derive_manifest
 from .errors import DomainError, ShapeError
 from .protocols import b2a, equality, min3, min3_manifest
-from .ring import SharePair, Z16, add, const_add, const_pair, neg, trivial
+from .ring import SharePair, Z16, add, const_add, const_pair, neg, plaintext, trivial
 
 ALPHABET = 4  # characters encoded 0..3 (A, T, G, C)
 RING = Z16
@@ -47,10 +47,7 @@ class GenomeShareString:
 
 def encode_strings(strings) -> np.ndarray:
     """Validate and stack plaintext code sequences into a (P, L) array."""
-    arr = np.atleast_2d(np.asarray(strings, dtype=np.uint64))
-    if arr.size and arr.max() >= ALPHABET:
-        raise DomainError(f"character codes must be < {ALPHABET}")
-    return arr
+    return np.atleast_2d(plaintext(strings, ALPHABET))
 
 
 def share_strings(strings, dealer: Dealer) -> GenomeShareString:

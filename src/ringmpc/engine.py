@@ -28,11 +28,10 @@ import numpy as np
 
 from .dealer import DEFAULT_FANIN_CAP, Dealer, MaterialStore, Need, RecordingStore
 from .errors import DomainError, MaterialError, ProtocolDesyncError, ShapeError
-from .ring import RingSpec, SUPPORTED_WIDTHS, _DTYPES, unpack_lanes
+from .ring import RINGS, RingSpec, from_layout
 
 
-def _payload(arr, width: int) -> np.ndarray:
-    dtype = _DTYPES[width]
+def _payload(arr, dtype) -> np.ndarray:
     if isinstance(arr, np.ndarray) and arr.ndim == 1 and arr.dtype == dtype:
         return arr
     return np.atleast_1d(np.asarray(arr, dtype=dtype))
@@ -43,12 +42,13 @@ class ExchangeItem:
     """One message pair inside a round: party 0 sends ``p0`` and party 1
     sends ``p1``, each ``count`` elements of ``width`` bits.
 
-    Above width 1 a payload is a vector of ring elements; a 1-D array of
-    the width's dtype is kept as given, other input is converted, and
-    ``count`` is its length. At width 1 a payload is ``ceil(count/64)``
-    uint64 words in ``ring.pack_lanes`` layout: 64 lanes per word,
-    little-endian lane order, padding lanes zero. The words are kept as
-    given and ``count`` is required. Either way the item charges
+    A payload is one row of the width's share layout (``RingSpec``):
+    ``cols(count)`` values of its ``word`` dtype. Above width 1 that is a
+    vector of ring elements; a 1-D array of the width's dtype is kept as
+    given, other input is converted, and ``count`` defaults to its length.
+    At width 1 it is ``ceil(count/64)`` uint64 words in ``ring.pack_lanes``
+    layout, padding lanes zero; packed words are kept as given, never
+    converted, and ``count`` is required. Either way the item charges
     ``count * width`` bits, and ``Transcript.to_bytes`` writes ``count``
     elements per party, one byte per bit at width 1."""
 
@@ -58,37 +58,26 @@ class ExchangeItem:
     count: int | None = None
 
     def __post_init__(self):
-        if self.width == 1:
-            self._check_words()
-            return
-        if self.width not in SUPPORTED_WIDTHS:
+        ring = RINGS.get(self.width)
+        if ring is None:
             raise ShapeError(f"unsupported payload width {self.width}")
-        p0, p1 = _payload(self.p0, self.width), _payload(self.p1, self.width)
-        if p0.shape != p1.shape:
-            raise ProtocolDesyncError(
-                "parties disagree on payload length at a round barrier"
-            )
-        if self.count is not None and self.count != len(p0):
-            raise ShapeError(f"{len(p0)} payload elements, count says {self.count}")
-        self.count = len(p0)
-        self.p0, self.p1 = p0, p1
-
-    def _check_words(self):
-        if self.count is None:
-            raise ShapeError("packed boolean words need their element count")
-        shape = (-(-self.count // 64),)
         p0, p1 = self.p0, self.p1
-        if (isinstance(p0, np.ndarray) and isinstance(p1, np.ndarray)
-                and p0.shape == shape == p1.shape
-                and p0.dtype == np.uint64 and p1.dtype == np.uint64):
-            return
-        if np.shape(self.p0) != np.shape(self.p1):
-            raise ProtocolDesyncError(
-                "parties disagree on payload length at a round barrier"
-            )
-        raise ShapeError(f"a packed payload of {self.count} bits is {shape[0]} "
-                         f"uint64 words, got {np.shape(self.p0)} "
-                         f"{np.asarray(self.p0).dtype}")
+        if ring.lanes == 1:
+            p0, p1 = _payload(p0, ring.word), _payload(p1, ring.word)
+        elif self.count is None:
+            raise ShapeError("packed boolean words need their element count")
+        count = len(p0) if self.count is None else self.count
+        shape = (ring.cols(count),)
+        if not (isinstance(p0, np.ndarray) and isinstance(p1, np.ndarray)
+                and p0.shape == shape == p1.shape and p0.dtype == ring.word == p1.dtype):
+            if np.shape(p0) != np.shape(p1):
+                raise ProtocolDesyncError(
+                    "parties disagree on payload length at a round barrier"
+                )
+            raise ShapeError(f"a payload of {count} {self.width}-bit elements is "
+                             f"{shape[0]} {np.dtype(ring.word)} values, got "
+                             f"{np.shape(p0)} {np.asarray(p0).dtype}")
+        self.p0, self.p1, self.count = p0, p1, count
 
     @property
     def bits(self) -> int:
@@ -138,11 +127,10 @@ class Transcript:
         for r, items in enumerate(self.rounds):
             out.append(struct.pack("<II", r, len(items)))
             for item in items:
-                dt = np.dtype(_DTYPES[item.width]).newbyteorder("<")
+                ring = RINGS[item.width]
+                dt = np.dtype(ring.dtype).newbyteorder("<")
                 for party, arr in ((0, item.p0), (1, item.p1)):
-                    if item.width == 1:
-                        arr = unpack_lanes(arr, item.count)
-                    payload = np.ascontiguousarray(arr).astype(dt).tobytes()
+                    payload = from_layout(ring, arr, item.count).astype(dt).tobytes()
                     out.append(
                         struct.pack("<BBI", party, item.width, len(payload))
                     )

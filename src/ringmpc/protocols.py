@@ -74,7 +74,7 @@ OVF_BLOCKS = {
     64: [8, 8, 8, 8, 8, 8, 8, 8],
 }
 
-# Default high/low splits for the one-round overflow variant. Wider rings
+# High/low splits (n1, n2) for the one-round overflow variant. Wider rings
 # would need 2**n2 - 1 parallel gates per bank, which is impractical.
 OVF1R_SPLITS = {8: (4, 4), 16: (8, 8)}
 
@@ -251,22 +251,16 @@ def overflow_manifest(ring: RingSpec, batch: int) -> list[Need]:
     return derive_manifest(overflow_2r, *_zeros(ring, 1), ring.width_bits, batch=batch)
 
 
-def overflow_1r(store: MaterialStore, x: SharePair, n1: int | None = None,
-                n2: int | None = None):
+def overflow_1r(store: MaterialStore, x: SharePair):
     """One-round overflow over the full ring: z = 1 iff
     <x>_0 + <x>_1 >= 2^n as integers. Costs three parallel gate banks."""
     _check_arith(x)
     ring = x.ring
     n = ring.width_bits
-    if n1 is None or n2 is None:
-        if n not in OVF1R_SPLITS:
-            raise CapabilityError(
-                f"no practical (n1, n2) split for width {n}; the gate banks "
-                "grow as 2**n2"
-            )
-        n1, n2 = OVF1R_SPLITS[n]
-    if n1 + n2 != n or n1 < 2 or n2 < 1:
-        raise CapabilityError(f"infeasible split ({n1}, {n2}) for width {n}")
+    if n not in OVF1R_SPLITS:
+        raise CapabilityError(
+            f"no practical (n1, n2) split for width {n}; the gate banks grow as 2**n2")
+    n1, n2 = OVF1R_SPLITS[n]
     batch = x.batch
     y = x.v >> ring.dtype(n2)
     z = x.v & ring.dtype((1 << n2) - 1)
@@ -309,9 +303,8 @@ def overflow_1r(store: MaterialStore, x: SharePair, n1: int | None = None,
     return fold_segments([b1, b2, b3], batch)
 
 
-def overflow_1r_manifest(ring: RingSpec, batch: int, n1: int | None = None,
-                         n2: int | None = None) -> list[Need]:
-    return derive_manifest(overflow_1r, *_zeros(ring, 1), n1, n2, batch=batch)
+def overflow_1r_manifest(ring: RingSpec, batch: int) -> list[Need]:
+    return derive_manifest(overflow_1r, *_zeros(ring, 1), batch=batch)
 
 
 def _comparison(store, x: SharePair, y: SharePair, overflow):
@@ -616,9 +609,7 @@ def tlu_manifest(ring: RingSpec, n_keys: int, batch: int) -> list[Need]:
 
 def _baseline_b2a(store, b: SharePair, ring: RingSpec):
     """Trivial-share product conversion: x0' + x1'' - 2 * x0' * x1''."""
-    b0, b1 = unpack_lanes(b.v, b.batch)
-    bp = trivial(0, b0, ring)
-    bpp = trivial(1, b1, ring)
+    _, bp, bpp, _, _ = _lifts(b, ring)
     prod = yield from mult_n([bp, bpp], *store.take_bte(2, ring, b.batch))
     return sub(add(bp, bpp), const_mult(2, prod))
 

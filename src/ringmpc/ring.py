@@ -9,9 +9,12 @@ in ``pack_lanes`` layout (little-endian lane order, padding lanes zero),
 the layout of boolean BTE tables and of boolean gate payloads too. Each
 local op is one numpy operation over both rows, on words at width 1, and
 batch plumbing concatenates, slices and splits along the batch axis, at
-bit offsets at width 1. ``Share`` is the per-party view in ring elements:
-``pair[i]`` is party i's share (unpacked to one uint8 per bit at width 1),
-so ``reconst(*pair)`` opens a pair.
+bit offsets at width 1. ``RingSpec`` owns this layout (``word``,
+``lanes``, ``cols``); ``uniform_rows`` draws it, and ``to_layout`` and
+``from_layout`` convert ring elements to and from it, so no caller builds
+it by width. ``Share`` is the per-party view in ring elements: ``pair[i]``
+is party i's share (unpacked to one uint8 per bit at width 1), so
+``reconst(*pair)`` opens a pair.
 """
 from __future__ import annotations
 
@@ -25,14 +28,6 @@ from .errors import DomainError, ShapeError
 
 SUPPORTED_WIDTHS = (1, 8, 16, 32, 64)
 
-_DTYPES = {
-    1: np.uint8,
-    8: np.uint8,
-    16: np.uint16,
-    32: np.uint32,
-    64: np.uint64,
-}
-
 # Boolean plumbing moves pieces that average fewer lanes than this through
 # one unpack to a byte per lane and one pack: a fixed number of numpy calls
 # when the pieces share one size. Longer pieces move as whole words with
@@ -45,12 +40,16 @@ _BIT_WEIGHTS = np.uint8(1) << np.arange(8, dtype=np.uint8)
 _PAD = np.zeros((2, 63), dtype=np.uint8)
 _PAD.flags.writeable = False
 
-# ``RingSpec``'s ``mul``, ``add``, ``sub`` and ``one`` by width. The gates and
-# the local algebra read them on every call, so each ring holds them as fields.
-_OPS = {
-    width: dict(mul=np.multiply, add=np.add, sub=np.subtract, one=dtype(1))
-    for width, dtype in _DTYPES.items()
-} | {1: dict(mul=np.bitwise_and, add=np.bitwise_xor, sub=np.bitwise_xor, one=~np.uint64(0))}
+# ``RingSpec``'s fields by width: its element ``dtype``, its share layout
+# (``lanes`` elements per value of dtype ``word``) and its ``mul``, ``add``,
+# ``sub`` and ``one`` over that layout. The gates, the dealer and the local
+# algebra read them on every call, so each ring holds them as fields.
+_LAYOUTS = {
+    width: dict(dtype=dtype, word=dtype, lanes=1, mul=np.multiply, add=np.add,
+                sub=np.subtract, one=dtype(1))
+    for width, dtype in ((8, np.uint8), (16, np.uint16), (32, np.uint32), (64, np.uint64))
+} | {1: dict(dtype=np.uint8, word=np.uint64, lanes=64, mul=np.bitwise_and,
+             add=np.bitwise_xor, sub=np.bitwise_xor, one=~np.uint64(0))}
 
 _LE64 = np.dtype("<u8")
 # On a little-endian host the bytes of a uint64 word are its lanes in order.
@@ -59,15 +58,23 @@ _NATIVE_LANES = np.dtype(np.uint64) == _LE64
 
 @dataclass(frozen=True)
 class RingSpec:
-    """The ring Z_2^n for n in {1, 8, 16, 32, 64}.
+    """The ring Z_2^n for n in {1, 8, 16, 32, 64}, and the one layout that
+    its shares, BTE tables and gate payloads share.
 
-    ``mul``, ``add`` and ``sub`` are the ring's ops over its share layout,
-    as numpy ufuncs, and ``one`` is the unit of ``mul``, all set from the
-    width: over the dtype, which wraps natively, above width 1; over packed
-    uint64 words at width 1, where multiplication is AND, addition and
-    subtraction are XOR, and ``one`` is the word with every lane set."""
+    Elements are ``dtype`` values. In the layout a row of ``batch``
+    elements is ``cols(batch)`` values of dtype ``word``, ``lanes`` elements
+    each: the elements themselves above width 1, uint64 words of 64 packed
+    lanes (``pack_lanes``) at width 1. ``mul``, ``add`` and ``sub`` are the
+    ring's ops over that layout, as numpy ufuncs, and ``one`` is the unit
+    of ``mul``: over the dtype, which wraps natively, above width 1; over
+    the words at width 1, where multiplication is AND, addition and
+    subtraction are XOR, and ``one`` is the word with every lane set. All
+    are set from the width."""
 
     width_bits: int
+    dtype: type = field(init=False, repr=False, compare=False)
+    word: type = field(init=False, repr=False, compare=False)
+    lanes: int = field(init=False, repr=False, compare=False)
     mul: np.ufunc = field(init=False, repr=False, compare=False)
     add: np.ufunc = field(init=False, repr=False, compare=False)
     sub: np.ufunc = field(init=False, repr=False, compare=False)
@@ -76,11 +83,11 @@ class RingSpec:
     def __post_init__(self):
         if self.width_bits not in SUPPORTED_WIDTHS:
             raise DomainError(f"unsupported ring width {self.width_bits}")
-        vars(self).update(_OPS[self.width_bits])  # frozen: filled once, here
+        vars(self).update(_LAYOUTS[self.width_bits])  # frozen: filled once, here
 
-    @property
-    def dtype(self):
-        return _DTYPES[self.width_bits]
+    def cols(self, batch: int) -> int:
+        """Layout columns of a row of ``batch`` elements."""
+        return -(-batch // self.lanes)
 
     @property
     def is_boolean(self) -> bool:
@@ -104,6 +111,7 @@ Z8 = RingSpec(8)
 Z16 = RingSpec(16)
 Z32 = RingSpec(32)
 Z64 = RingSpec(64)
+RINGS = {ring.width_bits: ring for ring in (BOOL, Z8, Z16, Z32, Z64)}
 
 
 @dataclass
@@ -153,23 +161,23 @@ class SharePair:
     def of(cls, s0: Share, s1: Share) -> "SharePair":
         """Pair party 0's and party 1's shares of one ring and batch."""
         _check_pair(s0, s1)
-        v = np.stack((s0.values, s1.values))
-        if s0.ring.is_boolean:
-            return cls(BOOL, pack_lanes(v), len(s0))
-        return cls(s0.ring, v)
+        return _pair(s0.ring, to_layout(s0.ring, np.stack((s0.values, s1.values))), len(s0))
 
     @property
     def batch(self) -> int:
         return self.v.shape[1] if self.n is None else self.n
 
     def __getitem__(self, party: int) -> Share:
-        if self.n is None:
-            return Share(party, self.ring, self.v[party])
-        return Share(party, BOOL, unpack_lanes(self.v[party], self.n))
+        return Share(party, self.ring, from_layout(self.ring, self.v[party], self.batch))
 
     def __iter__(self):
         yield self[0]
         yield self[1]
+
+
+def _pair(ring: RingSpec, v: np.ndarray, batch: int) -> SharePair:
+    """The pair whose two layout rows ``v`` hold ``batch`` elements each."""
+    return SharePair(ring, v, batch if ring.is_boolean else None)
 
 
 def _check_pair(s0: Share, s1: Share):
@@ -363,20 +371,54 @@ def uniform(ring: RingSpec, size: int, rng: np.random.Generator) -> np.ndarray:
     return elems.astype(ring.dtype, copy=False)
 
 
-def share(x, ring: RingSpec, rng: np.random.Generator) -> SharePair:
-    """Split a plaintext vector into a uniformly random share pair. At
-    width 1 party 0's share is the raw generator words with the padding
-    lanes cleared: the lanes of ``uniform(BOOL, batch, rng)``."""
-    x = np.atleast_1d(np.asarray(x, dtype=np.uint64))
-    if ring.width_bits < 64 and np.any(x >= ring.modulus):
-        raise DomainError("plaintext value out of ring range")
+def uniform_rows(ring: RingSpec, rows: int, batch: int, rng: np.random.Generator) -> np.ndarray:
+    """A uniform ``(rows, ring.cols(batch))`` array in the share layout,
+    ``batch`` elements per row, from one draw: ``uniform(ring, rows *
+    batch)`` above width 1; at width 1 raw Z_2^64 generator words, 64 lanes
+    each, with the padding lanes cleared."""
+    cols = ring.cols(batch)
+    out = uniform(Z64 if ring.is_boolean else ring, rows * cols, rng).reshape(rows, cols)
     if ring.is_boolean:
-        r = uniform(Z64, _words(len(x)), rng)
-        clear_padding(r, len(x))
-        return SharePair(BOOL, np.stack((r, r ^ pack_lanes(x.astype(np.uint8)))), len(x))
-    x = x.astype(ring.dtype)
-    r = uniform(ring, len(x), rng)
-    return SharePair(ring, np.stack((r, x - r)))
+        clear_padding(out, batch)
+    return out
+
+
+def to_layout(ring: RingSpec, elems) -> np.ndarray:
+    """``(..., batch)`` values as ring elements in the share layout,
+    ``(..., ring.cols(batch))``: reduced into the ring, and packed at width 1."""
+    elems = ring.wrap(elems)
+    return pack_lanes(elems) if ring.is_boolean else elems
+
+
+def from_layout(ring: RingSpec, arr: np.ndarray, batch: int) -> np.ndarray:
+    """Inverse of ``to_layout``: the ``batch`` ring elements along the last
+    axis of ``arr``, unpacked to one uint8 per element at width 1 and
+    ``arr`` itself above it."""
+    return unpack_lanes(arr, batch) if ring.is_boolean else arr
+
+
+def plaintext(x, bound: int) -> np.ndarray:
+    """``x`` as a uint64 array after checking that every value is a bool or
+    an integer in ``[0, bound)``. Floats, strings and other objects raise
+    DomainError before any cast could truncate, parse or wrap them."""
+    arr = np.asarray(x)
+    if arr.dtype.kind not in "biu":
+        # Python ints past the int64 range come out as floats or objects.
+        arr = np.asarray(x, dtype=object)
+        if not all([isinstance(v, (int, np.integer, np.bool_)) for v in arr.flat]):
+            raise DomainError("plaintext values must be bools or integers")
+    if arr.size and not 0 <= int(arr.min()) <= int(arr.max()) < bound:
+        raise DomainError(f"plaintext value outside [0, {bound})")
+    return arr.astype(np.uint64)
+
+
+def share(x, ring: RingSpec, rng: np.random.Generator) -> SharePair:
+    """Split a plaintext vector of bools or integers in ``[0, 2^n)`` into a
+    uniformly random share pair: party 0's share is one ``uniform_rows``
+    row, party 1's the plaintext minus it."""
+    x = np.atleast_1d(plaintext(x, ring.modulus))
+    (r,) = uniform_rows(ring, 1, len(x), rng)
+    return _pair(ring, np.stack((r, ring.sub(to_layout(ring, x), r))), len(x))
 
 
 def reconst(s0: Share, s1: Share) -> np.ndarray:
@@ -388,14 +430,10 @@ def reconst(s0: Share, s1: Share) -> np.ndarray:
 def trivial(holder: int, values, ring: RingSpec) -> SharePair:
     """Lift a value held in the clear by one party into a share pair
     (v, 0) or (0, v). No communication."""
-    values = np.atleast_1d(np.asarray(values, dtype=np.uint64)).astype(ring.dtype)
-    if ring.is_boolean:
-        v = np.zeros((2, _words(len(values))), dtype=np.uint64)
-        v[holder] = pack_lanes(values & np.uint8(1))
-        return SharePair(BOOL, v, len(values))
-    v = np.zeros((2, len(values)), dtype=ring.dtype)
-    v[holder] = values
-    return SharePair(ring, v)
+    values = np.atleast_1d(np.asarray(values, dtype=np.uint64))
+    v = np.zeros((2, ring.cols(len(values))), dtype=ring.word)
+    v[holder] = to_layout(ring, values)
+    return _pair(ring, v, len(values))
 
 
 def const_pair(c, ring: RingSpec, batch: int) -> SharePair:

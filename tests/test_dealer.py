@@ -1,3 +1,4 @@
+import hashlib
 import struct
 
 import numpy as np
@@ -338,3 +339,25 @@ def test_share_input_deterministic_per_seed():
     p2 = d2.share_input([1, 2, 3], Z32)
     assert np.array_equal(p1[0].values, p2[0].values)
     assert np.array_equal(p1[1].values, p2[1].values)
+
+
+# SHA-256 of the dump of ``_pinned_store()``. Dealer draws, the material they
+# make and the dump format are all frozen, so a change to any of them
+# changes this digest.
+DUMP_PIN = "f7dde3d027b08f2fc2724adddc71ebe7911b7824ef90a17dca923aec10ede16e"
+
+
+def _pinned_store() -> MaterialStore:
+    """One 3-fan-in BTE record at every width and one B2A record at every
+    arithmetic width, all at batch 70, from a fixed seed."""
+    store = MaterialStore()
+    Dealer(np.random.default_rng(2019)).provision(
+        store, [Need("bte", w, 70, fan_in=3) for w in (1, 8, 16, 32, 64)]
+        + [Need("b2a", w, 70) for w in (8, 16, 32, 64)])
+    return store
+
+
+def test_dump_bytes_are_pinned(tmp_path):
+    path = tmp_path / "material.bin"
+    dump_material(str(path), _pinned_store())
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == DUMP_PIN

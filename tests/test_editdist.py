@@ -105,3 +105,17 @@ def test_alphabet_and_shape_validation():
         next(E.edit_distance(sess.store, s, t))
     with pytest.raises(DomainError):
         E.GenomeShareString(0, 1, s.shares)
+
+
+@pytest.mark.parametrize("bad", [
+    [[0.5, 1]], np.array([[1.0, 2.0]]), [["1", "2"]], "12", [[None, 1]],
+    [[0, -1]], np.array([[-1, 0]]), [[2**64, 0]], [[0, 4]], np.array([[4]], np.uint8),
+], ids=repr)
+def test_encode_strings_rejects_non_codes(bad):
+    with pytest.raises(DomainError):
+        E.encode_strings(bad)
+
+
+def test_encode_strings_accepts_bools_and_codes():
+    assert E.encode_strings([[True, 3]]).tolist() == [[1, 3]]
+    assert E.encode_strings(np.array([[0, 1, 2, 3]], np.int8)).dtype == np.uint64

@@ -64,6 +64,47 @@ def test_share_out_of_range_rejected(rng):
         share([256], Z8, rng)
 
 
+# Plaintexts that are not bools or integers in [0, 2^n): each must raise
+# DomainError before any cast could truncate, wrap or parse it.
+BAD_PLAINTEXTS = {
+    "float": [1.5],
+    "float-array": np.array([3.7]),
+    "integral-float": np.array([2.0]),
+    "str": "7",
+    "str-list": ["7"],
+    "none": [None],
+    "complex": [1j],
+    "negative-int": -1,
+    "negative-list": [0, -1],
+    "negative-array": np.array([-1]),
+    "above-2^64": [2**64],
+    "below-int64": [-2**63 - 1],
+}
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=lambda r: f"z{r.width_bits}")
+@pytest.mark.parametrize("bad", BAD_PLAINTEXTS)
+def test_share_rejects_plaintext_outside_the_ring(ring, bad, rng):
+    with pytest.raises(DomainError):
+        share(BAD_PLAINTEXTS[bad], ring, rng)
+
+
+@pytest.mark.parametrize("ring", [BOOL, Z8, Z16, Z32])
+def test_share_rejects_the_modulus_as_a_python_int_and_array(ring, rng):
+    for bad in ([ring.modulus], np.array([ring.modulus]), ring.modulus):
+        with pytest.raises(DomainError):
+            share(bad, ring, rng)
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=lambda r: f"z{r.width_bits}")
+def test_share_accepts_bools_and_integers_in_range(ring, rng):
+    top = ring.modulus - 1
+    for good in ([True, False], np.array([True]), [0, top], np.array([top], np.uint64),
+                 np.array([0, 1], np.int8), top):
+        want = np.atleast_1d(np.asarray(good, dtype=np.uint64)).astype(ring.dtype)
+        assert np.array_equal(reconst(*share(good, ring, rng)), want)
+
+
 def test_boolean_shares_are_xor(rng):
     pair = share([1, 0, 1, 1], BOOL, rng)
     assert np.array_equal(reconst(*pair), pair[0].values ^ pair[1].values)
