@@ -6,11 +6,12 @@ locally. Over the boolean ring multiplication *is* AND and addition *is*
 XOR, so one protocol serves both share types, on packed words at width 1.
 ``bank`` runs many gates in one round and decides how they share material.
 
-Shares, tables and payloads share one layout per ring (``table_layout``:
-the ring's dtype, or packed uint64 words, 64 lanes each, at width 1), and
-the ring owns its ops over that layout (``RingSpec.mul``, ``add``, ``sub``
-and ``one``). So one gate body masks, opens and folds at every width, and
-nothing is packed or unpacked on the way.
+Shares, tables and payloads share one layout per ring, which the ring
+owns (``RingSpec.word``, ``lanes`` and ``cols``: the ring's dtype, or
+packed uint64 words, 64 lanes each, at width 1) with its ops over it
+(``RingSpec.mul``, ``add``, ``sub`` and ``one``). So one gate body masks,
+opens and folds at every width, and nothing is packed or unpacked on the
+way.
 """
 from __future__ import annotations
 

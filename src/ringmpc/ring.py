@@ -199,10 +199,6 @@ def _check_same(a: SharePair, b: SharePair):
 # ---------------------------------------------------------------------------
 # Packed boolean lanes.
 
-def _words(lanes: int) -> int:
-    return -(-lanes // 64)
-
-
 def clear_padding(words: np.ndarray, lanes: int):
     """Zero the lanes past ``lanes`` in the last word of each row, in place."""
     if lanes % 64:
@@ -254,7 +250,7 @@ def unpack_lanes(words: np.ndarray, batch: int) -> np.ndarray:
 def _flip(lanes: int) -> np.ndarray:
     """The read-only pair (1, 0) of ``lanes`` lanes: all lanes set in
     party 0's row, padding lanes clear."""
-    v = np.zeros((2, _words(lanes)), dtype=np.uint64)
+    v = np.zeros((2, BOOL.cols(lanes)), dtype=np.uint64)
     v[0] = ~np.uint64(0)
     clear_padding(v, lanes)
     v.flags.writeable = False
@@ -266,7 +262,7 @@ def _extract(words: np.ndarray, lo: int, lanes: int) -> np.ndarray:
     ``words`` (along the last axis), shifted down to lane 0, padding lanes
     zero."""
     q, r = divmod(lo, 64)
-    count = _words(lanes)
+    count = BOOL.cols(lanes)
     if r == 0:
         out = words[..., q:q + count].copy()
     else:
@@ -318,7 +314,7 @@ def _rechop(pairs: list, sizes: list) -> list[np.ndarray]:
     bits = _lanes(pairs)
     q = sizes[0]
     if sizes.count(q) == len(sizes):
-        out = np.zeros((2, len(sizes), 64 * _words(q)), dtype=np.uint8)
+        out = np.zeros((2, len(sizes), 64 * BOOL.cols(q)), dtype=np.uint8)
         out[..., :q] = bits.reshape(2, len(sizes), q)
         return list(pack_lanes(out).transpose(1, 0, 2))
     ends = list(accumulate(sizes, initial=0))
@@ -326,14 +322,14 @@ def _rechop(pairs: list, sizes: list) -> list[np.ndarray]:
     for lo, hi in zip(ends, ends[1:]):
         pieces += [bits[:, lo:hi], _PAD[:, :-(hi - lo) % 64]]
     out = pack_lanes(np.concatenate(pieces, axis=1))
-    ends = list(accumulate([_words(q) for q in sizes], initial=0))
+    ends = list(accumulate([BOOL.cols(q) for q in sizes], initial=0))
     return [out[:, lo:hi] for lo, hi in zip(ends, ends[1:])]
 
 
 def _rechop_words(pairs: list, sizes: list) -> list[np.ndarray]:
     """``_rechop`` by word shifts: each piece of a pair that lands in one
     output is shifted out of the pair and into the output."""
-    outs = [np.zeros((2, _words(q)), dtype=np.uint64) for q in sizes]
+    outs = [np.zeros((2, BOOL.cols(q)), dtype=np.uint64) for q in sizes]
     j, at = 0, 0
     for p in pairs:
         lo = 0
@@ -530,7 +526,7 @@ def bits_of(values: np.ndarray, width: int) -> list:
     a few numpy calls per byte at any batch."""
     raw = _le_bytes(values)
     lead = raw.shape[:-2]
-    out = np.zeros((width, *lead, _words(raw.shape[-2])), dtype=_LE64)
+    out = np.zeros((width, *lead, BOOL.cols(raw.shape[-2])), dtype=_LE64)
     weights = _BIT_WEIGHTS.reshape(8, *[1] * (len(lead) + 1))
     for b in range(-(-width // 8)):
         k = min(8, width - 8 * b)
@@ -590,7 +586,7 @@ def slice_pair(pair: SharePair, lo: int, hi: int) -> SharePair:
     if pair.n is None:
         return SharePair(pair.ring, pair.v[:, lo:hi])
     if lo % 64 == 0 and (hi % 64 == 0 or hi == n):
-        return SharePair(BOOL, pair.v[:, lo // 64:_words(hi)], hi - lo)
+        return SharePair(BOOL, pair.v[:, lo // 64:BOOL.cols(hi)], hi - lo)
     return SharePair(BOOL, _extract(pair.v, lo, hi - lo), hi - lo)
 
 
