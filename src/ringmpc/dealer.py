@@ -161,10 +161,11 @@ class Dealer:
 
     def provision(self, store: "MaterialStore", needs: list[Need]):
         """Generate one record per need, in order."""
+        bad = {need.width for need in needs} - RINGS.keys()
+        if bad:
+            raise DomainError(f"unsupported ring width {min(bad)}")
         for need in needs:
-            ring = RINGS.get(need.width)
-            if ring is None:
-                raise DomainError(f"unsupported ring width {need.width}")
+            ring = RINGS[need.width]
             if need.kind == "bte":
                 store.put_bte(*self.gen_bte(need.fan_in, ring, need.batch))
             elif need.kind == "b2a":

@@ -241,6 +241,13 @@ def test_provision_unknown_kind(dealer):
         dealer.provision(MaterialStore(), [Need("nope", 8, 1)])
 
 
+def test_provision_refuses_an_unsupported_width_before_any_draw(dealer):
+    store = MaterialStore()
+    with pytest.raises(DomainError):
+        dealer.provision(store, [Need("bte", 8, 4, fan_in=2), Need("bte", 12, 4, fan_in=2)])
+    assert store.is_empty() and dealer.draw_count == 0
+
+
 def test_dump_load_roundtrip(dealer, tmp_path):
     store = MaterialStore()
     dealer.provision(
