@@ -405,7 +405,7 @@ def plaintext(x, bound: int) -> np.ndarray:
             raise DomainError("plaintext values must be bools or integers")
     if arr.size and not 0 <= int(arr.min()) <= int(arr.max()) < bound:
         raise DomainError(f"plaintext value outside [0, {bound})")
-    return arr.astype(np.uint64)
+    return arr.astype(np.uint64, copy=False)
 
 
 def share(x, ring: RingSpec, rng: np.random.Generator) -> SharePair:
