@@ -112,6 +112,12 @@ def check_fan_in(fan_in: int, cap: int):
             f"fan-in {fan_in} outside [2, {cap}]; table size grows as 2**fan_in")
 
 
+def check_b2a_ring(ring: RingSpec):
+    """Refuse B2A material over the boolean ring: it blinds arithmetic shares."""
+    if ring.is_boolean:
+        raise DomainError("b2a material needs an arithmetic ring")
+
+
 class Dealer:
     """Generates BTE tables, B2A material, and input shares from one seeded
     generator. ``draw_count`` counts uniform-vector draws, which lets tests
@@ -151,8 +157,7 @@ class Dealer:
         return BteTable(0, fan_in, ring, batch, s0), BteTable(1, fan_in, ring, batch, plain)
 
     def gen_b2a_material(self, ring: RingSpec, batch: int) -> B2aMaterial:
-        if ring.is_boolean:
-            raise DomainError("b2a material needs an arithmetic ring")
+        check_b2a_ring(ring)
         a, b, r = (self._draw(ring, 1, batch)[0] for _ in range(3))
         return B2aMaterial(ring, batch, a=a, b=b, c0=r, c1=a * b - r)
 
@@ -160,18 +165,28 @@ class Dealer:
         return share(x, ring, self.rng)
 
     def provision(self, store: "MaterialStore", needs: list[Need]):
-        """Generate one record per need, in order."""
-        bad = {need.width for need in needs} - RINGS.keys()
-        if bad:
-            raise DomainError(f"unsupported ring width {min(bad)}")
+        """Generate one record per need, in order, once every need has been
+        checked: a manifest with a need this dealer cannot meet is refused
+        before anything is drawn or stored."""
+        for need in needs:
+            self._check(need)
         for need in needs:
             ring = RINGS[need.width]
             if need.kind == "bte":
                 store.put_bte(*self.gen_bte(need.fan_in, ring, need.batch))
-            elif need.kind == "b2a":
-                store.put_b2a(self.gen_b2a_material(ring, need.batch))
             else:
-                raise DomainError(f"unknown material kind {need.kind!r}")
+                store.put_b2a(self.gen_b2a_material(ring, need.batch))
+
+    def _check(self, need: Need):
+        """Raise what generating ``need`` would raise, without drawing."""
+        if need.width not in RINGS:
+            raise DomainError(f"unsupported ring width {need.width}")
+        if need.kind == "bte":
+            check_fan_in(need.fan_in, self.fanin_cap)
+        elif need.kind == "b2a":
+            check_b2a_ring(RINGS[need.width])
+        else:
+            raise DomainError(f"unknown material kind {need.kind!r}")
 
 
 class MaterialStore:

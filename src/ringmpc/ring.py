@@ -424,9 +424,10 @@ def reconst(s0: Share, s1: Share) -> np.ndarray:
 
 
 def trivial(holder: int, values, ring: RingSpec) -> SharePair:
-    """Lift a value held in the clear by one party into a share pair
-    (v, 0) or (0, v). No communication."""
-    values = np.atleast_1d(np.asarray(values, dtype=np.uint64))
+    """Lift a plaintext of bools or integers in ``[0, 2^n)`` held in the
+    clear by one party into a share pair (v, 0) or (0, v). No
+    communication."""
+    values = np.atleast_1d(plaintext(values, ring.modulus))
     v = np.zeros((2, ring.cols(len(values))), dtype=ring.word)
     v[holder] = to_layout(ring, values)
     return _pair(ring, v, len(values))
@@ -434,7 +435,7 @@ def trivial(holder: int, values, ring: RingSpec) -> SharePair:
 
 def const_pair(c, ring: RingSpec, batch: int) -> SharePair:
     """A public constant as the trivial pair (c, 0)."""
-    return trivial(0, np.full(batch, c, dtype=np.uint64), ring)
+    return trivial(0, np.full(batch, c), ring)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from ringmpc.dealer import (
+    DEFAULT_FANIN_CAP,
     MAX_FANIN,
     Dealer,
     MaterialStore,
@@ -246,6 +247,29 @@ def test_provision_refuses_an_unsupported_width_before_any_draw(dealer):
     with pytest.raises(DomainError):
         dealer.provision(store, [Need("bte", 8, 4, fan_in=2), Need("bte", 12, 4, fan_in=2)])
     assert store.is_empty() and dealer.draw_count == 0
+
+
+# The need each bad manifest ends with, and the error that refuses it. Before
+# every need was checked up front, the manifest's first need was already
+# stored and had taken two draws when the last one was refused.
+REFUSED_NEEDS = {
+    "unknown-kind": (Need("nope", 8, 1), DomainError),
+    "fan-in-1": (Need("bte", 8, 4, fan_in=1), CapabilityError),
+    "fan-in-above-cap": (Need("bte", 8, 4, fan_in=DEFAULT_FANIN_CAP + 1), CapabilityError),
+    "b2a-over-bool": (Need("b2a", 1, 4), DomainError),
+    "unsupported-width": (Need("b2a", 12, 4), DomainError),
+}
+
+
+@pytest.mark.parametrize("bad", REFUSED_NEEDS)
+def test_provision_refuses_a_bad_manifest_before_any_draw(dealer, bad):
+    need, error = REFUSED_NEEDS[bad]
+    store = MaterialStore()
+    state = dealer.rng.bit_generator.state
+    with pytest.raises(error):
+        dealer.provision(store, [Need("bte", 8, 4, fan_in=2), need])
+    assert store.is_empty() and dealer.draw_count == 0
+    assert dealer.rng.bit_generator.state == state
 
 
 def test_dump_load_roundtrip(dealer, tmp_path):

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +8,7 @@ import scipy.stats
 
 from ringmpc.dealer import Need, RecordingStore
 from ringmpc.engine import Session
+from ringmpc import gates
 from ringmpc.errors import DomainError, MaterialReuseError, ShapeError
 from ringmpc.gates import (
     and_n,
@@ -71,18 +73,16 @@ def _reference_subset_sum(rows, opened, head):
     return z
 
 
-@pytest.mark.parametrize("ring", [BOOL, Z8, Z64, Z16, Z32])
-@pytest.mark.parametrize("fan_in", [2, 3, 9])
-def test_fold_equals_reference_subset_sum(ring, fan_in):
+def _check_fold(ring, fan_in, batch):
+    """Run one gate; check each party's output share against
+    ``_reference_subset_sum`` of its table, the opened output against the
+    plaintext product and, at width 1, that the padding lanes are zero."""
     sess = Session(seed=fan_in)
-    batch = 64
     sess.provision([Need("bte", ring.width_bits, batch, fan_in=fan_in)])
     rng = np.random.default_rng(8)
     high = 2 if ring.is_boolean else ring.modulus
-    inputs = [
-        sess.share_input(rng.integers(0, high, batch, dtype=np.uint64), ring)
-        for _ in range(fan_in)
-    ]
+    vals = np.array([rng.integers(0, high, batch, dtype=np.uint64) for _ in range(fan_in)])
+    inputs = [sess.share_input(v, ring) for v in vals]
     t0, t1 = sess.store.take_bte(fan_in, ring, batch)
     # The fold overwrites the tables; boolean rows are read lane by lane.
     rows = tuple(unpack_lanes(t.rows, batch) if ring.is_boolean else t.rows.copy()
@@ -95,6 +95,69 @@ def test_fold_equals_reference_subset_sum(ring, fan_in):
     for party in (0, 1):
         expect = _reference_subset_sum(rows[party], opened, head=1 - party)
         assert np.array_equal(z[party].values, ring.wrap(expect))
+    assert np.array_equal(reconst(*z), ring.wrap(np.prod(vals, axis=0, dtype=np.uint64)))
+    if ring.is_boolean and batch % 64:
+        assert not (z.v[:, -1] >> np.uint64(batch % 64)).any()
+
+
+@pytest.mark.parametrize("ring", [BOOL, Z8, Z64, Z16, Z32])
+@pytest.mark.parametrize("fan_in", [2, 3, 9])
+def test_fold_equals_reference_subset_sum(ring, fan_in):
+    _check_fold(ring, fan_in, 64)
+
+
+@pytest.mark.parametrize("block", [1, 2, 3])
+@pytest.mark.parametrize("ring", [BOOL, Z8, Z16, Z32, Z64], ids=lambda r: f"z{r.width_bits}")
+@pytest.mark.parametrize("fan_in", [2, 3, 9])
+def test_fold_in_column_blocks_equals_reference_subset_sum(monkeypatch, ring, fan_in, block):
+    # Seven layout columns: seven blocks of 1, 2+2+2+1 or 3+3+1. At width 1
+    # the last of the seven words is part padding.
+    monkeypatch.setattr(gates, "_FOLD_COLS", block)
+    _check_fold(ring, fan_in, 6 * 64 + 10 if ring.is_boolean else 7)
+
+
+def test_fold_in_column_blocks_at_the_real_block_width():
+    _check_fold(Z64, 3, 2 * gates._FOLD_COLS + 5)
+
+
+@pytest.mark.parametrize("batch,widths", [(70, [70]), (2 * 4096 + 5, [4096, 4096, 5])])
+def test_fold_takes_a_narrow_table_whole_and_a_wide_one_in_views(monkeypatch, batch, widths):
+    folded = []
+    fold = gates._fold
+    monkeypatch.setattr(gates, "_FOLD_COLS", 4096)
+    monkeypatch.setattr(gates, "_fold", lambda rows, *rest: (folded.append(rows), fold(rows, *rest)))
+    sess = Session(seed=4)
+    sess.provision([Need("bte", 16, batch, fan_in=3)])
+    inputs = [sess.share_input(np.ones(batch, np.uint64), Z16) for _ in range(3)]
+    t0, t1 = sess.store.take_bte(3, Z16, batch)
+    sess.run(mult_n(inputs, t0, t1))
+    # Block by block, party 0 then party 1; one block is the table itself.
+    assert [rows.shape[1] for rows in folded] == [w for w in widths for _ in (0, 1)]
+    for k, rows in enumerate(folded):
+        table = (t0, t1)[k % 2].rows
+        assert rows is table if len(widths) == 1 else np.shares_memory(rows, table)
+
+
+def test_blocked_fold_allocates_no_table_sized_temporary():
+    # Eleven blocks of a fan-in-5 Z_2^64 table: 31 rows of 320 KiB per party.
+    # The gate's own arrays are the masked payloads, the transcript's copy of
+    # them, the opened inputs and the output; a copy of one block's rows, or
+    # any table-sized temporary, would exceed them by more than the slack.
+    fan_in, batch = 5, 10 * gates._FOLD_COLS + 5
+    sess = Session(seed=6)
+    sess.provision([Need("bte", 64, batch, fan_in=fan_in)])
+    inputs = [sess.share_input(np.arange(batch, dtype=np.uint64), Z64) for _ in range(fan_in)]
+    tables = sess.store.take_bte(fan_in, Z64, batch)
+    row = 8 * batch
+    tracemalloc.start()
+    try:
+        sess.run(mult_n(inputs, *tables))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    payloads = transcript = 2 * fan_in * row
+    opened, output = fan_in * row, 2 * row
+    assert peak < payloads + transcript + opened + output + (256 << 10)
 
 
 def test_gate_rejects_table_rows_of_the_wrong_shape():

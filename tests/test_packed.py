@@ -106,7 +106,7 @@ def test_constructors_match_byte_reference(batch):
     for holder in (0, 1):
         expect = np.zeros((2, batch), dtype=np.uint8)
         expect[holder] = vals & 1
-        _check(trivial(holder, vals, BOOL), expect)
+        _check(trivial(holder, vals & np.uint64(1), BOOL), expect)
     for c in (0, 1):
         _check(const_pair(c, BOOL, batch), np.array([[c] * batch, [0] * batch], np.uint8))
     plain = vals & np.uint64(1)

@@ -242,6 +242,39 @@ def test_trivial_and_const_pair():
     assert np.array_equal(reconst(*cpair), [3, 3, 3, 3])
 
 
+@pytest.mark.parametrize("bad", [[1.5], np.array([-1]), [-1], [2**32]],
+                         ids=["float", "negative-array", "negative-int", "modulus"])
+def test_trivial_and_const_pair_reject_plaintext_outside_the_ring(bad):
+    # Unchecked, these opened to 1, wrapped to 2^32 - 1, raised a bare
+    # OverflowError and wrapped to 0.
+    for holder in (0, 1):
+        with pytest.raises(DomainError):
+            trivial(holder, bad, Z32)
+    with pytest.raises(DomainError):
+        const_pair(np.asarray(bad)[0], Z32, 3)
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=lambda r: f"z{r.width_bits}")
+@pytest.mark.parametrize("bad", BAD_PLAINTEXTS)
+def test_trivial_rejects_what_share_rejects(ring, bad):
+    with pytest.raises(DomainError):
+        trivial(0, BAD_PLAINTEXTS[bad], ring)
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=lambda r: f"z{r.width_bits}")
+def test_trivial_and_const_pair_lift_bools_and_integers_in_range(ring):
+    top = ring.modulus - 1
+    for good in ([True, False], np.array([True]), [0, top], np.array([top], np.uint64),
+                 np.array([0, 1], np.int8), top):
+        want = np.atleast_1d(np.asarray(good, dtype=np.uint64)).astype(ring.dtype)
+        for holder in (0, 1):
+            pair = trivial(holder, good, ring)
+            assert np.array_equal(pair[holder].values, want)
+            assert not pair[1 - holder].values.any()
+    for c in (True, 0, top):
+        assert np.array_equal(reconst(*const_pair(c, ring, 3)), [c] * 3)
+
+
 def test_xor_not(rng):
     a = share([0, 1, 0, 1], BOOL, rng)
     b = share([0, 0, 1, 1], BOOL, rng)
@@ -434,7 +467,7 @@ def test_boolean_algebra_keeps_the_low_bit():
         "const_mult": (const_mult(3, a), plain_a),
         "xor": (xor(a, b), plain_a ^ plain_b),
         "not_": (not_(a), plain_a ^ 1),
-        "trivial": (trivial(1, [2, 3, 4, 5], BOOL), [0, 1, 0, 1]),
+        "trivial": (trivial(1, [0, 1, 0, 1], BOOL), [0, 1, 0, 1]),
         "share": (share([1, 0, 1, 0], BOOL, np.random.default_rng(3)), [1, 0, 1, 0]),
     }
     for name, (out, expect) in results.items():
