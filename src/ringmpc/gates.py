@@ -11,7 +11,9 @@ owns (``RingSpec.word``, ``lanes`` and ``cols``: the ring's dtype, or
 packed uint64 words, 64 lanes each, at width 1) with its ops over it
 (``RingSpec.mul``, ``add``, ``sub`` and ``one``). So one gate body masks,
 opens and folds at every width, and nothing is packed or unpacked on the
-way.
+way. A table wider than ``_FOLD_COLS`` columns is folded one column
+block at a time, both parties' rows of a block in turn, so each block
+stays in cache through all N levels; a narrower one is folded whole.
 """
 from __future__ import annotations
 

@@ -106,6 +106,9 @@ def test_fold_equals_reference_subset_sum(ring, fan_in):
     _check_fold(ring, fan_in, 64)
 
 
+BLOCK = gates._FOLD_COLS
+
+
 @pytest.mark.parametrize("block", [1, 2, 3])
 @pytest.mark.parametrize("ring", [BOOL, Z8, Z16, Z32, Z64], ids=lambda r: f"z{r.width_bits}")
 @pytest.mark.parametrize("fan_in", [2, 3, 9])
@@ -117,14 +120,13 @@ def test_fold_in_column_blocks_equals_reference_subset_sum(monkeypatch, ring, fa
 
 
 def test_fold_in_column_blocks_at_the_real_block_width():
-    _check_fold(Z64, 3, 2 * gates._FOLD_COLS + 5)
+    _check_fold(Z64, 3, 2 * BLOCK + 5)
 
 
-@pytest.mark.parametrize("batch,widths", [(70, [70]), (2 * 4096 + 5, [4096, 4096, 5])])
+@pytest.mark.parametrize("batch,widths", [(BLOCK, [BLOCK]), (2 * BLOCK + 5, [BLOCK, BLOCK, 5])])
 def test_fold_takes_a_narrow_table_whole_and_a_wide_one_in_views(monkeypatch, batch, widths):
     folded = []
     fold = gates._fold
-    monkeypatch.setattr(gates, "_FOLD_COLS", 4096)
     monkeypatch.setattr(gates, "_fold", lambda rows, *rest: (folded.append(rows), fold(rows, *rest)))
     sess = Session(seed=4)
     sess.provision([Need("bte", 16, batch, fan_in=3)])
@@ -143,7 +145,7 @@ def test_blocked_fold_allocates_no_table_sized_temporary():
     # The gate's own arrays are the masked payloads, the transcript's copy of
     # them, the opened inputs and the output; a copy of one block's rows, or
     # any table-sized temporary, would exceed them by more than the slack.
-    fan_in, batch = 5, 10 * gates._FOLD_COLS + 5
+    fan_in, batch = 5, 10 * BLOCK + 5
     sess = Session(seed=6)
     sess.provision([Need("bte", 64, batch, fan_in=fan_in)])
     inputs = [sess.share_input(np.arange(batch, dtype=np.uint64), Z64) for _ in range(fan_in)]
