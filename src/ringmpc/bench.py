@@ -22,7 +22,7 @@ from .editdist import (
 )
 from .engine import CostModel, Session, derive_manifest
 from .errors import DomainError
-from .gates import and_n, mult_n, or_n
+from .gates import and_n, bank, mult_n, or_n
 from . import protocols as P
 from .ring import BOOL, RingSpec, const_pair
 
@@ -126,7 +126,8 @@ def _gate(name: str, fanin_cap: int):
     op = {"and": and_n, "or": or_n, "mult": mult_n}[kind]
 
     def gate(store, inputs):
-        return op(inputs, *store.take_bte(fan, inputs[0].ring, inputs[0].batch))
+        (out,) = yield from bank(store, op, [inputs])
+        return out
 
     def build(sess, rng, ring, batch):
         if kind == "mult":

@@ -31,53 +31,39 @@ from .errors import DomainError, MaterialError, ProtocolDesyncError, ShapeError
 from .ring import RINGS, RingSpec, from_layout
 
 
-def _payload(arr, dtype) -> np.ndarray:
-    if isinstance(arr, np.ndarray) and arr.ndim == 1 and arr.dtype == dtype:
-        return arr
-    return np.atleast_1d(np.asarray(arr, dtype=dtype))
-
-
 @dataclass
 class ExchangeItem:
     """One message pair inside a round: party 0 sends ``p0`` and party 1
     sends ``p1``, each ``count`` elements of ``width`` bits.
 
-    A payload is one row of the width's share layout (``RingSpec``):
-    ``cols(count)`` values of its ``word`` dtype. Above width 1 that is a
-    vector of ring elements; a 1-D array of the width's dtype is kept as
-    given, other input is converted, and ``count`` defaults to its length.
-    At width 1 it is ``ceil(count/64)`` uint64 words in ``ring.pack_lanes``
-    layout, padding lanes zero; packed words are kept as given, never
-    converted, and ``count`` is required. Either way the item charges
+    A payload is one row of the width's share layout (``RingSpec``): a
+    1-D array of ``cols(count)`` values of its ``word`` dtype, kept as
+    given and never converted. Above width 1 that is ``count`` ring
+    elements; at width 1 it is ``ceil(count/64)`` uint64 words in
+    ``ring.pack_lanes`` layout, padding lanes zero. The item charges
     ``count * width`` bits, and ``Transcript.to_bytes`` writes ``count``
     elements per party, one byte per bit at width 1."""
 
     p0: np.ndarray
     p1: np.ndarray
     width: int
-    count: int | None = None
+    count: int
 
     def __post_init__(self):
         ring = RINGS.get(self.width)
         if ring is None:
             raise ShapeError(f"unsupported payload width {self.width}")
         p0, p1 = self.p0, self.p1
-        if ring.lanes == 1:
-            p0, p1 = _payload(p0, ring.word), _payload(p1, ring.word)
-        elif self.count is None:
-            raise ShapeError("packed boolean words need their element count")
-        count = len(p0) if self.count is None else self.count
-        shape = (ring.cols(count),)
+        shape = (ring.cols(self.count),)
         if not (isinstance(p0, np.ndarray) and isinstance(p1, np.ndarray)
                 and p0.shape == shape == p1.shape and p0.dtype == ring.word == p1.dtype):
             if np.shape(p0) != np.shape(p1):
                 raise ProtocolDesyncError(
                     "parties disagree on payload length at a round barrier"
                 )
-            raise ShapeError(f"a payload of {count} {self.width}-bit elements is "
+            raise ShapeError(f"a payload of {self.count} {self.width}-bit elements is "
                              f"{shape[0]} {np.dtype(ring.word)} values, got "
                              f"{np.shape(p0)} {np.asarray(p0).dtype}")
-        self.p0, self.p1, self.count = p0, p1, count
 
     @property
     def bits(self) -> int:

@@ -13,13 +13,11 @@ blocks (fan-in at most 7 and 9 respectively) chosen so that both the round
 counts and the per-party bit counts of the reference cost tables are
 reproduced exactly.
 
-Rounds that run several gates are packed by ``gates.bank``: gates of equal
-fan-in share one stacked table, taken in ascending fan-in order. Two
-protocols keep one table per gate on ``engine.parallel`` instead, because
-merging their equal fan-ins would change the material they consume:
-``maxn``'s selector layers (at fan-in cap 3, 8-Max's first layer takes two
-3-fan-in tables) and ``overflow_1r``'s three banks (at width 8, two 4-fan-in
-tables).
+Every gate round runs through ``gates.bank``, the one caller of
+``take_bte``: gates of equal fan-in share one stacked table, taken in
+ascending fan-in order. MSNZB and the two-round overflow share one block
+scan (``_block_scan``): suffix ORs inside each block, then one AND per
+block with the emptiness of every higher block.
 """
 from __future__ import annotations
 
@@ -29,7 +27,7 @@ from itertools import accumulate
 import numpy as np
 
 from .dealer import DEFAULT_FANIN_CAP, MaterialStore, Need
-from .engine import ExchangeItem, derive_manifest, parallel
+from .engine import ExchangeItem, derive_manifest
 from .errors import CapabilityError, DomainError, ShapeError
 from .gates import and_n, bank, fanin_schedule, mult_n, or_n
 from .ring import (
@@ -44,6 +42,7 @@ from .ring import (
     concat_pairs,
     const_mult,
     const_pair,
+    cut_each,
     fold_segments,
     not_,
     pack_lanes,
@@ -136,30 +135,64 @@ def baseline_equality_manifest(ring: RingSpec, batch: int) -> list[Need]:
 
 
 # ---------------------------------------------------------------------------
+# Block scan: the two rounds that MSNZB and the two-round overflow share
+
+def _u_bits(pair: SharePair) -> SharePair:
+    """Zero party 0's row of ``pair`` in place and return it: the u bits of
+    ``_overflow_planes`` are party 1's alone."""
+    pair.v[0] = 0
+    return pair
+
+
+def _block_scan(store: MaterialStore, planes: list[SharePair], spans, u_bits: bool = False):
+    """Two rounds over boolean ``planes`` cut into blocks ``spans`` of
+    positions ``[lo, hi)``, given in gate order; returns one pair per
+    block, stacked over its planes: its hits, cleared unless every higher
+    block is empty.
+
+    Round 1 takes the suffix ORs t_j = OR(planes[j:hi]) in each block. The
+    hits tp_j = t_j XOR t_{j+1} (t_j at the top) fold back to t_lo, so NOT
+    t_lo says the block is empty. Round 2 is one AND per block over its
+    hits, with ``u_bits`` its planes as party 1's u bits, and the emptiness
+    of each higher block (larger ``lo``) in span order. Its inputs are cut
+    from one concatenation; a block with nothing to AND keeps its hits.
+    """
+    t = list(planes)
+    starts = [(j, hi) for lo, hi in spans for j in range(lo, hi - 1)]
+    suffix = yield from bank(store, or_n, [planes[j:hi] for j, hi in starts])
+    for (j, _), part in zip(starts, suffix):
+        t[j] = part
+    tp = list(t)
+    for j, _ in starts:
+        tp[j] = xor(t[j], t[j + 1])
+    empty = [not_(t[lo]) for lo, _ in spans]
+
+    slots = [
+        [tp[lo:hi], *([planes[lo:hi]] if u_bits else []),
+         *([e] * (hi - lo) for e, (above, _) in zip(empty, spans) if above > lo)]
+        for lo, hi in spans
+    ]
+    joined = iter(concat_each([segments for gate in slots for segments in gate]))
+    gates = [[next(joined) for _ in gate] for gate in slots]
+    if u_bits:
+        for gate in gates:
+            _u_bits(gate[1])
+    anded = iter((yield from bank(store, and_n, [gate for gate in gates if len(gate) > 1])))
+    return [next(anded) if len(gate) > 1 else gate[0] for gate in gates]
+
+
+# ---------------------------------------------------------------------------
 # MSNZB (width 16)
 
 def msnzb(store: MaterialStore, planes: list[SharePair]):
     """One-hot (or zero) indicator of the highest set bit of a 16-bit value
-    given as boolean share planes, LSB first. Two rounds."""
+    given as boolean share planes, LSB first. Two rounds: a block scan over
+    four 4-bit blocks, whose outputs are cut back into planes."""
     if len(planes) != 16:
         raise CapabilityError("msnzb supports width 16")
-
-    # Round 1: in-block suffix ORs t_j = OR(planes[j:top of its block]).
-    t = list(planes)
-    starts = [j for j in range(16) if j % 4 != 3]
-    suffix = yield from bank(store, or_n, [planes[j:j - j % 4 + 4] for j in starts])
-    for j, part in zip(starts, suffix):
-        t[j] = part
-
-    tp = [t[j] if j % 4 == 3 else xor(t[j], t[j + 1]) for j in range(16)]
-    # A block's tp fold (XOR) back to its suffix OR from the bottom.
-    empty = {b: not_(t[4 * b]) for b in (1, 2, 3)}
-
-    # Round 2: clear a block's hits when any higher block already has one.
-    cleared = yield from bank(store, and_n, [
-        [tp[j], *(empty[h] for h in range(j // 4 + 1, 4))] for j in range(12)
-    ])
-    return [*cleared, *tp[12:]]
+    spans = [(lo, lo + 4) for lo in range(0, 16, 4)]
+    blocks = yield from _block_scan(store, planes, spans)
+    return [plane for parts in cut_each(blocks, [[planes[0].batch] * 4] * 4) for plane in parts]
 
 
 def msnzb_manifest(batch: int) -> list[Need]:
@@ -183,13 +216,6 @@ def _overflow_planes(x: SharePair, k: int):
     return dplanes, zero_flag
 
 
-def _u_bits(pair: SharePair) -> SharePair:
-    """Zero party 0's row of ``pair`` in place and return it: the u bits of
-    ``_overflow_planes`` are party 1's alone."""
-    pair.v[0] = 0
-    return pair
-
-
 def _overflow_out(v: SharePair, zero_flag: np.ndarray) -> SharePair:
     """z = NOT v, plus the zero-share correction: when <x>_1 mod 2^k == 0
     party 1 flips locally."""
@@ -206,45 +232,14 @@ def overflow_2r(store: MaterialStore, x: SharePair, k: int):
         raise DomainError(f"k={k} outside [1, {n}]")
     dplanes, zero_flag = _overflow_planes(x, k)
 
-    # Block i (0 = most significant) covers positions [lo_i, hi_i).
+    # Block i (0 = most significant) covers positions [lo_i, hi_i) and
+    # ANDs its hits, the u bits and i emptiness bits: fan-in 2 + i.
     spans, hi = [], n
     for width in OVF_BLOCKS[n]:
         spans.append((hi - width, hi))
         hi -= width
-
-    # Round 1: suffix ORs t_j = OR(dplanes[j:hi_i]) inside each block.
-    t = list(dplanes)
-    starts = [(j, hi_) for lo, hi_ in spans for j in range(lo, hi_ - 1)]
-    suffix = yield from bank(store, or_n, [dplanes[j:hi_] for j, hi_ in starts])
-    for (j, _), part in zip(starts, suffix):
-        t[j] = part
-
-    tp = [None] * n
-    for lo, hi_ in spans:
-        tp[hi_ - 1] = t[hi_ - 1]
-        for j in range(lo, hi_ - 1):
-            tp[j] = xor(t[j], t[j + 1])
-
-    # Whether block i is empty: the tp of a block fold (XOR) back to its
-    # suffix OR from the bottom, t[lo], the OR of the whole block.
-    empty = [not_(t[lo]) for lo, _ in spans]
-
-    # Round 2: block i needs its own hit, the u bit, and emptiness of every
-    # higher block — fan-in 2 + i. One gate stacked over the block's bits
-    # costs fewer small calls than a gate per bit; its inputs are cut from
-    # one concatenation, and all outputs are folded at once.
-    inputs = concat_each([
-        segments
-        for i, (lo, hi_) in enumerate(spans)
-        for segments in (tp[lo:hi_], dplanes[lo:hi_], *([empty[h]] * (hi_ - lo) for h in range(i)))
-    ])
-    gates, pos = [], 0
-    for i in range(len(spans)):
-        gates.append(inputs[pos:pos + 2 + i])
-        _u_bits(inputs[pos + 1])
-        pos += 2 + i
-    results = yield from bank(store, and_n, gates)
-    return _overflow_out(fold_segments(results, x.batch), zero_flag)
+    blocks = yield from _block_scan(store, dplanes, spans, u_bits=True)
+    return _overflow_out(fold_segments(blocks, x.batch), zero_flag)
 
 
 def overflow_manifest(ring: RingSpec, batch: int) -> list[Need]:
@@ -253,7 +248,7 @@ def overflow_manifest(ring: RingSpec, batch: int) -> list[Need]:
 
 def overflow_1r(store: MaterialStore, x: SharePair):
     """One-round overflow over the full ring: z = 1 iff
-    <x>_0 + <x>_1 >= 2^n as integers. Costs three parallel gate banks."""
+    <x>_0 + <x>_1 >= 2^n as integers: three gates, one round."""
     _check_arith(x)
     ring = x.ring
     n = ring.width_bits
@@ -294,13 +289,8 @@ def overflow_1r(store: MaterialStore, x: SharePair):
     g3 = trivial(0, (z0 == a2).ravel(), BOOL)
     g4 = trivial(1, (z1 >= (1 << n2) - a2).ravel(), BOOL)
 
-    gens = [
-        and_n([alpha0, alpha1], *store.take_bte(2, BOOL, ((1 << n1) - 1) * batch)),
-        and_n(beta_inputs, *store.take_bte(n1, BOOL, groups * batch)),
-        and_n([g1, g2, g3, g4], *store.take_bte(4, BOOL, groups * batch)),
-    ]
-    b1, b2, b3 = yield from parallel(gens)
-    return fold_segments([b1, b2, b3], batch)
+    banks = yield from bank(store, and_n, [[alpha0, alpha1], beta_inputs, [g1, g2, g3, g4]])
+    return fold_segments(banks, batch)
 
 
 def overflow_1r_manifest(ring: RingSpec, batch: int) -> list[Need]:
@@ -374,7 +364,7 @@ def b2a(store: MaterialStore, x: SharePair, ring: RingSpec):
     mat = store.take_b2a(ring, x.batch)
     mat.consume()
     z = unpack_lanes(x.v, x.batch).astype(ring.dtype)
-    ((xp, xpp),) = yield [ExchangeItem(z[0] - mat.a, z[1] - mat.b, ring.width_bits)]
+    ((xp, xpp),) = yield [ExchangeItem(z[0] - mat.a, z[1] - mat.b, ring.width_bits, x.batch)]
     z[0] -= 2 * (xp * xpp + xpp * mat.a + mat.c0)
     z[1] -= 2 * (xp * mat.b + mat.c1)
     return SharePair(ring, z)
@@ -527,8 +517,8 @@ def maxn(store: MaterialStore, xs: list[SharePair], fanin_cap: int = DEFAULT_FAN
     products are summed by one ``fold_segments``.
 
     Each AND term is one pair stacked over all N selectors, so a layer's
-    gates take slices of the term list, one table per gate on
-    ``engine.parallel``, and their outputs are the next layer's terms."""
+    gates take slices of the term list, and their outputs are the next
+    layer's terms."""
     n_vals = len(xs)
     if n_vals <= 3:
         raise ShapeError("maxn expects more than three inputs")
@@ -552,10 +542,7 @@ def maxn(store: MaterialStore, xs: list[SharePair], fanin_cap: int = DEFAULT_FAN
     for layer in fanin_schedule(n_vals - 1, fanin_cap):
         ends = list(accumulate(layer, initial=0))
         groups = [terms[lo:hi] for lo, hi in zip(ends, ends[1:])]
-        anded = iter((yield from parallel(
-            and_n(group, *store.take_bte(len(group), BOOL, n_vals * batch))
-            for group in groups if len(group) > 1
-        )))
+        anded = iter((yield from bank(store, and_n, [g for g in groups if len(g) > 1])))
         terms = [next(anded) if len(group) > 1 else group[0] for group in groups]
 
     prod = yield from bx2a(store, terms[0], concat_pairs(xs))
@@ -610,20 +597,18 @@ def tlu_manifest(ring: RingSpec, n_keys: int, batch: int) -> list[Need]:
 def _baseline_b2a(store, b: SharePair, ring: RingSpec):
     """Trivial-share product conversion: x0' + x1'' - 2 * x0' * x1''."""
     _, bp, bpp, _, _ = _lifts(b, ring)
-    prod = yield from mult_n([bp, bpp], *store.take_bte(2, ring, b.batch))
+    (prod,) = yield from bank(store, mult_n, [[bp, bpp]])
     return sub(add(bp, bpp), const_mult(2, prod))
 
 
 def baseline_max3(store: MaterialStore, xs: list[SharePair]):
     """Tournament 3-Max: two sequential (compare, convert, select) stages."""
     ring = xs[0].ring
-    batch = xs[0].batch
     best = xs[0]
     for challenger in xs[1:]:
         c = yield from baseline_comparison(store, best, challenger)
         c_arith = yield from _baseline_b2a(store, c, ring)
-        gap = sub(challenger, best)
-        prod = yield from mult_n([c_arith, gap], *store.take_bte(2, ring, batch))
+        (prod,) = yield from bank(store, mult_n, [[c_arith, sub(challenger, best)]])
         best = add(best, prod)
     return best
 

@@ -118,10 +118,10 @@ RINGS = {ring.width_bits: ring for ring in (BOOL, Z8, Z16, Z32, Z64)}
 class Share:
     """One party's additive (or XOR, for width 1) share of a secret vector:
     the per-party view of a ``SharePair`` in ring elements. Values are
-    normalised here: cast to the ring's dtype, width 1 masked to its low bit
-    when a value exceeds it. In-range values are kept as given, so above
-    width 1 ``pair[i].values`` is a view of ``pair.v``; at width 1 it is
-    the unpacked copy of party i's words."""
+    bools or integers, reduced here mod 2^n into the ring's dtype by
+    ``_integers``; anything else raises DomainError. An array of the ring's
+    dtype is kept as given above width 1, so ``pair[i].values`` is a view
+    of ``pair.v``; at width 1 it is the unpacked copy of party i's words."""
 
     party_id: int
     ring: RingSpec
@@ -130,9 +130,7 @@ class Share:
     def __post_init__(self):
         if self.party_id not in (0, 1):
             raise ShapeError(f"party_id must be 0 or 1, got {self.party_id}")
-        self.values = np.atleast_1d(np.asarray(self.values, dtype=self.ring.dtype))
-        if self.ring.is_boolean and self.values.max(initial=0) > 1:
-            self.values = self.values & np.uint8(1)
+        self.values = np.atleast_1d(_integers(self.values, self.ring))
 
     def __len__(self):
         return len(self.values)
@@ -393,16 +391,36 @@ def from_layout(ring: RingSpec, arr: np.ndarray, batch: int) -> np.ndarray:
     return unpack_lanes(arr, batch) if ring.is_boolean else arr
 
 
-def plaintext(x, bound: int) -> np.ndarray:
-    """``x`` as a uint64 array after checking that every value is a bool or
-    an integer in ``[0, bound)``. Floats, strings and other objects raise
+def _integer_array(x) -> np.ndarray:
+    """``x`` as an array of a bool or integer dtype, or of Python ints as
+    objects. Floats (integral ones too), strings and other objects raise
     DomainError before any cast could truncate, parse or wrap them."""
     arr = np.asarray(x)
     if arr.dtype.kind not in "biu":
         # Python ints past the int64 range come out as floats or objects.
         arr = np.asarray(x, dtype=object)
         if not all([isinstance(v, (int, np.integer, np.bool_)) for v in arr.flat]):
-            raise DomainError("plaintext values must be bools or integers")
+            raise DomainError("values must be bools or integers")
+    return arr
+
+
+def _integers(x, ring: RingSpec) -> np.ndarray:
+    """Bools or integers of any sign and size, in any container, reduced
+    mod 2^n into the ring's dtype; above width 1 an array of that dtype is
+    kept as given."""
+    arr = _integer_array(x)
+    if arr.dtype == object:
+        arr = np.asarray(arr % ring.modulus).astype(np.uint64)
+    arr = arr.astype(ring.dtype, copy=False)  # integer casts wrap mod 2^8k
+    if ring.is_boolean and arr.max(initial=0) > 1:
+        arr = arr & np.uint8(1)
+    return arr
+
+
+def plaintext(x, bound: int) -> np.ndarray:
+    """``x`` as a uint64 array after checking that every value is a bool or
+    an integer in ``[0, bound)``."""
+    arr = _integer_array(x)
     if arr.size and not 0 <= int(arr.min()) <= int(arr.max()) < bound:
         raise DomainError(f"plaintext value outside [0, {bound})")
     return arr.astype(np.uint64, copy=False)
@@ -427,6 +445,8 @@ def trivial(holder: int, values, ring: RingSpec) -> SharePair:
     """Lift a plaintext of bools or integers in ``[0, 2^n)`` held in the
     clear by one party into a share pair (v, 0) or (0, v). No
     communication."""
+    if holder not in (0, 1):
+        raise ShapeError(f"holder must be party 0 or 1, got {holder}")
     values = np.atleast_1d(plaintext(values, ring.modulus))
     v = np.zeros((2, ring.cols(len(values))), dtype=ring.word)
     v[holder] = to_layout(ring, values)
@@ -470,22 +490,23 @@ def neg(a: SharePair) -> SharePair:
 
 
 def _public(c, ring: RingSpec):
-    """A public constant in the share layout: a ring element, or at width 1
-    a word holding the constant's low bit in every lane."""
-    return ring.one * ring.wrap(np.asarray(c, dtype=np.uint64).astype(ring.dtype))
+    """A public bool or integer, reduced mod 2^n, in the share layout: a
+    ring element, or at width 1 a word with its low bit in every lane."""
+    return ring.one * _integers(c, ring)
 
 
 def const_add(c, a: SharePair) -> SharePair:
-    """Add a public constant: party 0 adds c, party 1 adds zero."""
+    """Add a public integer constant: party 0 adds c, party 1 adds zero."""
+    c = _public(c, a.ring)
     if a.n is not None:
-        return not_(a) if c & 1 else neg(a)
+        return not_(a) if c else neg(a)
     v = a.v.copy()
-    v[0] += _public(c, a.ring)
+    v[0] += c
     return SharePair(a.ring, v)
 
 
 def const_mult(c, a: SharePair) -> SharePair:
-    """Multiply by a public constant: both parties scale their share."""
+    """Multiply by a public integer constant: both parties scale."""
     return SharePair(a.ring, a.ring.mul(a.v, _public(c, a.ring)), a.n)
 
 

@@ -6,12 +6,18 @@ import pytest
 from ringmpc.dealer import Need
 from ringmpc.engine import CostModel, ExchangeItem, Session, Transcript, parallel
 from ringmpc.errors import MaterialError, ProtocolDesyncError, ShapeError
-from ringmpc.ring import pack_lanes, unpack_lanes
+from ringmpc.ring import RINGS, pack_lanes, unpack_lanes
+
+
+def _row(values, width=8):
+    """``values`` as one payload row of the width's layout."""
+    return np.asarray(values, dtype=RINGS[width].word)
 
 
 def _noise_round(n_items=1, length=4, width=8):
     return [
-        ExchangeItem(np.arange(length), np.arange(length) + 1, width)
+        ExchangeItem(_row(np.arange(length), width), _row(np.arange(length) + 1, width),
+                     width, length)
         for _ in range(n_items)
     ]
 
@@ -43,7 +49,7 @@ def test_empty_yield_costs_nothing():
 
 def test_responses_are_raw_payload_pairs():
     def probe():
-        responses = yield [ExchangeItem([1, 2], [3, 4], 8)]
+        responses = yield [ExchangeItem(_row([1, 2]), _row([3, 4]), 8, 2)]
         p0, p1 = responses[0]
         return p0.tolist(), p1.tolist()
 
@@ -72,7 +78,7 @@ def test_parallel_handles_zero_round_branches():
 
 def test_parallel_routes_responses_to_owners():
     def echo(tag):
-        responses = yield [ExchangeItem([tag], [tag + 10], 8)]
+        responses = yield [ExchangeItem(_row([tag]), _row([tag + 10]), 8, 1)]
         return int(responses[0][0][0]), int(responses[0][1][0])
 
     sess = Session(seed=0)
@@ -82,12 +88,12 @@ def test_parallel_routes_responses_to_owners():
 
 def test_desync_detection():
     with pytest.raises(ProtocolDesyncError):
-        ExchangeItem([1, 2], [1], 8)
+        ExchangeItem(_row([1, 2]), _row([1]), 8, 2)
 
 
 def test_unsupported_payload_width():
     with pytest.raises(ShapeError):
-        ExchangeItem([1], [1], 7)
+        ExchangeItem(_row([1]), _row([1]), 7, 1)
 
 
 def test_provision_refused_after_online():
@@ -139,7 +145,7 @@ def test_transcript_serialization_is_deterministic():
 def test_transcript_appends_copies():
     tr = Transcript()
     arr = np.array([1, 2], dtype=np.uint8)
-    item = ExchangeItem(arr, arr.copy(), 8)
+    item = ExchangeItem(arr, arr.copy(), 8, 2)
     tr.append([item])
     item.p0[0] = 99
     assert tr.rounds[0][0].p0[0] == 1
@@ -147,12 +153,31 @@ def test_transcript_appends_copies():
 
 def test_exchange_item_keeps_payload_arrays_of_its_width():
     arr = np.arange(4, dtype=np.uint16)
-    item = ExchangeItem(arr, arr[::-1], 16)
+    item = ExchangeItem(arr, arr[::-1], 16, 4)
     assert item.p0 is arr and np.shares_memory(item.p1, arr)
-    for other in ([1, 2, 3, 4], np.arange(4, dtype=np.uint32), 5):
-        converted = ExchangeItem(other, other, 16)
-        assert converted.p0.dtype == np.uint16 and converted.p0.ndim == 1
-    assert ExchangeItem(np.arange(4, dtype=np.int64), arr, 16).p0.dtype == np.uint16
+    assert item.count == 4 and item.bits == 64
+
+
+@pytest.mark.parametrize("other", [
+    [1, 2, 3, 4], np.arange(4, dtype=np.uint32), np.arange(4, dtype=np.int64),
+    np.arange(4, dtype=np.uint16).reshape(2, 2), np.uint16(5), 5,
+], ids=["list", "uint32", "int64", "2-d", "numpy-scalar", "int"])
+def test_exchange_item_refuses_what_is_not_a_layout_row(other):
+    """Payloads are never converted: anything but a 1-D array of the
+    width's word dtype is refused, not cast."""
+    arr = np.arange(4, dtype=np.uint16)
+    with pytest.raises(ShapeError):
+        ExchangeItem(other, other, 16, 4)
+    with pytest.raises((ShapeError, ProtocolDesyncError)):
+        ExchangeItem(other, arr, 16, 4)
+
+
+def test_exchange_item_needs_its_count_at_every_width():
+    with pytest.raises(TypeError):
+        ExchangeItem(np.arange(4, dtype=np.uint16), np.arange(4, dtype=np.uint16), 16)
+    for count in (3, 5):
+        with pytest.raises(ShapeError):
+            ExchangeItem(np.arange(4, dtype=np.uint16), np.arange(4, dtype=np.uint16), 16, count)
 
 
 @pytest.mark.parametrize("batch", [1, 63, 64, 65, 130])
@@ -173,7 +198,7 @@ def test_boolean_item_holds_packed_words(batch):
 def test_boolean_item_checks_its_words():
     bits = np.ones((2, 70), dtype=np.uint8)
     words = pack_lanes(bits)
-    with pytest.raises(ShapeError):
+    with pytest.raises(TypeError):
         ExchangeItem(words[0], words[1], 1)  # words need their count
     with pytest.raises(ShapeError):
         ExchangeItem(bits[0], bits[1], 1, 70)  # bits are not words

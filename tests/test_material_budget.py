@@ -21,7 +21,7 @@ BUDGET = {
         ("bte", 1, 2): [6, 6], ("bte", 1, 3): [6, 6], ("bte", 1, 4): [6, 5],
         ("bte", 1, 5): [6, 5], ("bte", 1, 6): [2, 5], ("bte", 1, 7): [5],
     },
-    "overflow_1r": {("bte", 1, 2): [15], ("bte", 1, 4): [15, 15]},
+    "overflow_1r": {("bte", 1, 2): [15], ("bte", 1, 4): [30]},
     "comparison": {
         ("bte", 1, 2): [18, 18, 2], ("bte", 1, 3): [18, 18], ("bte", 1, 4): [18, 15],
         ("bte", 1, 5): [18, 15], ("bte", 1, 6): [6, 15], ("bte", 1, 7): [15],
@@ -63,7 +63,7 @@ BUDGET = {
         ("bte", 1, 7): [420, 8], ("bte", 32, 2): [8], ("bte", 32, 3): [8],
     },
     "max8_cap3": {
-        ("bte", 1, 2): [504, 504, 56], ("bte", 1, 3): [504, 504, 8, 8, 8],
+        ("bte", 1, 2): [504, 504, 56], ("bte", 1, 3): [504, 504, 16, 8],
         ("bte", 1, 4): [504, 420], ("bte", 1, 5): [504, 420], ("bte", 1, 6): [168, 420],
         ("bte", 1, 7): [420], ("bte", 32, 2): [8], ("bte", 32, 3): [8],
     },

@@ -141,7 +141,7 @@ PINS = {
     "argmax3": "bd9f993c77c1ea6cd05944016af17f6552625aa842d01d3041eab45caecd8297",
     "argmin3": "a672e10ff69fa3487bcfab73b9063fc7fa09106a66e4d3793b4e94ec913b1c52",
     "overflow": "31d6f9c4ea68d59e75d2c9efa4fb16876b949604d19a844585b5e7528f0dc2cc",
-    "overflow1r": "2c8ea6dc6cfbb0013fcc1a67877cec9c89ab322cc68e0c082242b24a592be99b",
+    "overflow1r": "592a116d6c0c4497cd02aaf3b4b99b2413956f8cd76d8377dc3f95f32323c55f",
     "msnzb": "76f6c883b81e124b592b14b4f01782f9cb5fbdf2f053f41bbc69d1c3723a6ed6",
     "b2a": "ad4d479ee6ee9ecd38d36d5b625c95bf053d0d0a9fa1c01b1562c9c9095d81fc",
     "bx2a": "ec9efa6da15b53d9a73add8d0b883be817ecc0d04de478025de234c43e9d1241",
