@@ -4,7 +4,8 @@ Every gate is a protocol generator (see engine): it yields exactly one
 round carrying the N masked inputs (N * width bits per party) and finishes
 locally. Over the boolean ring multiplication *is* AND and addition *is*
 XOR, so one protocol serves both share types, on packed words at width 1.
-``bank`` runs many gates in one round and decides how they share material.
+``bank`` runs the gates of one round and decides how they share material;
+it is the only code that takes BTE tables from a store.
 
 Shares, tables and payloads share one layout per ring, which the ring
 owns (``RingSpec.word``, ``lanes`` and ``cols``: the ring's dtype, or
