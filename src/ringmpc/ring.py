@@ -409,8 +409,8 @@ def _integers(x, ring: RingSpec) -> np.ndarray:
     mod 2^n into the ring's dtype; above width 1 an array of that dtype is
     kept as given."""
     arr = _integer_array(x)
-    if arr.dtype == object:
-        arr = np.asarray(arr % ring.modulus).astype(np.uint64)
+    if arr.dtype == object:  # reduced as Python ints: a numpy one would overflow
+        arr = np.array([int(v) % ring.modulus for v in arr.flat], np.uint64).reshape(arr.shape)
     arr = arr.astype(ring.dtype, copy=False)  # integer casts wrap mod 2^8k
     if ring.is_boolean and arr.max(initial=0) > 1:
         arr = arr & np.uint8(1)

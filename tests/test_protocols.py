@@ -456,6 +456,67 @@ def test_maxn_caps():
 
 
 # ---------------------------------------------------------------------------
+# Banked rounds at bit offsets: ``gates.bank`` (and MSNZB's block scan)
+# stacks these protocols' boolean gates and cuts their outputs at batches
+# that do not fill whole 64-lane words.
+
+OFFSET_BATCHES = [1, 63, 65, 130]
+
+
+@pytest.mark.parametrize("batch", OFFSET_BATCHES)
+@pytest.mark.parametrize("ring", [Z8, Z16], ids=["z8", "z16"])
+def test_overflow_1r_at_bit_offsets(ring, batch):
+    rng = np.random.default_rng([ring.width_bits, batch])
+    a = rand(rng, ring, batch)
+    b = rand(rng, ring, batch)
+    # Every other element sits within two of the carry: high halves that
+    # sum to all-ones, and the low halves decide.
+    near = slice(None, None, 2)
+    b[near] = ring.wrap(-a[near].astype(np.int64) + rng.integers(-2, 3, len(a[near])))
+    x = SharePair.of(Share(0, ring, a), Share(1, ring, b))
+    sess, z = run(batch, P.overflow_1r_manifest(ring, batch),
+                  lambda s: P.overflow_1r(s.store, x))
+    expect = a.astype(np.uint64) + b.astype(np.uint64) >= ring.modulus
+    assert np.array_equal(reconst(*z), expect.astype(np.uint8))
+    assert sess.rounds == 1
+
+
+@pytest.mark.parametrize("batch", OFFSET_BATCHES)
+@pytest.mark.parametrize("cap", [2, 3, 9])
+@pytest.mark.parametrize("n_vals", [5, 6, 7, 8])
+def test_maxn_at_bit_offsets(n_vals, cap, batch):
+    rng = np.random.default_rng([n_vals, cap, batch])
+    vals = np.stack([rand(rng, Z16, batch, high=1 << 15) for _ in range(n_vals)])
+    vals[n_vals - 1, ::3] = vals[0, ::3]  # ties between the first and last value
+    sess, z = run(
+        batch,
+        P.maxn_manifest(Z16, n_vals, batch, fanin_cap=cap),
+        lambda s: P.maxn(s.store, [s.share_input(v, Z16) for v in vals], fanin_cap=cap),
+    )
+    assert np.array_equal(reconst(*z), vals.max(axis=0).astype(np.uint16))
+    assert sess.rounds == P.maxn_rounds(n_vals, cap)
+
+
+@pytest.mark.parametrize("batch", OFFSET_BATCHES)
+def test_msnzb_matches_its_one_hot_oracle_at_bit_offsets(batch):
+    rng = np.random.default_rng(batch)
+    # Shifted draws put the highest set bit at every position, and zero.
+    vals = rng.integers(0, 1 << 16, batch, dtype=np.uint64) >> rng.integers(
+        0, 17, batch, dtype=np.uint64)
+    vals[0] = 0
+    sess, out = run(
+        batch,
+        P.msnzb_manifest(batch),
+        lambda s: P.msnzb(s.store, [
+            s.share_input((vals >> np.uint64(j)) & np.uint64(1), BOOL) for j in range(16)]),
+    )
+    one_hot = np.stack([(vals >> np.uint64(j)) == 1 for j in range(16)])
+    assert np.array_equal(np.stack([reconst(*plane) for plane in out]), one_hot.astype(np.uint8))
+    assert sess.rounds == 2
+    assert sess.bits == [72 * batch] * 2
+
+
+# ---------------------------------------------------------------------------
 # Table lookup
 
 def test_tlu_trivial_example():

@@ -337,6 +337,57 @@ def test_share_party_ids():
         Share(2, Z8, [1])
 
 
+@pytest.mark.parametrize("holder", [-1, 2])
+def test_trivial_refuses_a_holder_outside_the_two_parties(holder):
+    # Unchecked, -1 gave the value to party 1 and 2 raised a bare IndexError.
+    with pytest.raises(ShapeError):
+        trivial(holder, [1], Z8)
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=lambda r: f"z{r.width_bits}")
+@pytest.mark.parametrize("bad", [1.5, 2.5, np.float64(2.0), "3", None],
+                         ids=["1.5", "2.5", "integral-float", "str", "none"])
+def test_public_constants_must_be_integers(ring, bad, rng):
+    # Unchecked, 1.5 and 2.5 were truncated to 1 and 2.
+    pair = share([1, 0, 1], ring, rng)
+    for op in (const_add, const_mult):
+        with pytest.raises(DomainError):
+            op(bad, pair)
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=lambda r: f"z{r.width_bits}")
+def test_public_constants_reduce_mod_the_ring(ring, rng):
+    # Unchecked, -1 and 2^70 raised a bare OverflowError.
+    vals = [0, 1, ring.modulus - 1]
+    pair = share(vals, ring, rng)
+    for c in (-1, 2**70, 2**70 + 3, ring.modulus + 5, np.int64(-3), True):
+        r = int(c) % ring.modulus
+        for op, want in ((const_add, [(v + r) % ring.modulus for v in vals]),
+                         (const_mult, [v * r % ring.modulus for v in vals])):
+            assert reconst(*op(c, pair)).tolist() == want, (op.__name__, c)
+
+
+@pytest.mark.parametrize("bad", [[2.7], np.array([2.7]), np.array([2.0]), ["7"], [None]],
+                         ids=["float", "float-array", "integral-float", "str", "none"])
+def test_share_refuses_non_integer_values(bad):
+    # Unchecked, [2.7] was truncated to [2].
+    for ring in RINGS:
+        with pytest.raises(DomainError):
+            Share(0, ring, bad)
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=lambda r: f"z{r.width_bits}")
+def test_share_reduces_integers_alike_in_any_container(ring):
+    # Unchecked, [300] at Z_2^8 raised OverflowError while np.array([300])
+    # wrapped to 44.
+    values = [300, -1, 2**64 - 1, 2**70 + 1, True]
+    want = np.array([v % ring.modulus for v in map(int, values)], dtype=ring.dtype)
+    for given in (values, [np.int64(300), np.int64(-1), np.uint64(2**64 - 1), 2**70 + 1, True]):
+        assert np.array_equal(Share(0, ring, given).values, want)
+    assert np.array_equal(Share(0, ring, np.array([300, -1])).values, want[:2])
+    assert np.array_equal(Share(0, ring, [300]).values, Share(0, ring, np.array([300])).values)
+
+
 def test_uniform_is_full_range_64(rng):
     vals = uniform(Z64, 10000, rng)
     assert vals.dtype == np.uint64
