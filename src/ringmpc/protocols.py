@@ -256,7 +256,6 @@ def overflow_1r(store: MaterialStore, x: SharePair):
         raise CapabilityError(
             f"no practical (n1, n2) split for width {n}; the gate banks grow as 2**n2")
     n1, n2 = OVF1R_SPLITS[n]
-    batch = x.batch
     y = x.v >> ring.dtype(n2)
     z = x.v & ring.dtype((1 << n2) - 1)
     (y0, y1), (z0, z1) = y, z
@@ -290,7 +289,7 @@ def overflow_1r(store: MaterialStore, x: SharePair):
     g4 = trivial(1, (z1 >= (1 << n2) - a2).ravel(), BOOL)
 
     banks = yield from bank(store, and_n, [[alpha0, alpha1], beta_inputs, [g1, g2, g3, g4]])
-    return fold_segments(banks, batch)
+    return fold_segments(banks, x.batch)
 
 
 def overflow_1r_manifest(ring: RingSpec, batch: int) -> list[Need]:
