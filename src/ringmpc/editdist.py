@@ -126,7 +126,3 @@ def edit_distance_manifest(length: int, pairs: int = 1) -> list[Need]:
         cells = len(_diag_rows(length, d)) * pairs
         needs += [need.scaled(cells) for need in cell]
     return needs
-
-
-def edit_distance_rounds(length: int) -> int:
-    return 8 * length - 1

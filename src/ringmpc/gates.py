@@ -202,13 +202,3 @@ def fanin_schedule(total_inputs: int, max_fanin: int) -> list[list[int]]:
         layers.append(fans)
         width = len(fans)
     return layers
-
-
-def schedule_rounds(layers: list[list[int]]) -> int:
-    return sum(1 for layer in layers if any(f >= 2 for f in layer))
-
-
-def schedule_gate_bits(layers: list[list[int]], width_bits: int, batch: int = 1) -> int:
-    """Per-party online bits of the layered plan: each gate costs
-    fan-in * width per element."""
-    return sum(f * width_bits * batch for layer in layers for f in layer if f >= 2)

@@ -15,7 +15,11 @@ reproduced exactly.
 
 Every gate round runs through ``gates.bank``, the one caller of
 ``take_bte``: gates of equal fan-in share one stacked table, taken in
-ascending fan-in order. MSNZB and the two-round overflow share one block
+ascending fan-in order. One layered reducer (``_reduce``) builds every
+gate tree: equality's OR layers, the baseline's 2-OR tree and N-Max's AND
+layers. One selector construction (``_selector_terms``) gives 3-Max/3-Min,
+Argmax/Argmin and N-Max their selector terms from one comparison over
+every pair of values. MSNZB and the two-round overflow share one block
 scan (``_block_scan``): suffix ORs inside each block, then one AND per
 block with the emptiness of every higher block.
 """
@@ -46,6 +50,7 @@ from .ring import (
     fold_segments,
     not_,
     pack_lanes,
+    slice_pair,
     split_pair,
     sub,
     sub_mirror,
@@ -95,6 +100,19 @@ def _plane(pair: SharePair, j: int) -> SharePair:
     return SharePair(BOOL, bit_plane(pair.v, j), pair.batch)
 
 
+def _reduce(store: MaterialStore, op, pairs: list[SharePair], layers: list[list[int]]):
+    """A layered tree of ``op`` gates over ``pairs``, one ``bank`` call per
+    layer. Each layer lists fan-ins, as ``gates.fanin_schedule`` does, that
+    cut the current list in order; a fan-in of 1 passes its pair on without
+    a gate. Returns the last layer's outputs."""
+    for layer in layers:
+        ends = list(accumulate(layer, initial=0))
+        groups = [pairs[lo:hi] for lo, hi in zip(ends, ends[1:])]
+        done = iter((yield from bank(store, op, [g for g in groups if len(g) > 1])))
+        pairs = [next(done) if len(g) > 1 else g[0] for g in groups]
+    return pairs
+
+
 # ---------------------------------------------------------------------------
 # Equality
 
@@ -102,15 +120,8 @@ def equality(store: MaterialStore, x: SharePair, y: SharePair):
     """z = 1 iff x == y. Two rounds; n + (#blocks) bits per party."""
     _check_arith(x)
     plan = EQ_PLANS[x.ring.width_bits]
-
-    t = sub_mirror(x, y)  # t0 == t1 elementwise iff x == y
-    planes = bit_decompose_local(t)
-    blocks, pos = [], 0
-    for width in plan:
-        blocks.append(planes[pos:pos + width])
-        pos += width
-    level1 = yield from bank(store, or_n, blocks)
-    (top,) = yield from bank(store, or_n, [level1])
+    planes = bit_decompose_local(sub_mirror(x, y))  # equal shares iff x == y
+    (top,) = yield from _reduce(store, or_n, planes, [plan, [len(plan)]])
     return not_(top)
 
 
@@ -121,13 +132,9 @@ def equality_manifest(ring: RingSpec, batch: int) -> list[Need]:
 def baseline_equality(store: MaterialStore, x: SharePair, y: SharePair):
     """Two-fan-in-only equality: a 2-OR tree over the difference bits."""
     _check_arith(x)
-    cur = bit_decompose_local(sub_mirror(x, y))
-    while len(cur) > 1:
-        nxt = yield from bank(store, or_n, [cur[g:g + 2] for g in range(0, len(cur) - 1, 2)])
-        if len(cur) % 2:
-            nxt.append(cur[-1])
-        cur = nxt
-    return not_(cur[0])
+    planes = bit_decompose_local(sub_mirror(x, y))
+    (top,) = yield from _reduce(store, or_n, planes, fanin_schedule(len(planes), 2))
+    return not_(top)
 
 
 def baseline_equality_manifest(ring: RingSpec, batch: int) -> list[Need]:
@@ -232,13 +239,11 @@ def overflow_2r(store: MaterialStore, x: SharePair, k: int):
         raise DomainError(f"k={k} outside [1, {n}]")
     dplanes, zero_flag = _overflow_planes(x, k)
 
-    # Block i (0 = most significant) covers positions [lo_i, hi_i) and
-    # ANDs its hits, the u bits and i emptiness bits: fan-in 2 + i.
-    spans, hi = [], n
-    for width in OVF_BLOCKS[n]:
-        spans.append((hi - width, hi))
-        hi -= width
-    blocks = yield from _block_scan(store, dplanes, spans, u_bits=True)
+    # Block i (0 = most significant) covers positions [lo_i, hi_i), the
+    # edges running down from n, and ANDs its hits, the u bits and i
+    # emptiness bits: fan-in 2 + i.
+    ends = list(accumulate(OVF_BLOCKS[n], lambda hi, width: hi - width, initial=n))
+    blocks = yield from _block_scan(store, dplanes, list(zip(ends[1:], ends)), u_bits=True)
     return _overflow_out(fold_segments(blocks, x.batch), zero_flag)
 
 
@@ -442,21 +447,38 @@ def bcx2a_manifest(ring: RingSpec, batch: int) -> list[Need]:
 # ---------------------------------------------------------------------------
 # Max / Min / Argmax
 
-def _compare_all3(store, xs, smallest):
-    x_side = concat_pairs([xs[0], xs[0], xs[1]])
-    y_side = concat_pairs([xs[1], xs[2], xs[2]])
+def _selector_terms(store, xs: list[SharePair], smallest: bool):
+    """The N - 1 AND terms of the N selectors of the largest (with
+    ``smallest``, the smallest) of ``xs``, lowest index winning ties.
+
+    One comparison runs stacked over every pair i < j in (i, j) order;
+    c[i, j] says x_i loses to x_j. Selector j is set when every earlier
+    value lost to x_j and no later value beat it. Each term is one pair
+    stacked over the N selectors: term s of selector j is c[s, j] for
+    s < j, else NOT c[j, s + 1]."""
+    n_vals = len(xs)
+    idx_pairs = [(i, j) for i in range(n_vals) for j in range(i + 1, n_vals)]
+    x_side = concat_pairs([xs[i] for i, _ in idx_pairs])
+    y_side = concat_pairs([xs[j] for _, j in idx_pairs])
     if smallest:
         x_side, y_side = y_side, x_side
     c = yield from comparison(store, x_side, y_side)
-    return split_pair(c, 3)
+    cmap = dict(zip(idx_pairs, split_pair(c, len(idx_pairs))))
+    return concat_each([
+        [cmap[(s, j)] if s < j else not_(cmap[(j, s + 1)]) for j in range(n_vals)]
+        for s in range(n_vals - 1)
+    ])
+
+
+def _check_three(xs: list[SharePair]):
+    if len(xs) != 3:
+        raise ShapeError("expected three inputs")
 
 
 def _extreme3(store, xs, smallest):
-    if len(xs) != 3:
-        raise ShapeError("expected three inputs")
-    c01, c02, c12 = yield from _compare_all3(store, xs, smallest)
-    sel_b = concat_pairs([not_(c01), c01, c02])
-    sel_c = concat_pairs([not_(c02), not_(c12), c12])
+    """One BCX2A over both selector terms and the three values."""
+    _check_three(xs)
+    sel_b, sel_c = yield from _selector_terms(store, xs, smallest)
     t = yield from bcx2a(store, sel_b, sel_c, concat_pairs(xs))
     return fold_segments([t], xs[0].batch)
 
@@ -480,25 +502,26 @@ def max3_manifest(ring: RingSpec, batch: int) -> list[Need]:
 min3_manifest = max3_manifest  # same takes; only the comparison sides differ
 
 
-def _argextreme3(store, xs, ring, smallest):
-    c01, c02, c12 = yield from _compare_all3(store, xs, smallest)
-    sel_b = concat_pairs([c01, c02])
-    sel_c = concat_pairs([not_(c12), c12])
-    t = yield from bc2a(store, sel_b, sel_c, ring)
+def _argextreme3(store, xs, smallest):
+    """1 * sel_1 + 2 * sel_2: one BC2A over selectors 1 and 2 of both
+    terms (elements ``[batch, 3 * batch)``); selector 0 weighs nothing."""
+    _check_three(xs)
+    batch = xs[0].batch
+    terms = yield from _selector_terms(store, xs, smallest)
+    sel_b, sel_c = (slice_pair(term, batch, 3 * batch) for term in terms)
+    t = yield from bc2a(store, sel_b, sel_c, xs[0].ring)
     t1, t2 = split_pair(t, 2)
     return add(t1, const_mult(2, t2))
 
 
 def argmax3(store: MaterialStore, xs: list[SharePair]):
     """Index of the largest of three values (lowest index wins ties)."""
-    ring = xs[0].ring
-    result = yield from _argextreme3(store, xs, ring, smallest=False)
+    result = yield from _argextreme3(store, xs, smallest=False)
     return result
 
 
 def argmin3(store: MaterialStore, xs: list[SharePair]):
-    ring = xs[0].ring
-    result = yield from _argextreme3(store, xs, ring, smallest=True)
+    result = yield from _argextreme3(store, xs, smallest=True)
     return result
 
 
@@ -511,50 +534,25 @@ argmin3_manifest = argmax3_manifest  # same takes; only the comparison sides dif
 
 def maxn(store: MaterialStore, xs: list[SharePair], fanin_cap: int = DEFAULT_FANIN_CAP,
          smallest: bool = False):
-    """Max (or min) of N > 3 values: all N(N-1)/2 comparisons in parallel,
-    a layered AND for the N selector bits, then one BX2A round whose N
-    products are summed by one ``fold_segments``.
-
-    Each AND term is one pair stacked over all N selectors, so a layer's
-    gates take slices of the term list, and their outputs are the next
-    layer's terms."""
+    """Max (or min) of N > 3 values: the selector terms of all N(N-1)/2
+    comparisons in parallel, ANDed by the layered reducer under
+    ``fanin_cap``, then one BX2A round whose N products are summed by one
+    ``fold_segments``. Each term is one pair stacked over all N selectors,
+    so every gate of a layer serves all N of them."""
     n_vals = len(xs)
     if n_vals <= 3:
         raise ShapeError("maxn expects more than three inputs")
     if n_vals > MAXN_CAP:
         raise CapabilityError(f"maxn capped at {MAXN_CAP} inputs")
-    batch = xs[0].batch
-    idx_pairs = [(i, j) for i in range(n_vals) for j in range(i + 1, n_vals)]
-    x_side = concat_pairs([xs[i] for i, _ in idx_pairs])
-    y_side = concat_pairs([xs[j] for _, j in idx_pairs])
-    if smallest:
-        x_side, y_side = y_side, x_side
-    c = yield from comparison(store, x_side, y_side)
-    cmap = dict(zip(idx_pairs, split_pair(c, len(idx_pairs))))
-
-    # Selector j: every earlier value lost and no later value won. Term s
-    # of selector j is cmap[(s, j)] for s < j, else NOT cmap[(j, s + 1)].
-    terms = concat_each([
-        [cmap[(s, j)] if s < j else not_(cmap[(j, s + 1)]) for j in range(n_vals)]
-        for s in range(n_vals - 1)
-    ])
-    for layer in fanin_schedule(n_vals - 1, fanin_cap):
-        ends = list(accumulate(layer, initial=0))
-        groups = [terms[lo:hi] for lo, hi in zip(ends, ends[1:])]
-        anded = iter((yield from bank(store, and_n, [g for g in groups if len(g) > 1])))
-        terms = [next(anded) if len(group) > 1 else group[0] for group in groups]
-
-    prod = yield from bx2a(store, terms[0], concat_pairs(xs))
-    return fold_segments([prod], batch)
+    terms = yield from _selector_terms(store, xs, smallest)
+    (sel,) = yield from _reduce(store, and_n, terms, fanin_schedule(n_vals - 1, fanin_cap))
+    prod = yield from bx2a(store, sel, concat_pairs(xs))
+    return fold_segments([prod], xs[0].batch)
 
 
 def maxn_manifest(ring: RingSpec, n_vals: int, batch: int,
                   fanin_cap: int = DEFAULT_FANIN_CAP) -> list[Need]:
     return derive_manifest(maxn, _zeros(ring, n_vals), fanin_cap, batch=batch)
-
-
-def maxn_rounds(n_vals: int, fanin_cap: int = DEFAULT_FANIN_CAP) -> int:
-    return 3 + len(fanin_schedule(n_vals - 1, fanin_cap)) + 1
 
 
 # ---------------------------------------------------------------------------

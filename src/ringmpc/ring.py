@@ -128,8 +128,7 @@ class Share:
     values: np.ndarray
 
     def __post_init__(self):
-        if self.party_id not in (0, 1):
-            raise ShapeError(f"party_id must be 0 or 1, got {self.party_id}")
+        self.party_id = _party(self.party_id, "party_id")
         self.values = np.atleast_1d(_integers(self.values, self.ring))
 
     def __len__(self):
@@ -171,6 +170,15 @@ class SharePair:
     def __iter__(self):
         yield self[0]
         yield self[1]
+
+
+def _party(party, what: str) -> int:
+    """``party`` as the plain int 0 or 1; bools, floats and any other
+    value raise ShapeError."""
+    is_int = isinstance(party, (int, np.integer)) and not isinstance(party, bool)
+    if not (is_int and party in (0, 1)):
+        raise ShapeError(f"{what} must be the integer 0 or 1, got {party!r}")
+    return int(party)
 
 
 def _pair(ring: RingSpec, v: np.ndarray, batch: int) -> SharePair:
@@ -445,8 +453,7 @@ def trivial(holder: int, values, ring: RingSpec) -> SharePair:
     """Lift a plaintext of bools or integers in ``[0, 2^n)`` held in the
     clear by one party into a share pair (v, 0) or (0, v). No
     communication."""
-    if holder not in (0, 1):
-        raise ShapeError(f"holder must be party 0 or 1, got {holder}")
+    holder = _party(holder, "holder")
     values = np.atleast_1d(plaintext(values, ring.modulus))
     v = np.zeros((2, ring.cols(len(values))), dtype=ring.word)
     v[holder] = to_layout(ring, values)

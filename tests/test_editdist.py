@@ -5,7 +5,7 @@ import pytest
 from conftest import edit_distance_oracle
 
 from ringmpc import editdist as E
-from ringmpc.engine import CostModel, Session
+from ringmpc.engine import Session
 from ringmpc.errors import DomainError, ShapeError
 from ringmpc.ring import reconst
 
@@ -83,16 +83,6 @@ def test_mismatch_matrix():
         assert np.array_equal(got[:, :, p], expect)
     assert sess.rounds == 3
     assert sess.store.is_empty()
-
-
-def test_round_formula():
-    for length in (4, 8, 16):
-        assert E.edit_distance_rounds(length) == 8 * length - 1
-
-
-def test_cl_model_at_l128():
-    model = CostModel()
-    assert E.edit_distance_rounds(128) * model.rtt_ms == pytest.approx(40920.0)
 
 
 def test_alphabet_and_shape_validation():

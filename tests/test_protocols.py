@@ -343,15 +343,16 @@ def exhaustive_triples(limit=8):
     return vals
 
 
-@pytest.mark.parametrize(
-    "name,proto,manifest,oracle",
-    [
-        ("max3", P.max3, P.max3_manifest, lambda v: v.max(axis=1)),
-        ("min3", P.min3, P.min3_manifest, lambda v: v.min(axis=1)),
-        ("argmax3", P.argmax3, P.argmax3_manifest, lambda v: v.argmax(axis=1)),
-        ("argmin3", P.argmin3, P.argmin3_manifest, lambda v: v.argmin(axis=1)),
-    ],
-)
+# numpy argmax/argmin break ties at the lowest index, same as the protocols.
+EXTREMA3 = [
+    ("max3", P.max3, P.max3_manifest, lambda v: v.max(axis=1)),
+    ("min3", P.min3, P.min3_manifest, lambda v: v.min(axis=1)),
+    ("argmax3", P.argmax3, P.argmax3_manifest, lambda v: v.argmax(axis=1)),
+    ("argmin3", P.argmin3, P.argmin3_manifest, lambda v: v.argmin(axis=1)),
+]
+
+
+@pytest.mark.parametrize("name,proto,manifest,oracle", EXTREMA3)
 def test_extremum3_exhaustive_with_ties(name, proto, manifest, oracle):
     vals = exhaustive_triples()
     batch = len(vals)
@@ -360,9 +361,19 @@ def test_extremum3_exhaustive_with_ties(name, proto, manifest, oracle):
         manifest(Z16, batch),
         lambda s: proto(s.store, [s.share_input(vals[:, i], Z16) for i in range(3)]),
     )
-    # numpy argmax/argmin break ties at the lowest index, same as the protocol
     assert np.array_equal(reconst(*z), oracle(vals).astype(np.uint16))
     assert sess.rounds == 4
+
+
+@pytest.mark.parametrize("count", [2, 4])
+@pytest.mark.parametrize("name,proto,manifest,oracle", EXTREMA3)
+def test_extremum3_refuses_other_input_counts(name, proto, manifest, oracle, count):
+    # Unchecked, argmax3 ignored a fourth value and raised a bare
+    # IndexError on two.
+    sess = Session(seed=0)
+    xs = [sess.share_input([1], Z16) for _ in range(count)]
+    with pytest.raises(ShapeError):
+        next(proto(sess.store, xs))
 
 
 @pytest.mark.parametrize("width", [16, 32, 64])
@@ -419,7 +430,7 @@ def test_maxn(n_vals):
         lambda s: P.maxn(s.store, [s.share_input(v, Z16) for v in vals]),
     )
     assert np.array_equal(reconst(*z), vals.max(axis=0).astype(np.uint16))
-    assert sess.rounds == P.maxn_rounds(n_vals)
+    assert sess.rounds == 5  # 3 (comparison) + 1 (one AND layer at cap 9) + 1 (BX2A)
 
 
 def test_maxn_smallest():
@@ -433,10 +444,6 @@ def test_maxn_smallest():
                          smallest=True),
     )
     assert np.array_equal(reconst(*z), vals.min(axis=0).astype(np.uint16))
-
-
-def test_maxn_round_formula_example():
-    assert P.maxn_rounds(4) == 5  # (N-1)-AND fits one layer
 
 
 def test_maxn_comparison_count():
@@ -464,6 +471,43 @@ OFFSET_BATCHES = [1, 63, 65, 130]
 
 
 @pytest.mark.parametrize("batch", OFFSET_BATCHES)
+@pytest.mark.parametrize("width", [8, 16, 32, 64])
+@pytest.mark.parametrize("proto,manifest,rounds", [
+    (P.equality, P.equality_manifest, lambda width: 2),
+    (P.baseline_equality, P.baseline_equality_manifest, lambda width: width.bit_length() - 1),
+], ids=["equality", "baseline"])
+def test_equality_at_bit_offsets(proto, manifest, rounds, width, batch):
+    ring = RINGS[width]
+    rng = np.random.default_rng([width, batch])
+    xv = rand(rng, ring, batch)
+    yv = rand(rng, ring, batch)
+    yv[::3] = xv[::3]
+    # Another third differs from x in one bit, so every plane decides.
+    flips = rng.integers(0, width, len(yv[1::3])).astype(ring.dtype)
+    yv[1::3] = xv[1::3] ^ (ring.dtype(1) << flips)
+    sess, z = run(batch, manifest(ring, batch),
+                  lambda s: proto(s.store, s.share_input(xv, ring), s.share_input(yv, ring)))
+    assert np.array_equal(reconst(*z), (xv == yv).astype(np.uint8))
+    assert sess.rounds == rounds(width)
+
+
+@pytest.mark.parametrize("batch", OFFSET_BATCHES)
+@pytest.mark.parametrize("name,proto,manifest,oracle", EXTREMA3)
+def test_extremum3_at_bit_offsets(name, proto, manifest, oracle, batch):
+    # Argmax/Argmin cut their selectors at [batch, 3 * batch) of each term.
+    rng = np.random.default_rng(batch)
+    # Three draws from four values: ties in most elements.
+    vals = rng.choice(rand(rng, Z16, 4, high=1 << 15), size=(batch, 3))
+    sess, z = run(
+        batch,
+        manifest(Z16, batch),
+        lambda s: proto(s.store, [s.share_input(vals[:, i], Z16) for i in range(3)]),
+    )
+    assert np.array_equal(reconst(*z), oracle(vals).astype(np.uint16))
+    assert sess.rounds == 4
+
+
+@pytest.mark.parametrize("batch", OFFSET_BATCHES)
 @pytest.mark.parametrize("ring", [Z8, Z16], ids=["z8", "z16"])
 def test_overflow_1r_at_bit_offsets(ring, batch):
     rng = np.random.default_rng([ring.width_bits, batch])
@@ -481,6 +525,16 @@ def test_overflow_1r_at_bit_offsets(ring, batch):
     assert sess.rounds == 1
 
 
+# Comparison (3) + the AND layers of the N - 1 selector terms under the
+# cap + BX2A (1). At cap 2, four terms take two layers and five to seven
+# take three; at cap 3 every N here takes two; at cap 9 one.
+MAXN_ROUNDS = {
+    2: {5: 6, 6: 7, 7: 7, 8: 7},
+    3: {5: 6, 6: 6, 7: 6, 8: 6},
+    9: {5: 5, 6: 5, 7: 5, 8: 5},
+}
+
+
 @pytest.mark.parametrize("batch", OFFSET_BATCHES)
 @pytest.mark.parametrize("cap", [2, 3, 9])
 @pytest.mark.parametrize("n_vals", [5, 6, 7, 8])
@@ -494,7 +548,7 @@ def test_maxn_at_bit_offsets(n_vals, cap, batch):
         lambda s: P.maxn(s.store, [s.share_input(v, Z16) for v in vals], fanin_cap=cap),
     )
     assert np.array_equal(reconst(*z), vals.max(axis=0).astype(np.uint16))
-    assert sess.rounds == P.maxn_rounds(n_vals, cap)
+    assert sess.rounds == MAXN_ROUNDS[cap][n_vals]
 
 
 @pytest.mark.parametrize("batch", OFFSET_BATCHES)

@@ -344,6 +344,31 @@ def test_trivial_refuses_a_holder_outside_the_two_parties(holder):
         trivial(holder, [1], Z8)
 
 
+PARTY_MAKERS = {
+    "trivial": lambda party: trivial(party, [1], Z8),
+    "share": lambda party: Share(party, Z8, [1]),
+}
+
+
+@pytest.mark.parametrize("make", PARTY_MAKERS.values(), ids=PARTY_MAKERS.keys())
+@pytest.mark.parametrize("party", [1.0, 0.0, True, False, np.bool_(True), np.float64(1), "1", None],
+                         ids=["1.0", "0.0", "True", "False", "np-bool", "np-float", "str", "none"])
+def test_party_ids_must_be_the_integers_0_and_1(make, party):
+    # Compared with ``in (0, 1)``, 1.0 raised a bare IndexError in trivial,
+    # and True was taken as party 1.
+    with pytest.raises(ShapeError):
+        make(party)
+
+
+@pytest.mark.parametrize("party", [0, 1, np.int64(1), np.uint8(0)],
+                         ids=["0", "1", "np-int64", "np-uint8"])
+def test_party_ids_accept_python_and_numpy_integers(party):
+    share_ = Share(party, Z8, [5])
+    assert type(share_.party_id) is int and share_.party_id == party
+    pair = trivial(party, [5], Z8)
+    assert reconst(*pair)[0] == 5 and pair.v[int(party)][0] == 5
+
+
 @pytest.mark.parametrize("ring", RINGS, ids=lambda r: f"z{r.width_bits}")
 @pytest.mark.parametrize("bad", [1.5, 2.5, np.float64(2.0), "3", None],
                          ids=["1.5", "2.5", "integral-float", "str", "none"])

@@ -20,16 +20,10 @@ from ringmpc.dealer import Need
 from ringmpc.editdist import edit_distance, edit_distance_manifest, share_strings
 from ringmpc.engine import Session, derive_manifest
 from ringmpc.gates import and_n, mult_n
-from ringmpc.ring import BOOL, RingSpec, Share, Z64, const_pair
+from ringmpc.ring import BOOL, RingSpec, Share, Z64
 
 SEED = 7
 BATCH = 3
-
-
-class _ZeroSharer:
-    @staticmethod
-    def share_input(x, ring):
-        return const_pair(0, ring, np.size(x))
 
 
 def _shares(out):
@@ -65,8 +59,8 @@ def _digest(sess, needs, out) -> str:
 def _run_protocol(proto, build, ring):
     sess = Session(seed=SEED)
     args = build(sess, np.random.default_rng(SEED), ring, BATCH)
-    needs = derive_manifest(proto, *build(_ZeroSharer(), np.random.default_rng(0), ring, 1),
-                            batch=BATCH)
+    zeros = build(bench._ZeroSharer(), np.random.default_rng(0), ring, 1)
+    needs = derive_manifest(proto, *zeros, batch=BATCH)
     sess.provision(needs)
     return _digest(sess, needs, sess.run(proto(sess.store, *args)))
 
