@@ -13,7 +13,7 @@ import time
 
 import numpy as np
 
-from .dealer import DEFAULT_FANIN_CAP, check_fan_in
+from .dealer import check_fan_in
 from .editdist import (
     MAX_LENGTH,
     edit_distance,
@@ -22,7 +22,7 @@ from .editdist import (
 )
 from .engine import CostModel, Session, derive_manifest
 from .errors import DomainError
-from .gates import and_n, bank, mult_n, or_n
+from .gates import DEFAULT_FANIN_CAP, and_n, bank, mult_n, or_n
 from . import protocols as P
 from .ring import BOOL, RingSpec, const_pair
 
@@ -179,8 +179,9 @@ def run_bench(target: str, name: str = "", ring_width: int = 32, batch: int = 1,
         raise DomainError(f"batch {batch} must be at least 1")
     if seed < 0:
         raise DomainError(f"seed {seed} must be non-negative")
+    check_fan_in(fanin_cap)  # the cap is itself a fan-in the dealer must meet
     model = CostModel(bandwidth_bits_per_ms, rtt_ms)
-    sess = Session(seed=seed, fanin_cap=fanin_cap)
+    sess = Session(seed=seed)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xB]))
     ring = RingSpec(ring_width)
 

@@ -13,9 +13,9 @@ import json
 import sys
 
 from .bench import ROW_FIELDS, run_bench
-from .dealer import DEFAULT_FANIN_CAP
 from .engine import CostModel
 from .errors import RingmpcError
+from .gates import DEFAULT_FANIN_CAP
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -28,7 +28,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="gate (e.g. 2-AND, 3-MULT) or protocol name")
     p.add_argument("--ring", type=int, default=32, choices=[16, 32, 64])
     p.add_argument("--batch", type=int, default=1)
-    p.add_argument("--fanin-cap", type=int, default=DEFAULT_FANIN_CAP)
+    p.add_argument("--fanin-cap", type=int, default=DEFAULT_FANIN_CAP,
+                   help="widest gate of a maxN protocol's AND layers, and of a "
+                        "gate name; at least 2 and at most the dealer's 16")
     p.add_argument("--bandwidth-bits-per-ms", type=float,
                    default=CostModel.bandwidth_bits_per_ms)
     p.add_argument("--rtt-ms", type=float, default=CostModel.rtt_ms)

@@ -24,7 +24,6 @@ from .errors import (
 )
 from .ring import RINGS, RingSpec, SharePair, from_layout, share, to_layout, uniform_rows
 
-DEFAULT_FANIN_CAP = 9
 MAX_FANIN = 16  # a fan-in-N table holds 2**N - 1 entries per element
 
 
@@ -105,7 +104,7 @@ def table_layout(fan_in: int, ring: RingSpec, batch: int) -> tuple[tuple[int, in
     return ((1 << fan_in) - 1, ring.cols(batch)), ring.word
 
 
-def check_fan_in(fan_in: int, cap: int):
+def check_fan_in(fan_in: int, cap: int = MAX_FANIN):
     """Refuse a BTE table outside fan-in [2, cap]: it has 2**fan_in - 1 entries."""
     if not 2 <= fan_in <= cap:
         raise CapabilityError(
@@ -121,13 +120,11 @@ def check_b2a_ring(ring: RingSpec):
 class Dealer:
     """Generates BTE tables, B2A material, and input shares from one seeded
     generator. ``draw_count`` counts uniform-vector draws, which lets tests
-    pin the per-instance randomness budget."""
+    pin the per-instance randomness budget. It refuses only tables of a
+    fan-in outside [2, MAX_FANIN]; a plan's lower cap is the plan's to keep."""
 
-    def __init__(self, rng: np.random.Generator, fanin_cap: int = DEFAULT_FANIN_CAP):
-        if fanin_cap > MAX_FANIN:
-            raise CapabilityError(f"fan-in cap {fanin_cap} above the maximum {MAX_FANIN}")
+    def __init__(self, rng: np.random.Generator):
         self.rng = rng
-        self.fanin_cap = fanin_cap
         self.draw_count = 0
 
     def _draw(self, ring: RingSpec, rows: int, batch: int) -> np.ndarray:
@@ -145,7 +142,7 @@ class Dealer:
         are ``ring.uniform_rows`` arrays in that layout; at width 1 their
         padding lanes are zero, and AND and XOR keep them zero.
         """
-        check_fan_in(fan_in, self.fanin_cap)
+        check_fan_in(fan_in)
         singles = self._draw(ring, fan_in, batch)
         s0 = self._draw(ring, (1 << fan_in) - 1, batch)
         plain = np.empty_like(s0)
@@ -182,7 +179,7 @@ class Dealer:
         if need.width not in RINGS:
             raise DomainError(f"unsupported ring width {need.width}")
         if need.kind == "bte":
-            check_fan_in(need.fan_in, self.fanin_cap)
+            check_fan_in(need.fan_in)
         elif need.kind == "b2a":
             check_b2a_ring(RINGS[need.width])
         else:

@@ -58,7 +58,7 @@ def share_strings(strings, dealer: Dealer) -> GenomeShareString:
 
 def _gather(pair: SharePair, idx: np.ndarray) -> SharePair:
     """Party-local fancy indexing: pure data movement, no communication."""
-    return SharePair(pair.ring, pair.v[:, idx])
+    return SharePair(pair.ring, pair.v[:, idx], len(idx))
 
 
 def _diag_rows(length: int, d: int) -> np.ndarray:

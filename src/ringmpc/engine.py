@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dealer import DEFAULT_FANIN_CAP, Dealer, MaterialStore, Need, RecordingStore
+from .dealer import Dealer, MaterialStore, Need, RecordingStore
 from .errors import DomainError, MaterialError, ProtocolDesyncError, ShapeError
 from .ring import RINGS, RingSpec, from_layout
 
@@ -127,10 +127,10 @@ class Transcript:
 class Session:
     """Paired party engines plus the dealer, material store, and ledgers."""
 
-    def __init__(self, seed: int = 0, fanin_cap: int = DEFAULT_FANIN_CAP):
+    def __init__(self, seed: int = 0):
         ss = np.random.SeedSequence(seed)
         (k_dealer,) = ss.spawn(1)
-        self.dealer = Dealer(np.random.default_rng(k_dealer), fanin_cap=fanin_cap)
+        self.dealer = Dealer(np.random.default_rng(k_dealer))
         self.store = MaterialStore()
         self.rounds = 0
         self.bits = [0, 0]  # outbound bits per party

@@ -32,6 +32,10 @@ from .ring import SharePair, concat_each, cut_each, not_
 # block width in columns, not a cache budget.
 _FOLD_COLS = 4096
 
+# The widest gate of a layered plan (``fanin_schedule``) unless a caller
+# sets another cap; the dealer makes tables up to ``dealer.MAX_FANIN``.
+DEFAULT_FANIN_CAP = 9
+
 
 def _validate(inputs, t0: BteTable, t1: BteTable):
     n = len(inputs)
@@ -81,7 +85,7 @@ def mult_n(inputs: list[SharePair], t0: BteTable, t1: BteTable):
     out[0] = ring.one
     out[1] = 0
     _fold_blocks((t0.rows, t1.rows), opened, out, ring.mul, ring.add)
-    return SharePair(ring, out, inputs[0].n)  # at width 1 the first fold cleared the padding
+    return SharePair(ring, out, batch)  # at width 1 the first fold cleared the padding
 
 
 def _fold_blocks(tables, opened, out: np.ndarray, mul, add):

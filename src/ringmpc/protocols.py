@@ -30,10 +30,10 @@ from itertools import accumulate
 
 import numpy as np
 
-from .dealer import DEFAULT_FANIN_CAP, MaterialStore, Need
+from .dealer import MaterialStore, Need
 from .engine import ExchangeItem, derive_manifest
 from .errors import CapabilityError, DomainError, ShapeError
-from .gates import and_n, bank, fanin_schedule, mult_n, or_n
+from .gates import DEFAULT_FANIN_CAP, and_n, bank, fanin_schedule, mult_n, or_n
 from .ring import (
     BOOL,
     RingSpec,
@@ -371,7 +371,7 @@ def b2a(store: MaterialStore, x: SharePair, ring: RingSpec):
     ((xp, xpp),) = yield [ExchangeItem(z[0] - mat.a, z[1] - mat.b, ring.width_bits, x.batch)]
     z[0] -= 2 * (xp * xpp + xpp * mat.a + mat.c0)
     z[1] -= 2 * (xp * mat.b + mat.c1)
-    return SharePair(ring, z)
+    return SharePair(ring, z, x.batch)
 
 
 def b2a_manifest(ring: RingSpec, batch: int) -> list[Need]:
@@ -388,7 +388,8 @@ def _lifts(pair: SharePair, ring: RingSpec):
     lifts[1, 1] = bits[1]
     lifts[2, 0] = bits[0] ^ 1
     lifts[3, 1] = bits[1] ^ 1
-    return (SharePair(ring, bits.astype(ring.dtype)), *(SharePair(ring, v) for v in lifts))
+    return (SharePair(ring, bits.astype(ring.dtype), pair.batch),
+            *(SharePair(ring, v, pair.batch) for v in lifts))
 
 
 def bx2a(store: MaterialStore, b: SharePair, x: SharePair):

@@ -1,20 +1,21 @@
 """Arithmetic over Z_2^n, additive/XOR secret shares, and local share algebra.
 
-A share pair is one two-row array, row i being party i's share
-(``SharePair``); a scalar is a batch of one. Above width 1 the array is
-``(2, batch)`` in the ring's dtype. Width 1 is the boolean domain, where
-addition and subtraction coincide with XOR and multiplication with AND:
-there the array is ``(2, ceil(batch/64))`` uint64 words, 64 lanes per word
-in ``pack_lanes`` layout (little-endian lane order, padding lanes zero),
-the layout of boolean BTE tables and of boolean gate payloads too. Each
-local op is one numpy operation over both rows, on words at width 1, and
-batch plumbing concatenates, slices and splits along the batch axis, at
-bit offsets at width 1. ``RingSpec`` owns this layout (``word``,
-``lanes``, ``cols``); ``uniform_rows`` draws it, and ``to_layout`` and
-``from_layout`` convert ring elements to and from it, so no caller builds
-it by width. ``Share`` is the per-party view in ring elements: ``pair[i]``
-is party i's share (unpacked to one uint8 per bit at width 1), so
-``reconst(*pair)`` opens a pair.
+A share pair is one two-row array, row i being party i's share, and its
+batch (``SharePair``); a scalar is a batch of one. Above width 1 the array
+is ``(2, batch)`` in the ring's dtype. Width 1 is the boolean domain,
+where addition and subtraction coincide with XOR and multiplication with
+AND: there the array is ``(2, ceil(batch/64))`` uint64 words, 64 lanes per
+word in ``pack_lanes`` layout (little-endian lane order, padding lanes
+zero), the layout of boolean BTE tables and of boolean gate payloads too.
+Each local op is one numpy operation over both rows, on words at width 1,
+and batch plumbing concatenates, slices and splits along the batch axis:
+by whole layout columns when every piece starts on one (always above
+width 1), at bit offsets only for boolean pieces that do not. ``RingSpec``
+owns this layout (``word``, ``lanes``, ``cols``); ``uniform_rows`` draws
+it, and ``to_layout`` and ``from_layout`` convert ring elements to and
+from it, so no caller builds it by width. ``Share`` is the per-party view
+in ring elements: ``pair[i]`` is party i's share (unpacked to one uint8
+per bit at width 1), so ``reconst(*pair)`` opens a pair.
 """
 from __future__ import annotations
 
@@ -138,10 +139,11 @@ class Share:
 @dataclass(eq=False, slots=True)
 class SharePair:
     """Both parties' shares of one secret vector: ``v`` is one two-row
-    array whose row i is party i's share. Above width 1 it is ``(2,
-    batch)`` in the ring's dtype. At width 1 it is ``(2, ceil(n/64))``
-    uint64 words in ``pack_lanes`` layout with zero padding lanes, and
-    ``n`` is the logical batch; ``n`` is unused above width 1.
+    array whose row i is party i's share, and ``batch`` is the number of
+    elements in each row, at every width. Above width 1 ``v`` is ``(2,
+    batch)`` in the ring's dtype. At width 1 it is ``(2,
+    ceil(batch/64))`` uint64 words in ``pack_lanes`` layout with zero
+    padding lanes.
 
     The constructor trusts its arguments; the local ops below keep ``v`` in
     the ring and the padding lanes zero. Pairs built by hand from two
@@ -152,17 +154,13 @@ class SharePair:
 
     ring: RingSpec
     v: np.ndarray
-    n: int | None = None
+    batch: int
 
     @classmethod
     def of(cls, s0: Share, s1: Share) -> "SharePair":
         """Pair party 0's and party 1's shares of one ring and batch."""
         _check_pair(s0, s1)
-        return _pair(s0.ring, to_layout(s0.ring, np.stack((s0.values, s1.values))), len(s0))
-
-    @property
-    def batch(self) -> int:
-        return self.v.shape[1] if self.n is None else self.n
+        return cls(s0.ring, to_layout(s0.ring, np.stack((s0.values, s1.values))), len(s0))
 
     def __getitem__(self, party: int) -> Share:
         return Share(party, self.ring, from_layout(self.ring, self.v[party], self.batch))
@@ -181,11 +179,6 @@ def _party(party, what: str) -> int:
     return int(party)
 
 
-def _pair(ring: RingSpec, v: np.ndarray, batch: int) -> SharePair:
-    """The pair whose two layout rows ``v`` hold ``batch`` elements each."""
-    return SharePair(ring, v, batch if ring.is_boolean else None)
-
-
 def _check_pair(s0: Share, s1: Share):
     if (s0.party_id, s1.party_id) != (0, 1):
         raise ShapeError("expected shares of parties (0, 1)")
@@ -198,7 +191,7 @@ def _check_pair(s0: Share, s1: Share):
 def _check_same(a: SharePair, b: SharePair):
     if a.ring is not b.ring and a.ring != b.ring:
         raise ShapeError("ring mismatch between operands")
-    if a.v.shape != b.v.shape or a.n != b.n:
+    if a.v.shape != b.v.shape or a.batch != b.batch:
         raise ShapeError("batch length mismatch between operands")
 
 
@@ -301,11 +294,11 @@ def _by_words(lanes: int, pieces: int) -> bool:
 def _lanes(pairs: list) -> np.ndarray:
     """The lanes of the boolean ``pairs`` laid end to end, ``(2, lanes)``
     uint8: one unpack when they share one batch."""
-    n = pairs[0].n
-    if all([p.n == n for p in pairs]):
+    n = pairs[0].batch
+    if all([p.batch == n for p in pairs]):
         words = np.concatenate([p.v for p in pairs]).reshape(len(pairs), 2, -1)
         return unpack_lanes(words, n).transpose(1, 0, 2).reshape(2, -1)
-    return np.concatenate([unpack_lanes(p.v, p.n) for p in pairs], axis=1)
+    return np.concatenate([unpack_lanes(p.v, p.batch) for p in pairs], axis=1)
 
 
 def _rechop(pairs: list, sizes: list) -> list[np.ndarray]:
@@ -315,7 +308,7 @@ def _rechop(pairs: list, sizes: list) -> list[np.ndarray]:
     of many pairs, a cut many outputs of one pair; both go through here.
     Short pieces go through one unpack and one pack, equal outputs by
     reshapes alone; long ones move with shifts."""
-    if _by_words(sum([p.n for p in pairs]), len(pairs) + len(sizes) - 1):
+    if _by_words(sum([p.batch for p in pairs]), len(pairs) + len(sizes) - 1):
         return _rechop_words(pairs, sizes)
     bits = _lanes(pairs)
     q = sizes[0]
@@ -339,14 +332,14 @@ def _rechop_words(pairs: list, sizes: list) -> list[np.ndarray]:
     j, at = 0, 0
     for p in pairs:
         lo = 0
-        while lo < p.n:
+        while lo < p.batch:
             while at == sizes[j]:
                 j, at = j + 1, 0
-            take = min(p.n - lo, sizes[j] - at)
+            take = min(p.batch - lo, sizes[j] - at)
             if take == sizes[j]:
                 outs[j] = _extract(p.v, lo, take)
             else:
-                _place(outs[j], p.v if take == p.n else _extract(p.v, lo, take), at)
+                _place(outs[j], p.v if take == p.batch else _extract(p.v, lo, take), at)
             lo += take
             at += take
     return outs
@@ -440,7 +433,7 @@ def share(x, ring: RingSpec, rng: np.random.Generator) -> SharePair:
     row, party 1's the plaintext minus it."""
     x = np.atleast_1d(plaintext(x, ring.modulus))
     (r,) = uniform_rows(ring, 1, len(x), rng)
-    return _pair(ring, np.stack((r, ring.sub(to_layout(ring, x), r))), len(x))
+    return SharePair(ring, np.stack((r, ring.sub(to_layout(ring, x), r))), len(x))
 
 
 def reconst(s0: Share, s1: Share) -> np.ndarray:
@@ -457,7 +450,7 @@ def trivial(holder: int, values, ring: RingSpec) -> SharePair:
     values = np.atleast_1d(plaintext(values, ring.modulus))
     v = np.zeros((2, ring.cols(len(values))), dtype=ring.word)
     v[holder] = to_layout(ring, values)
-    return _pair(ring, v, len(values))
+    return SharePair(ring, v, len(values))
 
 
 def const_pair(c, ring: RingSpec, batch: int) -> SharePair:
@@ -471,13 +464,13 @@ def const_pair(c, ring: RingSpec, batch: int) -> SharePair:
 
 def add(a: SharePair, b: SharePair) -> SharePair:
     _check_same(a, b)
-    return SharePair(a.ring, a.ring.add(a.v, b.v), a.n)
+    return SharePair(a.ring, a.ring.add(a.v, b.v), a.batch)
 
 
 def sub(a: SharePair, b: SharePair) -> SharePair:
     """Additive subtraction: both parties subtract; reconstructs a - b."""
     _check_same(a, b)
-    return SharePair(a.ring, a.ring.sub(a.v, b.v), a.n)
+    return SharePair(a.ring, a.ring.sub(a.v, b.v), a.batch)
 
 
 def sub_mirror(a: SharePair, b: SharePair) -> SharePair:
@@ -489,11 +482,11 @@ def sub_mirror(a: SharePair, b: SharePair) -> SharePair:
     _check_same(a, b)
     t = a.ring.sub(a.v, b.v)
     a.ring.sub(0, t[1], out=t[1])
-    return SharePair(a.ring, t, a.n)
+    return SharePair(a.ring, t, a.batch)
 
 
 def neg(a: SharePair) -> SharePair:
-    return SharePair(a.ring, a.ring.sub(0, a.v), a.n)
+    return SharePair(a.ring, a.ring.sub(0, a.v), a.batch)
 
 
 def _public(c, ring: RingSpec):
@@ -505,23 +498,23 @@ def _public(c, ring: RingSpec):
 def const_add(c, a: SharePair) -> SharePair:
     """Add a public integer constant: party 0 adds c, party 1 adds zero."""
     c = _public(c, a.ring)
-    if a.n is not None:
+    if a.ring.is_boolean:
         return not_(a) if c else neg(a)
     v = a.v.copy()
     v[0] += c
-    return SharePair(a.ring, v)
+    return SharePair(a.ring, v, a.batch)
 
 
 def const_mult(c, a: SharePair) -> SharePair:
     """Multiply by a public integer constant: both parties scale."""
-    return SharePair(a.ring, a.ring.mul(a.v, _public(c, a.ring)), a.n)
+    return SharePair(a.ring, a.ring.mul(a.v, _public(c, a.ring)), a.batch)
 
 
 def xor(a: SharePair, b: SharePair) -> SharePair:
     if not a.ring.is_boolean:
         raise DomainError("xor requires boolean shares")
     _check_same(a, b)
-    return SharePair(BOOL, a.v ^ b.v, a.n)
+    return SharePair(BOOL, a.v ^ b.v, a.batch)
 
 
 def not_(a: SharePair) -> SharePair:
@@ -529,7 +522,7 @@ def not_(a: SharePair) -> SharePair:
     mask whose padding lanes are clear."""
     if not a.ring.is_boolean:
         raise DomainError("not requires boolean shares")
-    return SharePair(BOOL, a.v ^ _flip(a.n), a.n)
+    return SharePair(BOOL, a.v ^ _flip(a.batch), a.batch)
 
 
 # ---------------------------------------------------------------------------
@@ -577,10 +570,11 @@ def bit_decompose_local(pair: SharePair) -> list[SharePair]:
 
 # ---------------------------------------------------------------------------
 # Batch plumbing used by the protocol layer: one join, ``concat_each``, and
-# one cut, ``cut_each``, each over many pairs in one pass. Above width 1
-# cuts are views and a join is one ``concatenate`` per list. At width 1
-# they work at bit offsets: a cut on word boundaries is a view, any other
-# cut is fresh words, and a join is always fresh.
+# one cut, ``cut_each``, each over many pairs in one pass. A join or cut
+# whose pieces all start on a layout column moves whole columns: a cut is
+# views and a join one ``concatenate`` per list. That is every join and
+# cut above width 1 and every one on word boundaries at width 1. Only
+# boolean pieces at bit offsets are shifted into fresh words.
 
 def concat_each(groups) -> list[SharePair]:
     """The concatenation of each list of pairs in ``groups``, in order:
@@ -594,14 +588,12 @@ def concat_each(groups) -> list[SharePair]:
     for p in pairs:
         if p.ring is not ring and p.ring != ring:
             raise ShapeError("ring mismatch in concat")
-    if not ring.is_boolean:
-        return [SharePair(ring, np.concatenate([p.v for p in group], axis=1)) for group in groups]
-    totals = [sum([p.n for p in group]) for group in groups]
-    if all(p.n % 64 == 0 for group in groups for p in group[:-1]):
+    totals = [sum([p.batch for p in group]) for group in groups]
+    if all([p.batch % ring.lanes == 0 for group in groups for p in group[:-1]]):
         outs = [np.concatenate([p.v for p in group], axis=1) for group in groups]
     else:
         outs = _rechop(pairs, totals)
-    return [SharePair(BOOL, out, total) for out, total in zip(outs, totals)]
+    return [SharePair(ring, out, total) for out, total in zip(outs, totals)]
 
 
 def concat_pairs(pairs) -> SharePair:
@@ -609,25 +601,24 @@ def concat_pairs(pairs) -> SharePair:
 
 
 def slice_pair(pair: SharePair, lo: int, hi: int) -> SharePair:
-    n = pair.batch
+    """Elements ``[lo, hi)`` of ``pair``: a view when they start on a layout
+    column and end on one or at the end of the batch, else fresh words."""
+    ring, n = pair.ring, pair.batch
     if not 0 <= lo <= hi <= n:
         raise ShapeError(f"slice [{lo}, {hi}) outside a batch of {n}")
-    if pair.n is None:
-        return SharePair(pair.ring, pair.v[:, lo:hi])
-    if lo % 64 == 0 and (hi % 64 == 0 or hi == n):
-        return SharePair(BOOL, pair.v[:, lo // 64:BOOL.cols(hi)], hi - lo)
-    return SharePair(BOOL, _extract(pair.v, lo, hi - lo), hi - lo)
+    if lo % ring.lanes == 0 and (hi % ring.lanes == 0 or hi == n):
+        return SharePair(ring, pair.v[:, lo // ring.lanes:ring.cols(hi)], hi - lo)
+    return SharePair(ring, _extract(pair.v, lo, hi - lo), hi - lo)
 
 
 def cut_each(pairs: list[SharePair], sizes: list[list[int]]) -> list[list[SharePair]]:
-    """Each pair cut into consecutive parts of ``sizes[i]`` elements, which
-    sum to its batch, in order: views where every part starts on a word
-    boundary (always above width 1), else fresh words from one ``_rechop``."""
+    """Each pair cut into consecutive parts of ``sizes[i]`` elements, none
+    negative, which sum to its batch, in order: views when every part
+    starts on a layout column, else fresh words from one ``_rechop``."""
     for p, parts in zip(pairs, sizes, strict=True):
-        if sum(parts) != p.batch:
+        if sum(parts) != p.batch or min(parts, default=0) < 0:
             raise ShapeError(f"parts {parts} do not cut a batch of {p.batch}")
-    if pairs and pairs[0].n is not None and not all(
-            q % 64 == 0 for parts in sizes for q in parts[:-1]):
+    if not all([q % p.ring.lanes == 0 for p, parts in zip(pairs, sizes) for q in parts[:-1]]):
         outs = iter(_rechop(pairs, [q for parts in sizes for q in parts]))
         return [[SharePair(BOOL, next(outs), q) for q in parts] for parts in sizes]
     out = []
@@ -638,23 +629,24 @@ def cut_each(pairs: list[SharePair], sizes: list[list[int]]) -> list[list[ShareP
 
 
 def split_pair(pair: SharePair, parts: int) -> list[SharePair]:
-    if pair.batch % parts:
-        raise ShapeError("batch not divisible for split")
+    if parts < 1 or pair.batch % parts:
+        raise ShapeError(f"a batch of {pair.batch} does not split into {parts} parts")
     return cut_each([pair], [[pair.batch // parts] * parts])[0]
 
 
 def fold_segments(pairs: list[SharePair], step: int) -> SharePair:
     """The ring sum of every ``step``-element segment of ``pairs``, whose
-    batches are multiples of ``step``, as one pair of batch ``step``. Above
-    width 1 it is one ``add.reduce`` over the joined pairs. At width 1 the
+    batches are multiples of ``step``, as one pair of batch ``step``. When
+    a segment is whole layout columns (at every step above width 1) it is
+    one ``add.reduce`` over the joined pairs. Otherwise, at width 1, the
     sum is XOR: short segments are XORed as unpacked lanes and packed once,
     long ones as the words ``cut_each`` cuts."""
-    if any([p.batch % step for p in pairs]):
-        raise ShapeError("batch not divisible into segments")
+    if not pairs or step < 1 or any([p.batch % step for p in pairs]):
+        raise ShapeError(f"batches not divisible into segments of {step}")
     ring = pairs[0].ring
-    if not ring.is_boolean:
-        v = np.concatenate([p.v for p in pairs], axis=1)
-        return SharePair(ring, ring.add.reduce(v.reshape(2, -1, step), axis=1, dtype=ring.dtype))
+    if step % ring.lanes == 0:
+        v = np.concatenate([p.v for p in pairs], axis=1).reshape(2, -1, ring.cols(step))
+        return SharePair(ring, ring.add.reduce(v, axis=1, dtype=ring.word), step)
     lanes = sum([p.batch for p in pairs])
     if not _by_words(lanes, lanes // step):
         folded = np.bitwise_xor.reduce(_lanes(pairs).reshape(2, -1, step), axis=1)

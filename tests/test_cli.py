@@ -2,9 +2,12 @@ import json
 
 import pytest
 
+from ringmpc import protocols as P
 from ringmpc.bench import ROW_FIELDS, run_bench
 from ringmpc.cli import main, render
 from ringmpc.dealer import Dealer, RecordingStore
+from ringmpc.engine import Session
+from ringmpc.ring import Z16
 
 
 def run_cli(capsys, *argv):
@@ -33,6 +36,25 @@ def test_protocol_row_matches_reference(capsys):
     (row,) = json.loads(out)
     assert code == 0
     assert (row["rounds"], row["comm_bits"], row["cl_ms"]) == (2, 38, 80.0)
+
+
+def test_capped_maxn_row_matches_the_library_run(capsys):
+    """``--fanin-cap`` caps maxN's AND layers alone: the dealer still makes
+    the comparison's wider tables, so the row is the capped library run."""
+    code, out, _ = run_cli(
+        capsys, "--target", "protocol", "--name", "max5", "--ring", "16",
+        "--fanin-cap", "3", "--format", "json",
+    )
+    assert code == 0
+    (row,) = json.loads(out)
+    sess = Session()
+    sess.provision(P.maxn_manifest(Z16, 5, 1, fanin_cap=3))
+    xs = [sess.share_input(v, Z16) for v in range(5)]
+    sess.run(P.maxn(sess.store, xs, fanin_cap=3))
+    assert sess.store.is_empty()
+    report = sess.cost_report()
+    assert (row["rounds"], row["comm_bits"]) == (report["rounds"], report["bits_per_party"])
+    assert (row["rounds"], row["comm_bits"]) == (6, 3225)
 
 
 def test_editdist_cl(capsys):

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from ringmpc.dealer import (
-    DEFAULT_FANIN_CAP,
     MAX_FANIN,
     Dealer,
     MaterialStore,
@@ -105,15 +104,12 @@ def test_bte_has_all_subsets(dealer):
 
 def test_fanin_cap(dealer):
     with pytest.raises(CapabilityError):
-        dealer.gen_bte(10, BOOL, 1)
+        dealer.gen_bte(MAX_FANIN + 1, BOOL, 1)
     with pytest.raises(CapabilityError):
         dealer.gen_bte(1, BOOL, 1)
-    tight = Dealer(np.random.default_rng(0), fanin_cap=3)
-    with pytest.raises(CapabilityError):
-        tight.gen_bte(4, BOOL, 1)
-    Dealer(np.random.default_rng(0), fanin_cap=MAX_FANIN)
-    with pytest.raises(CapabilityError):
-        Dealer(np.random.default_rng(0), fanin_cap=MAX_FANIN + 1)
+    assert dealer.draw_count == 0
+    t0, _ = dealer.gen_bte(MAX_FANIN, BOOL, 1)
+    assert t0.rows.shape == ((1 << MAX_FANIN) - 1, 1)
 
 
 def test_b2a_material_correlation(dealer):
@@ -255,7 +251,7 @@ def test_provision_refuses_an_unsupported_width_before_any_draw(dealer):
 REFUSED_NEEDS = {
     "unknown-kind": (Need("nope", 8, 1), DomainError),
     "fan-in-1": (Need("bte", 8, 4, fan_in=1), CapabilityError),
-    "fan-in-above-cap": (Need("bte", 8, 4, fan_in=DEFAULT_FANIN_CAP + 1), CapabilityError),
+    "fan-in-above-cap": (Need("bte", 8, 4, fan_in=MAX_FANIN + 1), CapabilityError),
     "b2a-over-bool": (Need("b2a", 1, 4), DomainError),
     "unsupported-width": (Need("b2a", 12, 4), DomainError),
 }

@@ -205,12 +205,20 @@ def test_joins_are_fresh_and_leave_their_inputs():
         assert all([np.array_equal(p.v, b) for p, b in zip(pairs, before)])
 
 
-@pytest.mark.parametrize("step", [1, 63, 64, 65, BIG])
+@pytest.mark.parametrize("step", [1, 63, 64, 65, 128, BIG])
 def test_fold_segments_matches_byte_reference(step):
+    """Word-aligned steps (64, 128) take the ``add.reduce`` path that every
+    arithmetic step takes; the others XOR unpacked lanes or cut words."""
     rng = np.random.default_rng(step)
-    pairs = [_pair(rng, k * step) for k in (1, 3, 2)]
-    bits = np.concatenate([_bits(p) for p in pairs], axis=1).reshape(2, -1, step)
-    _check(fold_segments(pairs, step), np.bitwise_xor.reduce(bits, axis=1))
+    ragged = [
+        [_pair(rng, k * step) for k in (1, 3, 2)],
+        # many pairs of ragged batches, one a view inside a wider pair
+        [_pair(rng, 2 * step), slice_pair(_pair(rng, 6 * step), 2 * step, 5 * step),
+         *[_pair(rng, k * step) for k in (1, 4, 1)]],
+    ]
+    for pairs in ragged:
+        bits = np.concatenate([_bits(p) for p in pairs], axis=1).reshape(2, -1, step)
+        _check(fold_segments(pairs, step), np.bitwise_xor.reduce(bits, axis=1))
     if step > 1:
         with pytest.raises(ShapeError):
             fold_segments([_pair(rng, step + 1)], step)
@@ -223,7 +231,7 @@ def test_fold_segments_sums_arithmetic_segments(ring, step):
     rng = np.random.default_rng(step)
 
     def pair(batch):
-        return SharePair(ring, uniform(ring, 2 * batch, rng).reshape(2, batch))
+        return SharePair(ring, uniform(ring, 2 * batch, rng).reshape(2, batch), batch)
 
     pairs = [pair(k * step) for k in (1, 3, 2)]
     joined = np.concatenate([p.v for p in pairs], axis=1).astype(object)
@@ -245,7 +253,7 @@ def test_bit_planes_match_byte_reference(ring, batch):
     for j, words in enumerate(planes):
         expect = ((vals >> ring.dtype(j)) & 1).astype(np.uint8)
         _check(SharePair(BOOL, words, batch), expect)
-        _check(P._plane(SharePair(ring, vals), j), expect)
+        _check(P._plane(SharePair(ring, vals, batch), j), expect)
 
 
 @pytest.mark.parametrize("batch", BATCHES)
@@ -285,6 +293,25 @@ def test_slice_rejects_bounds_outside_the_batch(ring):
             slice_pair(pair, lo, hi)
     for lo, hi in [(0, 0), (10, 10), (3, 7), (0, 10)]:
         assert slice_pair(pair, lo, hi).batch == hi - lo
+
+
+@pytest.mark.parametrize("ring", [BOOL, Z8, Z16, Z32, Z64])
+def test_plumbing_refuses_bad_part_sizes(ring):
+    """A negative part, a split into no parts and a fold of no pairs or of
+    empty segments are shape errors at every width."""
+    pair = const_pair(1, ring, 4)
+    for parts in ([5, -1], [-1, 5], [4, -1, 1], [3], [2, 3]):
+        with pytest.raises(ShapeError):
+            cut_each([pair], [parts])
+    for parts in (0, -2, 3):
+        with pytest.raises(ShapeError):
+            split_pair(pair, parts)
+    for step in (0, -2, 3):
+        with pytest.raises(ShapeError):
+            fold_segments([pair], step)
+    with pytest.raises(ShapeError):
+        fold_segments([], 2)
+    assert [p.batch for p in cut_each([pair], [[0, 4, 0]])[0]] == [0, 4, 0]
 
 
 @pytest.mark.parametrize("ring", [BOOL, Z8, Z16, Z32, Z64])

@@ -502,26 +502,23 @@ def test_pair_of_checks_parties_ring_and_batch():
 
 
 def test_split_and_slice_return_in_order_views(rng):
-    pairs = [share(uniform(Z32, 4, rng), Z32, rng) for _ in range(3)]
-    big = concat_pairs(pairs)
-    parts = split_pair(big, 3)
-    for orig, part in zip(pairs, parts):
-        assert np.shares_memory(part.v, big.v)
-        assert np.array_equal(part.v, orig.v)
-    middle = slice_pair(big, 4, 8)
-    assert np.shares_memory(middle.v, big.v)
-    assert np.array_equal(middle.v, pairs[1].v)
-    # Packed boolean pairs: cuts on word boundaries are views, in order;
-    # any other cut is fresh words with zero padding lanes.
-    for step in (64, 130):
-        bits = [share(rng.integers(0, 2, step, dtype=np.uint64), BOOL, rng) for _ in range(3)]
-        big = concat_pairs(bits)
-        for orig, part in zip(bits, split_pair(big, 3)):
-            assert np.shares_memory(part.v, big.v) == (step % 64 == 0)
-            assert part.batch == step and np.array_equal(part.v, orig.v)
-        middle = slice_pair(big, step, 2 * step)
-        assert np.shares_memory(middle.v, big.v) == (step % 64 == 0)
-        assert np.array_equal(middle.v, bits[1].v)
+    """A cut whose pieces all start on a layout column (a multiple of
+    ``ring.lanes`` elements) is views of the joined pair, in order; any
+    other cut is fresh words with zero padding lanes."""
+    for ring in RINGS:
+        for step in (4, 64, 130):
+            pairs = [share(uniform(ring, step, rng), ring, rng) for _ in range(3)]
+            big = concat_pairs(pairs)
+            on_columns = step % ring.lanes == 0
+            for orig, part in zip(pairs, split_pair(big, 3)):
+                assert np.shares_memory(part.v, big.v) == on_columns
+                assert part.batch == step and np.array_equal(part.v, orig.v)
+            middle = slice_pair(big, step, 2 * step)
+            assert np.shares_memory(middle.v, big.v) == on_columns
+            assert np.array_equal(middle.v, pairs[1].v)
+            head = slice_pair(big, 0, 1)  # starts on a column, may end inside one
+            assert np.shares_memory(head.v, big.v) == (ring.lanes == 1)
+            assert np.array_equal(head[0].values, pairs[0][0].values[:1])
 
 
 def _low_bit_pairs():

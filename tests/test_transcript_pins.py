@@ -6,10 +6,13 @@ derived manifest (every need in take order), its rounds and bits,
 must not change behaviour keeps every digest. A deliberate change to the
 material or to the order of dealer draws changes them: regenerate the
 digests with ``python tests/test_transcript_pins.py`` and say so in
-CHANGES.md.
+CHANGES.md. Run as a script it prints the digests and the names whose
+digest changed ("changed: none" if none did), and exits with status 1
+when any digest changed, so a script can check for that.
 """
 import dataclasses
 import hashlib
+import sys
 
 import numpy as np
 import pytest
@@ -166,5 +169,7 @@ if __name__ == "__main__":
         print(f'    "{name}": "{digest}",')
     print("}")
     kept = [name for name, digest in digests.items() if PINS.get(name) == digest]
-    print("changed:", ", ".join(sorted(set(digests) - set(kept))) or "none")
+    changed = sorted(set(digests) - set(kept))
+    print("changed:", ", ".join(changed) or "none")
     print("kept:", ", ".join(kept) or "none")
+    sys.exit(1 if changed else 0)
