@@ -11,7 +11,7 @@ import os
 import struct
 from collections import deque
 from collections.abc import Mapping
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from types import MappingProxyType
 
 import numpy as np
@@ -95,7 +95,7 @@ class Need:
 
     def scaled(self, factor: int) -> "Need":
         """The same need at ``factor`` times the batch."""
-        return replace(self, batch=self.batch * factor)
+        return Need(self.kind, self.width, self.batch * factor, self.fan_in)
 
 
 def table_layout(fan_in: int, ring: RingSpec, batch: int) -> tuple[tuple[int, int], type]:

@@ -9,6 +9,11 @@ resumes the generator with the raw ``(p0, p1)`` payload pairs — so each
 party can either open the sum or use the counterpart's raw masked value.
 Ledgers count logical bits, ``count * width`` per item and party.
 
+The transcript records payloads by reference, not by copy: it keeps the
+arrays the protocol yielded and makes them read-only, so a recorded
+payload never changes and a protocol that writes to one raises. Only a
+payload that is a view of another array is copied.
+
 Boolean payloads travel packed, 64 lanes per uint64 word in
 ``ring.pack_lanes`` layout, from the gate that masks them through the
 transcript to the gate that opens them. Only ``Transcript.to_bytes``
@@ -42,7 +47,8 @@ class ExchangeItem:
     elements; at width 1 it is ``ceil(count/64)`` uint64 words in
     ``ring.pack_lanes`` layout, padding lanes zero. The item charges
     ``count * width`` bits, and ``Transcript.to_bytes`` writes ``count``
-    elements per party, one byte per bit at width 1."""
+    elements per party, one byte per bit at width 1. Once the fabric
+    records a round, its payloads are read-only."""
 
     p0: np.ndarray
     p1: np.ndarray
@@ -86,20 +92,32 @@ class CostModel:
             raise DomainError(f"rtt {self.rtt_ms} ms must be finite and non-negative")
 
 
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """``arr`` itself made read-only, or a read-only copy if it is a view."""
+    if arr.base is not None:
+        arr = arr.copy()
+    arr.setflags(write=False)
+    return arr
+
+
 class Transcript:
-    """Ordered record of every round's payloads (both directions)."""
+    """Ordered record of every round's payloads (both directions), kept by
+    reference and made read-only."""
 
     def __init__(self):
         self.rounds: list[list[ExchangeItem]] = []
 
     def append(self, items: list[ExchangeItem]):
-        """Record copies of one round's items and payloads. The items were
-        checked when the protocol yielded them, so the copies bypass the
-        constructor and are not checked again."""
+        """Record one round's items, keeping each payload array as given and
+        marking it read-only, so a later write to it raises instead of
+        leaving the record behind. A payload that is a view of another
+        array is copied, since that array could still be written. The items
+        were checked when the protocol yielded them, so the records bypass
+        the constructor and are not checked again."""
         recorded = []
         for item in items:
             rec = object.__new__(ExchangeItem)
-            rec.p0, rec.p1 = item.p0.copy(), item.p1.copy()
+            rec.p0, rec.p1 = _frozen(item.p0), _frozen(item.p1)
             rec.width, rec.count = item.width, item.count
             recorded.append(rec)
         self.rounds.append(recorded)

@@ -576,6 +576,16 @@ def bit_decompose_local(pair: SharePair) -> list[SharePair]:
 # cut above width 1 and every one on word boundaries at width 1. Only
 # boolean pieces at bit offsets are shifted into fresh words.
 
+def _one_ring(pairs: list[SharePair], op: str) -> RingSpec:
+    """The ring of every pair in ``pairs``, which must not be empty: pairs
+    of different rings raise ShapeError."""
+    ring = pairs[0].ring
+    for p in pairs:
+        if p.ring is not ring and p.ring != ring:
+            raise ShapeError(f"ring mismatch in {op}")
+    return ring
+
+
 def concat_each(groups) -> list[SharePair]:
     """The concatenation of each list of pairs in ``groups``, in order:
     fresh arrays, one per list."""
@@ -584,10 +594,7 @@ def concat_each(groups) -> list[SharePair]:
         if groups:
             raise ShapeError("concat of no pairs")
         return []
-    ring = pairs[0].ring
-    for p in pairs:
-        if p.ring is not ring and p.ring != ring:
-            raise ShapeError("ring mismatch in concat")
+    ring = _one_ring(pairs, "concat")
     totals = [sum([p.batch for p in group]) for group in groups]
     if all([p.batch % ring.lanes == 0 for group in groups for p in group[:-1]]):
         outs = [np.concatenate([p.v for p in group], axis=1) for group in groups]
@@ -618,9 +625,12 @@ def cut_each(pairs: list[SharePair], sizes: list[list[int]]) -> list[list[ShareP
     for p, parts in zip(pairs, sizes, strict=True):
         if sum(parts) != p.batch or min(parts, default=0) < 0:
             raise ShapeError(f"parts {parts} do not cut a batch of {p.batch}")
-    if not all([q % p.ring.lanes == 0 for p, parts in zip(pairs, sizes) for q in parts[:-1]]):
+    if not pairs:
+        return []
+    ring = _one_ring(pairs, "cut")
+    if not all([q % ring.lanes == 0 for parts in sizes for q in parts[:-1]]):
         outs = iter(_rechop(pairs, [q for parts in sizes for q in parts]))
-        return [[SharePair(BOOL, next(outs), q) for q in parts] for parts in sizes]
+        return [[SharePair(ring, next(outs), q) for q in parts] for parts in sizes]
     out = []
     for p, parts in zip(pairs, sizes):
         ends = list(accumulate(parts, initial=0))
@@ -643,7 +653,7 @@ def fold_segments(pairs: list[SharePair], step: int) -> SharePair:
     long ones as the words ``cut_each`` cuts."""
     if not pairs or step < 1 or any([p.batch % step for p in pairs]):
         raise ShapeError(f"batches not divisible into segments of {step}")
-    ring = pairs[0].ring
+    ring = _one_ring(pairs, "fold")
     if step % ring.lanes == 0:
         v = np.concatenate([p.v for p in pairs], axis=1).reshape(2, -1, ring.cols(step))
         return SharePair(ring, ring.add.reduce(v, axis=1, dtype=ring.word), step)

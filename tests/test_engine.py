@@ -142,13 +142,18 @@ def test_transcript_serialization_is_deterministic():
     assert blob[:4] == (2).to_bytes(4, "little")
 
 
-def test_transcript_appends_copies():
+def test_transcript_records_yielded_payloads_read_only():
+    """A payload is recorded as the array the protocol yielded, made
+    read-only, so writing to it raises instead of changing the record."""
     tr = Transcript()
     arr = np.array([1, 2], dtype=np.uint8)
     item = ExchangeItem(arr, arr.copy(), 8, 2)
     tr.append([item])
-    item.p0[0] = 99
-    assert tr.rounds[0][0].p0[0] == 1
+    kept = tr.rounds[0][0]
+    assert kept.p0 is arr and kept.p1 is item.p1
+    with pytest.raises(ValueError):
+        item.p0[0] = 99
+    assert kept.p0[0] == 1
 
 
 def test_exchange_item_keeps_payload_arrays_of_its_width():
@@ -228,15 +233,19 @@ def test_boolean_transcript_bytes_are_one_byte_per_bit():
     assert tr.to_bytes() == expect
 
 
-def test_transcript_appends_copies_of_packed_words():
+def test_transcript_copies_view_payloads_of_packed_words():
+    """A payload that views another array is copied: a write to that
+    array leaves the record and its canonical bytes unchanged."""
     words = pack_lanes(np.ones((2, 70), dtype=np.uint8))
     item = ExchangeItem(words[0], words[1], 1, 70)
     tr = Transcript()
     tr.append([item])
-    item.p0[0] = 0
+    before = tr.to_bytes()
+    words[:] = 0
     kept = tr.rounds[0][0]
     assert kept.count == 70 and not np.shares_memory(kept.p0, words)
     assert np.array_equal(unpack_lanes(kept.p0, 70), np.ones(70, np.uint8))
+    assert tr.to_bytes() == before
 
 
 def test_parallel_outside_session():

@@ -140,9 +140,10 @@ def test_fold_takes_a_narrow_table_whole_and_a_wide_one_in_views(monkeypatch, ba
 
 def test_blocked_fold_allocates_no_table_sized_temporary():
     # Eleven blocks of a fan-in-5 Z_2^64 table: 31 rows of 320 KiB per party.
-    # The gate's own arrays are the masked payloads, the transcript's copy of
-    # them, the opened inputs and the output; a copy of one block's rows, or
-    # any table-sized temporary, would exceed them by more than the slack.
+    # The gate's own arrays are the masked payloads (which the transcript
+    # keeps, uncopied), the opened inputs and the output; a copy of the
+    # payloads or of one block's rows, or any table-sized temporary, would
+    # exceed them by more than the slack.
     fan_in, batch = 5, 10 * BLOCK + 5
     sess = Session(seed=6)
     sess.provision([Need("bte", 64, batch, fan_in=fan_in)])
@@ -155,9 +156,9 @@ def test_blocked_fold_allocates_no_table_sized_temporary():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    payloads = transcript = 2 * fan_in * row
+    payloads = 2 * fan_in * row
     opened, output = fan_in * row, 2 * row
-    assert peak < payloads + transcript + opened + output + (256 << 10)
+    assert peak < payloads + opened + output + (256 << 10)
 
 
 def test_gate_rejects_table_rows_of_the_wrong_shape():

@@ -319,3 +319,18 @@ def test_concat_rejects_no_pairs(ring):
     with pytest.raises(ShapeError):
         concat_pairs([])
     assert concat_pairs([const_pair(1, ring, 3)]).batch == 3
+
+
+@pytest.mark.parametrize("other", [BOOL, Z16])
+def test_plumbing_refuses_pairs_of_different_rings(other):
+    """Joining, cutting or folding pairs of two rings is a shape error, not
+    a sum of one ring's words read as the other's elements."""
+    pairs = [trivial(0, [5, 6, 7, 8], Z8), const_pair(1, other, 4)]
+    with pytest.raises(ShapeError):
+        concat_pairs(pairs)
+    with pytest.raises(ShapeError):
+        cut_each(pairs, [[2, 2], [1, 3]])
+    for step in (1, 4):
+        with pytest.raises(ShapeError):
+            fold_segments(pairs, step)
+    assert reconst(*fold_segments(pairs[:1], 1)) == [26]

@@ -5,6 +5,10 @@ A width-1 payload is ``ceil(count/64)`` uint64 words whose lanes past
 padding lane would be sent without being charged or pinned. Each protocol
 runs at batches on and off the word boundary, and every width-1 item of
 every round is checked in both parties' words.
+
+The same runs check that the transcript records each payload by reference:
+every recorded array is the one its protocol yielded, made read-only, so
+no protocol yields a view that the transcript would have to copy.
 """
 import numpy as np
 import pytest
@@ -38,22 +42,40 @@ def _cases():
 CASES = {label: case for label, *case in _cases()}
 
 
-def _run(proto, build, ring, batch) -> Session:
+def _run(proto, build, ring, batch, seen=None) -> Session:
+    """Run ``proto`` at ``batch``; with ``seen``, append to it the payload
+    arrays of each round as the protocol yielded them."""
     sess = Session(seed=batch)
     args = build(sess, np.random.default_rng(batch), ring, batch)
     zeros = build(bench._ZeroSharer(), np.random.default_rng(0), ring, 1)
     sess.provision(derive_manifest(proto, *zeros, batch=batch))
-    sess.run(proto(sess.store, *args))
+    gen = proto(sess.store, *args)
+    sess.run(gen if seen is None else _watch(gen, seen))
     assert sess.store.is_empty()
     return sess
 
 
-def _run_editdist(pairs) -> Session:
+def _watch(gen, seen: list):
+    """``gen`` passed through round by round, appending to ``seen`` the
+    ``(p0, p1)`` arrays of each non-empty round it yields."""
+    responses = None
+    try:
+        while True:
+            items = gen.send(responses)
+            if items:
+                seen.append([(item.p0, item.p1) for item in items])
+            responses = yield items
+    except StopIteration as stop:
+        return stop.value
+
+
+def _run_editdist(pairs, seen=None) -> Session:
     sess = Session(seed=pairs)
     codes = np.random.default_rng(pairs).integers(0, 4, (2, pairs, 3), dtype=np.uint64)
     s, t = (share_strings(c, sess.dealer) for c in codes)
     sess.provision(edit_distance_manifest(3, pairs))
-    sess.run(edit_distance(sess.store, s, t))
+    gen = edit_distance(sess.store, s, t)
+    sess.run(gen if seen is None else _watch(gen, seen))
     return sess
 
 
@@ -81,3 +103,25 @@ def test_packed_payloads_have_zero_padding_lanes(case, batch):
 @pytest.mark.parametrize("pairs", BATCHES)
 def test_edit_distance_packed_payloads_have_zero_padding_lanes(pairs):
     _assert_zero_padding(_run_editdist(pairs))
+
+
+def _assert_recorded_uncopied(sess: Session, seen: list):
+    recorded = [[(item.p0, item.p1) for item in items] for items in sess.transcript.rounds]
+    assert len(recorded) == len(seen) == sess.rounds
+    for kept, sent in zip(recorded, seen):
+        assert len(kept) == len(sent)
+        for arr, yielded in zip(sum(kept, ()), sum(sent, ())):
+            assert arr is yielded and not arr.flags.writeable
+
+
+@pytest.mark.parametrize("batch", BATCHES)
+@pytest.mark.parametrize("case", CASES)
+def test_transcript_records_every_payload_uncopied(case, batch):
+    seen = []
+    _assert_recorded_uncopied(_run(*CASES[case], batch, seen), seen)
+
+
+@pytest.mark.parametrize("pairs", BATCHES)
+def test_transcript_records_every_edit_distance_payload_uncopied(pairs):
+    seen = []
+    _assert_recorded_uncopied(_run_editdist(pairs, seen), seen)
