@@ -168,16 +168,21 @@ class Dealer:
         for need in needs:
             self._check(need)
         for need in needs:
-            ring = RINGS[need.width]
+            ring, batch = RINGS[need.width], int(need.batch)  # a numpy batch may be unsigned
             if need.kind == "bte":
-                store.put_bte(*self.gen_bte(need.fan_in, ring, need.batch))
+                store.put_bte(*self.gen_bte(int(need.fan_in), ring, batch))
             else:
-                store.put_b2a(self.gen_b2a_material(ring, need.batch))
+                store.put_b2a(self.gen_b2a_material(ring, batch))
 
     def _check(self, need: Need):
-        """Raise what generating ``need`` would raise, without drawing."""
+        """Raise what generating ``need`` would raise, without drawing; a
+        batch and fan-in must be integers (not bools), the batch at least 1."""
         if need.width not in RINGS:
             raise DomainError(f"unsupported ring width {need.width}")
+        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+                   for v in (need.batch, need.fan_in)) or need.batch < 1:
+            raise DomainError(f"batch {need.batch!r} and fan-in {need.fan_in!r} must be "
+                              "integers, the batch at least 1")
         if need.kind == "bte":
             check_fan_in(need.fan_in)
         elif need.kind == "b2a":

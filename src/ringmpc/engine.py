@@ -9,10 +9,10 @@ resumes the generator with the raw ``(p0, p1)`` payload pairs — so each
 party can either open the sum or use the counterpart's raw masked value.
 Ledgers count logical bits, ``count * width`` per item and party.
 
-The transcript records payloads by reference, not by copy: it keeps the
-arrays the protocol yielded and makes them read-only, so a recorded
-payload never changes and a protocol that writes to one raises. Only a
-payload that is a view of another array is copied.
+The transcript records the items the protocol yielded, not copies: each
+payload array is made read-only in place, so a recorded payload never
+changes and a protocol that writes to one raises. Only a payload that is
+a view of another array is replaced by a read-only copy.
 
 Boolean payloads travel packed, 64 lanes per uint64 word in
 ``ring.pack_lanes`` layout, from the gate that masks them through the
@@ -101,26 +101,19 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 
 class Transcript:
-    """Ordered record of every round's payloads (both directions), kept by
-    reference and made read-only."""
+    """Ordered record of every round's items (both directions), as the
+    protocol yielded them, with read-only payloads."""
 
     def __init__(self):
         self.rounds: list[list[ExchangeItem]] = []
 
     def append(self, items: list[ExchangeItem]):
-        """Record one round's items, keeping each payload array as given and
-        marking it read-only, so a later write to it raises instead of
-        leaving the record behind. A payload that is a view of another
-        array is copied, since that array could still be written. The items
-        were checked when the protocol yielded them, so the records bypass
-        the constructor and are not checked again."""
-        recorded = []
+        """Record the round's list of items itself, each payload replaced by
+        ``_frozen(payload)``, so a later write to a recorded array raises
+        instead of leaving the record behind."""
         for item in items:
-            rec = object.__new__(ExchangeItem)
-            rec.p0, rec.p1 = _frozen(item.p0), _frozen(item.p1)
-            rec.width, rec.count = item.width, item.count
-            recorded.append(rec)
-        self.rounds.append(recorded)
+            item.p0, item.p1 = _frozen(item.p0), _frozen(item.p1)
+        self.rounds.append(items)
 
     def to_bytes(self) -> bytes:
         """Canonical serialization: per round, per item, per party —

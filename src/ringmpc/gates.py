@@ -4,8 +4,10 @@ Every gate is a protocol generator (see engine): it yields exactly one
 round carrying the N masked inputs (N * width bits per party) and finishes
 locally. Over the boolean ring multiplication *is* AND and addition *is*
 XOR, so one protocol serves both share types, on packed words at width 1.
-``bank`` runs the gates of one round and decides how they share material;
-it is the only code that takes BTE tables from a store.
+``bank`` runs the gates of one round, a gate of one input as a free wire,
+and decides how they share material; it is the only code that takes BTE
+tables from a store. ``fanin_schedule`` writes layered plans and
+``reduce_layers`` runs them, one ``bank`` round per layer.
 
 Shares, tables and payloads share one layout per ring, which the ring
 owns (``RingSpec.word``, ``lanes`` and ``cols``: the ring's dtype, or
@@ -17,6 +19,8 @@ block at a time, both parties' rows of a block in turn, so each block
 stays in cache through all N levels; a narrower one is folded whole.
 """
 from __future__ import annotations
+
+from itertools import accumulate
 
 import numpy as np
 
@@ -150,16 +154,18 @@ def bank(store, op, gates: list[list[SharePair]]):
     """Run ``gates`` of ``op`` (``and_n``, ``or_n`` or ``mult_n``) in one
     round; returns one output pair per gate, in gate order.
 
-    Each gate is a list of input pairs and may have any batch. Gates of
-    equal fan-in are stacked in gate order into one table of their summed
-    batch, and the tables are taken in ascending fan-in order; a group of
-    one gate is neither stacked nor sliced. All groups are stacked by one
-    ``concat_each`` and cut back at their gates' batches by one
-    ``cut_each``. No gates cost no round.
+    Each gate is a list of input pairs and may have any batch; a gate of
+    one input is a wire, whose output is that pair itself, with no table
+    and no message. Gates of equal fan-in are stacked in gate order into
+    one table of their summed batch, taken in ascending fan-in order; a
+    group of one gate is neither stacked nor sliced. All groups are
+    stacked by one ``concat_each`` and cut back at their gates' batches
+    by one ``cut_each``. Wires alone, or no gates, cost no round.
     """
     groups: dict[int, list[int]] = {}
     for i, gate in enumerate(gates):
         groups.setdefault(len(gate), []).append(i)
+    groups.pop(1, None)
     groups = dict(sorted(groups.items()))
     stacked = iter(concat_each([
         [gates[i][slot] for i in idxs]
@@ -171,7 +177,7 @@ def bank(store, op, gates: list[list[SharePair]]):
         gens.append(op(inputs, *store.take_bte(fan, inputs[0].ring, inputs[0].batch)))
     results = yield from parallel(gens)
 
-    out = [None] * len(gates)
+    out = [gate[0] if len(gate) == 1 else None for gate in gates]
     cut = []
     for idxs, res in zip(groups.values(), results):
         if len(idxs) == 1:
@@ -189,8 +195,8 @@ def fanin_schedule(total_inputs: int, max_fanin: int) -> list[list[int]]:
     """Layered reduction plan for an AND/MULT of ``total_inputs`` wires
     using gates of fan-in at most ``max_fanin``, packed widest-first.
 
-    Each layer is a list of fan-ins; an entry of 1 is a pass-through wire
-    (no gate, no communication).
+    Each layer is a list of fan-ins, run by ``reduce_layers``; an entry
+    of 1 is a pass-through wire (no gate, no communication).
     """
     if total_inputs < 2:
         raise ShapeError("need at least two inputs to schedule")
@@ -206,3 +212,13 @@ def fanin_schedule(total_inputs: int, max_fanin: int) -> list[list[int]]:
         layers.append(fans)
         width = len(fans)
     return layers
+
+
+def reduce_layers(store, op, pairs: list[SharePair], layers: list[list[int]]):
+    """A layered tree of ``op`` gates over ``pairs``, one ``bank`` round per
+    layer, each a list of fan-ins (``fanin_schedule``) that cuts the current
+    list in order, 1 for a wire. Returns the last layer's outputs."""
+    for layer in layers:
+        ends = list(accumulate(layer, initial=0))
+        pairs = yield from bank(store, op, [pairs[lo:hi] for lo, hi in zip(ends, ends[1:])])
+    return pairs

@@ -15,13 +15,16 @@ reproduced exactly.
 
 Every gate round runs through ``gates.bank``, the one caller of
 ``take_bte``: gates of equal fan-in share one stacked table, taken in
-ascending fan-in order. One layered reducer (``_reduce``) builds every
-gate tree: equality's OR layers, the baseline's 2-OR tree and N-Max's AND
-layers. One selector construction (``_selector_terms``) gives 3-Max/3-Min,
-Argmax/Argmin and N-Max their selector terms from one comparison over
-every pair of values. MSNZB and the two-round overflow share one block
-scan (``_block_scan``): suffix ORs inside each block, then one AND per
-block with the emptiness of every higher block.
+ascending fan-in order, and a gate of one input is a wire, so each round
+passes ``bank`` its whole layer. ``gates.reduce_layers`` runs every gate
+tree from a plan this module supplies: equality's OR layers
+(``EQ_PLANS``), the baseline's 2-OR tree and N-Max's AND layers
+(``gates.fanin_schedule``). One selector construction
+(``_selector_terms``) gives 3-Max/3-Min, Argmax/Argmin and N-Max their
+selector terms from one comparison over every pair of values. MSNZB and
+the two-round overflow share one block scan (``_block_scan``): suffix ORs
+inside each block, then one AND per block with the emptiness of every
+higher block.
 """
 from __future__ import annotations
 
@@ -33,7 +36,7 @@ import numpy as np
 from .dealer import MaterialStore, Need
 from .engine import ExchangeItem, derive_manifest
 from .errors import CapabilityError, DomainError, ShapeError
-from .gates import DEFAULT_FANIN_CAP, and_n, bank, fanin_schedule, mult_n, or_n
+from .gates import DEFAULT_FANIN_CAP, and_n, bank, fanin_schedule, mult_n, or_n, reduce_layers
 from .ring import (
     BOOL,
     RingSpec,
@@ -100,19 +103,6 @@ def _plane(pair: SharePair, j: int) -> SharePair:
     return SharePair(BOOL, bit_plane(pair.v, j), pair.batch)
 
 
-def _reduce(store: MaterialStore, op, pairs: list[SharePair], layers: list[list[int]]):
-    """A layered tree of ``op`` gates over ``pairs``, one ``bank`` call per
-    layer. Each layer lists fan-ins, as ``gates.fanin_schedule`` does, that
-    cut the current list in order; a fan-in of 1 passes its pair on without
-    a gate. Returns the last layer's outputs."""
-    for layer in layers:
-        ends = list(accumulate(layer, initial=0))
-        groups = [pairs[lo:hi] for lo, hi in zip(ends, ends[1:])]
-        done = iter((yield from bank(store, op, [g for g in groups if len(g) > 1])))
-        pairs = [next(done) if len(g) > 1 else g[0] for g in groups]
-    return pairs
-
-
 # ---------------------------------------------------------------------------
 # Equality
 
@@ -121,7 +111,7 @@ def equality(store: MaterialStore, x: SharePair, y: SharePair):
     _check_arith(x)
     plan = EQ_PLANS[x.ring.width_bits]
     planes = bit_decompose_local(sub_mirror(x, y))  # equal shares iff x == y
-    (top,) = yield from _reduce(store, or_n, planes, [plan, [len(plan)]])
+    (top,) = yield from reduce_layers(store, or_n, planes, [plan, [len(plan)]])
     return not_(top)
 
 
@@ -133,7 +123,7 @@ def baseline_equality(store: MaterialStore, x: SharePair, y: SharePair):
     """Two-fan-in-only equality: a 2-OR tree over the difference bits."""
     _check_arith(x)
     planes = bit_decompose_local(sub_mirror(x, y))
-    (top,) = yield from _reduce(store, or_n, planes, fanin_schedule(len(planes), 2))
+    (top,) = yield from reduce_layers(store, or_n, planes, fanin_schedule(len(planes), 2))
     return not_(top)
 
 
@@ -157,25 +147,22 @@ def _block_scan(store: MaterialStore, planes: list[SharePair], spans, u_bits: bo
     block, stacked over its planes: its hits, cleared unless every higher
     block is empty.
 
-    Round 1 takes the suffix ORs t_j = OR(planes[j:hi]) in each block. The
-    hits tp_j = t_j XOR t_{j+1} (t_j at the top) fold back to t_lo, so NOT
-    t_lo says the block is empty. Round 2 is one AND per block over its
-    hits, with ``u_bits`` its planes as party 1's u bits, and the emptiness
-    of each higher block (larger ``lo``) in span order. Its inputs are cut
-    from one concatenation; a block with nothing to AND keeps its hits.
+    Round 1 takes the suffix ORs t_j = OR(planes[j:hi]) in each block, the
+    top one a wire. The hits tp_j = t_j XOR t_{j+1} (t_j at the top) fold
+    back to t_lo, so NOT t_lo says the block is empty. Round 2 is one AND
+    per block over its hits, with ``u_bits`` its planes as party 1's u
+    bits, and the emptiness of each higher block (larger ``lo``) in span
+    order. Its inputs are cut from one concatenation; a block with nothing
+    to AND is a wire, so it keeps its hits.
     """
-    t = list(planes)
-    starts = [(j, hi) for lo, hi in spans for j in range(lo, hi - 1)]
+    starts = [(j, hi) for lo, hi in spans for j in range(lo, hi)]
     suffix = yield from bank(store, or_n, [planes[j:hi] for j, hi in starts])
-    for (j, _), part in zip(starts, suffix):
-        t[j] = part
-    tp = list(t)
-    for j, _ in starts:
-        tp[j] = xor(t[j], t[j + 1])
+    t = {j: part for (j, _), part in zip(starts, suffix)}
+    tp = {j: xor(t[j], t[j + 1]) if j + 1 < hi else t[j] for j, hi in starts}
     empty = [not_(t[lo]) for lo, _ in spans]
 
     slots = [
-        [tp[lo:hi], *([planes[lo:hi]] if u_bits else []),
+        [[tp[j] for j in range(lo, hi)], *([planes[lo:hi]] if u_bits else []),
          *([e] * (hi - lo) for e, (above, _) in zip(empty, spans) if above > lo)]
         for lo, hi in spans
     ]
@@ -184,8 +171,7 @@ def _block_scan(store: MaterialStore, planes: list[SharePair], spans, u_bits: bo
     if u_bits:
         for gate in gates:
             _u_bits(gate[1])
-    anded = iter((yield from bank(store, and_n, [gate for gate in gates if len(gate) > 1])))
-    return [next(anded) if len(gate) > 1 else gate[0] for gate in gates]
+    return (yield from bank(store, and_n, gates))
 
 
 # ---------------------------------------------------------------------------
@@ -331,9 +317,8 @@ def baseline_overflow(store: MaterialStore, x: SharePair, k: int):
     suffix, zero_flag = _overflow_planes(x, k)
     u = _u_bits(concat_pairs(suffix))
     dist = 1
-    while dist < n:
-        gates = [[suffix[j], suffix[j + dist]] for j in range(n - dist)]
-        suffix = (yield from bank(store, or_n, gates)) + suffix[n - dist:]
+    while dist < n:  # positions j and j + dist where there is one, else a wire
+        suffix = yield from bank(store, or_n, [suffix[j:j + dist + 1:dist] for j in range(n)])
         dist *= 2
     tp = [xor(suffix[j], suffix[j + 1]) for j in range(n - 1)] + [suffix[n - 1]]
     (res,) = yield from bank(store, and_n, [[concat_pairs(tp), u]])
@@ -546,7 +531,7 @@ def maxn(store: MaterialStore, xs: list[SharePair], fanin_cap: int = DEFAULT_FAN
     if n_vals > MAXN_CAP:
         raise CapabilityError(f"maxn capped at {MAXN_CAP} inputs")
     terms = yield from _selector_terms(store, xs, smallest)
-    (sel,) = yield from _reduce(store, and_n, terms, fanin_schedule(n_vals - 1, fanin_cap))
+    (sel,) = yield from reduce_layers(store, and_n, terms, fanin_schedule(n_vals - 1, fanin_cap))
     prod = yield from bx2a(store, sel, concat_pairs(xs))
     return fold_segments([prod], xs[0].batch)
 

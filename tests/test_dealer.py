@@ -254,6 +254,13 @@ REFUSED_NEEDS = {
     "fan-in-above-cap": (Need("bte", 8, 4, fan_in=MAX_FANIN + 1), CapabilityError),
     "b2a-over-bool": (Need("b2a", 1, 4), DomainError),
     "unsupported-width": (Need("b2a", 12, 4), DomainError),
+    "bte-batch-0": (Need("bte", 8, 0, fan_in=2), DomainError),
+    "b2a-batch-negative": (Need("b2a", 16, -2), DomainError),
+    "bte-batch-negative": (Need("bte", 8, -3, fan_in=2), DomainError),
+    "batch-float": (Need("bte", 8, 2.5, fan_in=2), DomainError),
+    "batch-bool": (Need("b2a", 16, True), DomainError),
+    "fan-in-float": (Need("bte", 8, 4, fan_in=2.0), DomainError),
+    "fan-in-bool": (Need("bte", 8, 4, fan_in=True), DomainError),
 }
 
 
@@ -266,6 +273,16 @@ def test_provision_refuses_a_bad_manifest_before_any_draw(dealer, bad):
         dealer.provision(store, [Need("bte", 8, 4, fan_in=2), need])
     assert store.is_empty() and dealer.draw_count == 0
     assert dealer.rng.bit_generator.state == state
+
+
+def test_provision_takes_numpy_integer_batches_and_fan_ins(dealer):
+    store = MaterialStore()
+    dealer.provision(store, [Need("bte", 8, np.int64(4), fan_in=np.uint8(2)),
+                             Need("b2a", 16, np.uint32(3))])
+    t0, _ = store.take_bte(2, RingSpec(8), 4)
+    assert t0.rows.shape == (3, 4)
+    assert store.take_b2a(RingSpec(16), 3).a.shape == (3,)
+    assert store.is_empty()
 
 
 def test_dump_load_roundtrip(dealer, tmp_path):

@@ -16,8 +16,9 @@ from ringmpc.gates import (
     fanin_schedule,
     mult_n,
     or_n,
+    reduce_layers,
 )
-from ringmpc.ring import BOOL, Z8, Z16, Z32, Z64, reconst, unpack_lanes
+from ringmpc.ring import BOOL, Z8, Z16, Z32, Z64, const_pair, reconst, unpack_lanes
 
 
 def truth_table_inputs(sess, fan_in):
@@ -329,6 +330,16 @@ def _bank_inputs(sess, ring):
     return plain, [[sess.share_input(v, ring) for v in gate] for gate in plain]
 
 
+def _plain_gate(op, ring, vals):
+    """The plaintext output of one ``op`` gate over ``vals``."""
+    if op is or_n:
+        return np.bitwise_or.reduce(vals)
+    out = np.ones(len(vals[0]), dtype=np.uint64)
+    for v in vals:
+        out = ring.wrap(out * v)
+    return out
+
+
 @pytest.mark.parametrize("op,ring", [(and_n, BOOL), (or_n, BOOL), (mult_n, Z32)])
 def test_bank_runs_mixed_gates_in_one_round(op, ring):
     sess = Session(seed=6)
@@ -336,13 +347,7 @@ def test_bank_runs_mixed_gates_in_one_round(op, ring):
     plain, gates = _bank_inputs(sess, ring)
     outs = sess.run(bank(sess.store, op, gates))
     for vals, out in zip(plain, outs):
-        if op is or_n:
-            expect = np.bitwise_or.reduce(vals)
-        else:
-            expect = np.ones(len(vals[0]), dtype=ring.dtype)
-            for v in vals:
-                expect = ring.wrap(expect * v)
-        assert np.array_equal(reconst(*out), ring.wrap(expect))
+        assert np.array_equal(reconst(*out), _plain_gate(op, ring, vals))
     assert sess.rounds == 1
     bits = sum(f * b * ring.width_bits for f, b in BANK_GATES)
     assert sess.bits == [bits, bits]
@@ -383,3 +388,56 @@ def test_bank_without_gates_costs_nothing():
     assert sess.run(bank(store, and_n, [])) == []
     assert sess.rounds == 0
     assert store.needs == []
+
+
+@pytest.mark.parametrize("op,ring", [(and_n, BOOL), (or_n, BOOL), (mult_n, Z32)])
+def test_bank_passes_one_input_gates_as_wires(op, ring):
+    """A layer of fan-ins [1, 3, 1, 2, 2] takes what the layer without its
+    wires takes, in the same order, and costs one round; each wire's
+    output is its input pair itself."""
+    sess = Session(seed=12)
+    rng = np.random.default_rng(12)
+    high = 2 if ring.is_boolean else ring.modulus
+    plain = [rng.integers(0, high, (fan, 5), dtype=np.uint64) for fan in (1, 3, 1, 2, 2)]
+    layer = [[sess.share_input(v, ring) for v in vals] for vals in plain]
+    with_wires, without_wires = RecordingStore(), RecordingStore()
+    Session().run(bank(with_wires, op, layer))
+    Session().run(bank(without_wires, op, [gate for gate in layer if len(gate) > 1]))
+    assert with_wires.needs == without_wires.needs
+    sess.provision(with_wires.needs)
+    outs = sess.run(bank(sess.store, op, layer))
+    for vals, gate, out in zip(plain, layer, outs):
+        if len(gate) == 1:
+            assert out is gate[0]
+        assert np.array_equal(reconst(*out), _plain_gate(op, ring, vals))
+    assert sess.rounds == 1
+    bits = 7 * 5 * ring.width_bits  # the wires send nothing
+    assert sess.bits == [bits, bits]
+    assert sess.store.is_empty()
+
+
+def test_bank_of_wires_alone_takes_nothing_and_costs_no_round():
+    sess = Session(seed=0)
+    store = RecordingStore()
+    pairs = [sess.share_input([1, 0, 1], BOOL) for _ in range(3)]
+    outs = sess.run(bank(store, and_n, [[pair] for pair in pairs]))
+    assert len(outs) == 3 and all(out is pair for out, pair in zip(outs, pairs))
+    assert sess.rounds == 0 and sess.bits == [0, 0]
+    assert store.needs == []
+
+
+@pytest.mark.parametrize("total", [5, 10])  # plans [[4, 1], [2]] and [[4, 4, 2], [3]]
+@pytest.mark.parametrize("batch", [1, 63, 65])
+@pytest.mark.parametrize("op", [and_n, or_n])
+def test_reduce_layers_matches_plaintext_oracle(op, batch, total):
+    layers = fanin_schedule(total, 4)
+    recording = RecordingStore()
+    Session().run(reduce_layers(recording, op, [const_pair(0, BOOL, batch)] * total, layers))
+    sess = Session(seed=total)
+    sess.provision(recording.needs)
+    plain = np.random.default_rng(batch).integers(0, 2, (total, batch), dtype=np.uint64)
+    pairs = [sess.share_input(v, BOOL) for v in plain]
+    (out,) = sess.run(reduce_layers(sess.store, op, pairs, layers))
+    assert np.array_equal(reconst(*out), _plain_gate(op, BOOL, plain).astype(np.uint8))
+    assert sess.rounds == len(layers)
+    assert sess.store.is_empty()
