@@ -5,7 +5,8 @@ Beaver-triple-extension tables and conversion blinds (`dealer`),
 single-round N-fan-in gates (`gates`), a round-synchronous execution
 fabric with exact bit/round accounting (`engine`), the round-efficient
 protocol suite (`protocols`), a privacy-preserving edit-distance
-application (`editdist`), and a benchmark CLI (`bench`, `cli`).
+application (`editdist`), a benchmark CLI (`bench`, `cli`), and the thread
+pool that runs wide tables and long draws on every core (`threads`).
 """
 from .dealer import (
     B2aMaterial,

@@ -16,6 +16,7 @@ from types import MappingProxyType
 
 import numpy as np
 
+from . import threads
 from .errors import (
     CapabilityError,
     DomainError,
@@ -117,6 +118,18 @@ def check_b2a_ring(ring: RingSpec):
         raise DomainError("b2a material needs an arithmetic ring")
 
 
+def _party1_half(ring: RingSpec, singles: np.ndarray, s0: np.ndarray, out: np.ndarray):
+    """Fill ``out`` with the subset products of the rows of ``singles``,
+    less party 0's half ``s0``: row ``mask - 1`` is the product of the
+    singles in ``mask`` minus ``s0[mask - 1]``. All three share one layout
+    and columns; any column range of them is built alone."""
+    for l in range(len(singles)):
+        h = 1 << l
+        out[h - 1] = singles[l]
+        ring.mul(out[:h - 1], singles[l], out=out[h:2 * h - 1])
+    ring.sub(out, s0, out=out)
+
+
 class Dealer:
     """Generates BTE tables, B2A material, and input shares from one seeded
     generator. ``draw_count`` counts uniform-vector draws, which lets tests
@@ -141,16 +154,23 @@ class Dealer:
         ``mul`` and ``sub`` over its layout (``table_layout``). Both draws
         are ``ring.uniform_rows`` arrays in that layout; at width 1 their
         padding lanes are zero, and AND and XOR keep them zero.
+
+        With a thread pool (``threads.POOL``), a table wider than
+        ``threads.BLOCK_COLS`` columns is built one column block per task,
+        the doubling and then the subtraction while the block is in cache;
+        blocks share no column, so the tables are the same bits at any
+        thread count. A narrower table is built whole in this thread.
         """
         check_fan_in(fan_in)
         singles = self._draw(ring, fan_in, batch)
         s0 = self._draw(ring, (1 << fan_in) - 1, batch)
         plain = np.empty_like(s0)
-        for l in range(fan_in):
-            h = 1 << l
-            plain[h - 1] = singles[l]
-            ring.mul(plain[:h - 1], singles[l], out=plain[h:2 * h - 1])
-        ring.sub(plain, s0, out=plain)
+        cols = s0.shape[1]
+        if threads.POOL is not None and cols > threads.BLOCK_COLS:
+            threads.run(lambda block: _party1_half(ring, singles[:, block], s0[:, block],
+                                                   plain[:, block]), threads.blocks(cols))
+        else:
+            _party1_half(ring, singles, s0, plain)
         return BteTable(0, fan_in, ring, batch, s0), BteTable(1, fan_in, ring, batch, plain)
 
     def gen_b2a_material(self, ring: RingSpec, batch: int) -> B2aMaterial:

@@ -14,9 +14,12 @@ owns (``RingSpec.word``, ``lanes`` and ``cols``: the ring's dtype, or
 packed uint64 words, 64 lanes each, at width 1) with its ops over it
 (``RingSpec.mul``, ``add``, ``sub`` and ``one``). So one gate body masks,
 opens and folds at every width, and nothing is packed or unpacked on the
-way. A table wider than ``_FOLD_COLS`` columns is folded one column
-block at a time, both parties' rows of a block in turn, so each block
-stays in cache through all N levels; a narrower one is folded whole.
+way. A table wider than ``threads.BLOCK_COLS`` columns is folded one
+column block at a time, both parties' rows of a block in turn, so each
+block stays in cache through all N levels; the blocks run on the shared
+thread pool (``threads.POOL``), up to one thread per CPU the process may
+use, and the output is the same bits at any thread count. A narrower table
+is folded whole in the calling thread.
 """
 from __future__ import annotations
 
@@ -24,17 +27,11 @@ from itertools import accumulate
 
 import numpy as np
 
+from . import threads
 from .dealer import BteTable, table_layout
 from .engine import ExchangeItem, parallel
 from .errors import DomainError, ShapeError
 from .ring import SharePair, concat_each, cut_each, not_
-
-# The fold takes a table in blocks of this many layout columns (32 KiB per
-# row at Z_2^64), so all N levels of a block run while its rows are in
-# cache. Blocks of 2048 columns or fewer ran slower than one pass over the
-# whole table, at Z_2^16 and at width 1 as at Z_2^64, so this is a least
-# block width in columns, not a cache budget.
-_FOLD_COLS = 4096
 
 # The widest gate of a layered plan (``fanin_schedule``) unless a caller
 # sets another cap; the dealer makes tables up to ``dealer.MAX_FANIN``.
@@ -94,17 +91,21 @@ def mult_n(inputs: list[SharePair], t0: BteTable, t1: BteTable):
 
 def _fold_blocks(tables, opened, out: np.ndarray, mul, add):
     """Fold both parties' ``tables`` into their rows of ``out`` one block of
-    ``_FOLD_COLS`` columns at a time, party 0 then party 1, so a block's
-    rows are still in cache for every level and both parties read the same
-    opened slices. A table no wider than one block is folded whole,
-    unsliced; the blocks of a wider one are views, folded in place.
+    ``threads.BLOCK_COLS`` columns at a time, party 0 then party 1, so a
+    block's rows are still in cache for every level and both parties read
+    the same opened slices. The blocks of a wider table are views, folded
+    in place by ``threads.run``: on the thread pool, each block in one
+    thread, or in order without a pool. Blocks share no column, so the
+    output is the same at any thread count. A table no wider than one
+    block is folded whole, unsliced, in the calling thread.
     """
     cols = out.shape[1]
-    if cols > _FOLD_COLS:
-        for lo in range(0, cols, _FOLD_COLS):
-            block = slice(lo, lo + _FOLD_COLS)
+    if cols > threads.BLOCK_COLS:
+        def fold_block(block):
             _fold_blocks([rows[:, block] for rows in tables], [x[block] for x in opened],
                          out[:, block], mul, add)
+
+        threads.run(fold_block, threads.blocks(cols))
         return
     for party, rows in enumerate(tables):
         _fold(rows, opened, out[party], mul, add)

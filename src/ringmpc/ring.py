@@ -19,12 +19,14 @@ per bit at width 1), so ``reconst(*pair)`` opens a pair.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate
 
 import numpy as np
 
+from . import threads
 from .errors import DomainError, ShapeError
 
 SUPPORTED_WIDTHS = (1, 8, 16, 32, 64)
@@ -35,6 +37,13 @@ SUPPORTED_WIDTHS = (1, 8, 16, 32, 64)
 # shifts, a few numpy calls per piece, which then costs less than a byte
 # per lane.
 _SHIFT_LANES = 8192
+# ``uniform`` hands a raw draw of this many 64-bit words or more to
+# ``_split_raw``, whose workers draw ``_CHUNK_WORDS`` words at a time, so a
+# chunk's copy stays in cache. Only the ``_SEEKABLE`` generators' ``advance``
+# skips one step per raw word (Philox's skips blocks of four words).
+_SPLIT_WORDS = 1 << 17
+_CHUNK_WORDS = 1 << 16
+_SEEKABLE = (np.random.PCG64, np.random.PCG64DXSM)
 # The weight of each bit of a byte, low bit first.
 _BIT_WEIGHTS = np.uint8(1) << np.arange(8, dtype=np.uint8)
 # Zero lanes that pad a piece out to whole words.
@@ -87,8 +96,9 @@ class RingSpec:
         vars(self).update(_LAYOUTS[self.width_bits])  # frozen: filled once, here
 
     def cols(self, batch: int) -> int:
-        """Layout columns of a row of ``batch`` elements."""
-        return -(-batch // self.lanes)
+        """Layout columns of a row of ``batch`` elements. The batch is read
+        as a Python int first: negating an unsigned numpy batch would wrap."""
+        return -(-operator.index(batch) // self.lanes)
 
     @property
     def is_boolean(self) -> bool:
@@ -354,9 +364,12 @@ def uniform(ring: RingSpec, size: int, rng: np.random.Generator) -> np.ndarray:
     so a Z_2^64 draw equals ``rng.integers(0, 2**64, size, dtype=np.uint64)``
     and leaves the generator in the same state. Fixed-seed draws at widths
     below 64 differ from versions that drew one ``integers`` value per
-    element.
+    element. A draw of ``_SPLIT_WORDS`` words or more runs on up to one
+    thread per CPU the process may use (``_split_raw``), with the same
+    words at any thread count.
     """
-    words = rng.bit_generator.random_raw(-(-size * ring.width_bits // 64))
+    n, bit_generator = -(-size * ring.width_bits // 64), rng.bit_generator
+    words = bit_generator.random_raw(n) if n < _SPLIT_WORDS else _split_raw(bit_generator, n)
     if ring.width_bits == 64:
         return words
     raw = words.astype("<u8", copy=False).view(np.uint8)
@@ -364,6 +377,40 @@ def uniform(ring: RingSpec, size: int, rng: np.random.Generator) -> np.ndarray:
         return np.unpackbits(raw, count=size, bitorder="little")
     elems = raw.view(np.dtype(ring.dtype).newbyteorder("<"))[:size]
     return elems.astype(ring.dtype, copy=False)
+
+
+def _split_raw(bit_generator: np.random.BitGenerator, n: int) -> np.ndarray:
+    """``bit_generator.random_raw(n)``: the same words, and the generator
+    left in the same state, its buffered 32-bit half included.
+
+    A PCG64 draw in a process with a thread pool (``threads.POOL``) is cut
+    into one contiguous range per worker. Each worker fills its range in
+    chunks of ``_CHUNK_WORDS`` words from a copy of the generator's state
+    ``advance``d to the range's offset; the generator itself is then
+    advanced past all ``n`` words. Any other draw is one ``random_raw``
+    call in this thread.
+    """
+    if threads.POOL is None or type(bit_generator) not in _SEEKABLE:
+        return bit_generator.random_raw(n)
+    state = bit_generator.state
+    parts = threads.POOL._max_workers
+    ends = [n * k // parts for k in range(parts + 1)]
+    out = np.empty(n, np.uint64)
+
+    def fill(k: int):
+        gen = type(bit_generator)(0)
+        gen.state = state
+        gen.advance(ends[k])
+        for lo in range(ends[k], ends[k + 1], _CHUNK_WORDS):
+            hi = min(lo + _CHUNK_WORDS, ends[k + 1])
+            out[lo:hi] = gen.random_raw(hi - lo)
+
+    threads.run(fill, range(parts))
+    # ``advance`` drops the buffered 32-bit half, which ``random_raw`` keeps.
+    bit_generator.advance(n)
+    bit_generator.state = {**bit_generator.state, "has_uint32": state["has_uint32"],
+                           "uinteger": state["uinteger"]}
+    return out
 
 
 def uniform_rows(ring: RingSpec, rows: int, batch: int, rng: np.random.Generator) -> np.ndarray:

@@ -1,5 +1,39 @@
 """Shared plaintext oracles and helpers for the test suite."""
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
+import pytest
+
+from ringmpc import threads
+
+
+class CountingPool(ThreadPoolExecutor):
+    """A thread pool that counts the tasks submitted to it."""
+
+    tasks = 0
+
+    def submit(self, *args, **kwargs):
+        self.tasks += 1
+        return super().submit(*args, **kwargs)
+
+
+@pytest.fixture
+def thread_pool(monkeypatch):
+    """``thread_pool(k)`` makes ``threads.POOL`` a ``CountingPool`` of ``k``
+    workers, or no pool at ``k = 0``, for the rest of the test, and returns
+    it. Every pool it made is shut down after the test."""
+    made = []
+
+    def use(workers: int):
+        pool = CountingPool(workers) if workers else None
+        if pool:
+            made.append(pool)
+        monkeypatch.setattr(threads, "POOL", pool)
+        return pool
+
+    yield use
+    for pool in made:
+        pool.shutdown()
 
 
 def edit_distance_oracle(a, b) -> int:

@@ -194,6 +194,12 @@ def test_gen_bte_boolean_padding_lanes_are_zero(batch):
     assert t0.rows[:, -1].any()  # the last word still carries the batch's lanes
 
 
+def test_gen_bte_takes_an_unsigned_numpy_batch(dealer):
+    t0, t1 = dealer.gen_bte(2, BOOL, np.uint32(3))
+    assert t0.rows.shape == t1.rows.shape == (3, 1)
+    assert not _padding_lanes(t0).any() and not _padding_lanes(t1).any()
+
+
 def test_boolean_dump_is_one_byte_per_entry_element(dealer, tmp_path):
     store = MaterialStore()
     dealer.provision(store, [Need("bte", 1, 130, fan_in=3)])

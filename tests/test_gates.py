@@ -1,14 +1,24 @@
+import hashlib
 import itertools
+import os
+import signal
+import subprocess
+import sys
+import time
 import tracemalloc
+import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.stats
+from conftest import edit_distance_oracle
 
+from ringmpc import editdist
 from ringmpc.dealer import Need, RecordingStore
 from ringmpc.engine import Session
-from ringmpc import gates
+from ringmpc import gates, threads
 from ringmpc.errors import DomainError, MaterialReuseError, ShapeError
 from ringmpc.gates import (
     and_n,
@@ -105,7 +115,7 @@ def test_fold_equals_reference_subset_sum(ring, fan_in):
     _check_fold(ring, fan_in, 64)
 
 
-BLOCK = gates._FOLD_COLS
+BLOCK = threads.BLOCK_COLS
 
 
 @pytest.mark.parametrize("block", [1, 2, 3])
@@ -114,7 +124,7 @@ BLOCK = gates._FOLD_COLS
 def test_fold_in_column_blocks_equals_reference_subset_sum(monkeypatch, ring, fan_in, block):
     # Seven layout columns: seven blocks of 1, 2+2+2+1 or 3+3+1. At width 1
     # the last of the seven words is part padding.
-    monkeypatch.setattr(gates, "_FOLD_COLS", block)
+    monkeypatch.setattr(threads, "BLOCK_COLS", block)
     _check_fold(ring, fan_in, 6 * 64 + 10 if ring.is_boolean else 7)
 
 
@@ -132,11 +142,18 @@ def test_fold_takes_a_narrow_table_whole_and_a_wide_one_in_views(monkeypatch, ba
     inputs = [sess.share_input(np.ones(batch, np.uint64), Z16) for _ in range(3)]
     t0, t1 = sess.store.take_bte(3, Z16, batch)
     sess.run(mult_n(inputs, t0, t1))
-    # Block by block, party 0 then party 1; one block is the table itself.
-    assert [rows.shape[1] for rows in folded] == [w for w in widths for _ in (0, 1)]
-    for k, rows in enumerate(folded):
-        table = (t0, t1)[k % 2].rows
-        assert rows is table if len(widths) == 1 else np.shares_memory(rows, table)
+    # Blocks run on the thread pool in any order, each in one thread: party
+    # 0's rows, then party 1's. One block is the table itself.
+    tables = (t0.rows, t1.rows)
+    by_block = {}
+    for rows in folded:
+        (party,) = [p for p, table in enumerate(tables)
+                    if 0 <= rows.ctypes.data - table.ctypes.data < table.nbytes]
+        assert rows is tables[party] if len(widths) == 1 else np.shares_memory(rows, tables[party])
+        lo = (rows.ctypes.data - tables[party].ctypes.data) // rows.itemsize
+        by_block.setdefault(lo, []).append((party, rows.shape[1]))
+    starts = itertools.accumulate(widths, initial=0)
+    assert by_block == {lo: [(0, w), (1, w)] for lo, w in zip(starts, widths)}
 
 
 def test_blocked_fold_allocates_no_table_sized_temporary():
@@ -160,6 +177,85 @@ def test_blocked_fold_allocates_no_table_sized_temporary():
     payloads = 2 * fan_in * row
     opened, output = fan_in * row, 2 * row
     assert peak < payloads + opened + output + (256 << 10)
+
+
+@pytest.mark.parametrize("ring", [Z64, BOOL], ids=lambda r: f"z{r.width_bits}")
+def test_tables_and_outputs_are_the_same_bits_at_any_thread_count(thread_pool, ring):
+    # Fan-in 9 at 2 * 4096 + 5 layout columns: three column blocks.
+    fan_in, batch = 9, (2 * BLOCK + 5) * ring.lanes
+    vals = np.random.default_rng(3).integers(0, min(ring.modulus, 1 << 63), (fan_in, batch),
+                                             dtype=np.uint64)
+    runs = []
+    for workers in (0, 1, 2):  # no pool: one thread, in order
+        pool = thread_pool(workers)
+        sess = Session(seed=12)
+        inputs = [sess.share_input(v, ring) for v in vals]
+        sess.provision([Need("bte", ring.width_bits, batch, fan_in=fan_in)])
+        t0, t1 = sess.store.take_bte(fan_in, ring, batch)
+        digests = [hashlib.sha256(t.rows).hexdigest() for t in (t0, t1)]
+        out = sess.run(mult_n(inputs, t0, t1))
+        (items,) = sess.transcript.rounds
+        digests += [hashlib.sha256(a).hexdigest() for item in items for a in (item.p0, item.p1)]
+        runs.append((digests, out.v.tobytes()))
+        assert workers == 0 or pool.tasks > 0
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+    assert np.array_equal(reconst(*out), ring.wrap(np.prod(vals, axis=0, dtype=np.uint64)))
+
+
+def _wide_gate_is_correct() -> bool:
+    """Run a fan-in-3 Z_2^64 gate three column blocks wide, against the plain product."""
+    batch = 2 * BLOCK + 5
+    vals = np.random.default_rng(2).integers(0, 1 << 63, (3, batch), dtype=np.uint64)
+    sess = Session(seed=2)
+    inputs = [sess.share_input(v, Z64) for v in vals]
+    sess.provision([Need("bte", 64, batch, fan_in=3)])
+    out = sess.run(mult_n(inputs, *sess.store.take_bte(3, Z64, batch)))
+    return np.array_equal(reconst(*out), np.prod(vals, axis=0, dtype=np.uint64))
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_runs_wide_kernels_on_a_pool_of_its_own(thread_pool):
+    pool = thread_pool(2)
+    assert _wide_gate_is_correct() and pool.tasks  # the pool's threads run here
+    with warnings.catch_warnings():  # forking a process that has threads
+        warnings.simplefilter("ignore", DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:
+        ok = False
+        try:
+            ok = _wide_gate_is_correct()
+        finally:
+            os._exit(0 if ok else 1)
+    deadline = time.monotonic() + 60
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.05)
+    if done[0] == 0:  # the child hung: its pool had no threads
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    assert done[0] == pid and os.waitstatus_to_exitcode(done[1]) == 0
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+def test_a_process_on_one_cpu_has_no_pool():
+    code = ("import os, sys; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
+            "sys.path.insert(0, 'src'); from ringmpc import threads; print(threads.POOL)")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=Path(__file__).parents[1],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.stdout.split() == ["None"], proc.stderr
+
+
+def test_a_narrow_gate_never_reaches_the_thread_pool(monkeypatch):
+    class NoPool:
+        def __getattr__(self, name):
+            raise AssertionError(f"the thread pool's {name} was used")
+
+    monkeypatch.setattr(threads, "POOL", NoPool())
+    codes = np.random.default_rng(6).integers(0, editdist.ALPHABET, (2, 1, 5), dtype=np.uint64)
+    sess = Session(seed=6)
+    sess.provision(editdist.edit_distance_manifest(5, 1))
+    s, t = (editdist.share_strings(c, sess.dealer) for c in codes)
+    z = sess.run(editdist.edit_distance(sess.store, s, t))
+    assert reconst(*z).tolist() == [edit_distance_oracle(codes[0, 0], codes[1, 0])]
 
 
 def test_gate_rejects_table_rows_of_the_wrong_shape():

@@ -28,3 +28,21 @@ def test_workload_runs_one_correct_iteration(workload):
     assert result["correct"] is True
     assert result["attempted"] == 1
     assert result["failed"] == 0
+
+
+def test_traced_wide_workload_runs_one_correct_iteration():
+    # Its wide draws, table build and fold run on the thread pool; a worker
+    # that called a traced function would corrupt the tracer's span stack.
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "mult9-z64-b100k",
+         "--seed", "1", "--seconds", "0.01", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True
+    assert (result["attempted"], result["failed"]) == (2, 0)
+    metrics = {name: m["value"] for name, m in result["metrics"].items()}
+    assert metrics["gates.mult_n.calls"] == metrics["dealer.gen_bte.calls"] == 1
+    assert metrics["ring.uniform.calls"] == 11 and metrics["dealer.draws"] == 2
+    assert 0 < metrics["gates.mult_n.self_s"] <= metrics["trace.online_s"]

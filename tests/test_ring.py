@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from ringmpc.dealer import Need
+from ringmpc import ring as ring_module
+from ringmpc import threads
+from ringmpc.dealer import Dealer, Need
 from ringmpc.engine import Session
 from ringmpc.errors import DomainError, ShapeError
 from ringmpc.gates import and_n, or_n
@@ -436,6 +438,45 @@ def test_uniform_64_matches_integers(size):
     got = uniform(Z64, size, ours)
     assert np.array_equal(got, ref.integers(0, 2**64, size, dtype=np.uint64))
     assert ours.bit_generator.state == ref.bit_generator.state
+
+
+SPLIT = ring_module._SPLIT_WORDS
+
+
+@pytest.mark.parametrize("buffered", [False, True], ids=["fresh", "buffered-half"])
+# Below, at and above the split, and an odd count that 3 does not divide.
+@pytest.mark.parametrize("n", [SPLIT - 1, SPLIT, SPLIT + 2, 3 * SPLIT + 1])
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_split_draw_equals_one_raw_draw(thread_pool, workers, n, buffered):
+    pool = thread_pool(workers)
+    split, whole = np.random.default_rng(41), np.random.default_rng(41)
+    if buffered:  # a 32-bit draw leaves the other half of its word buffered
+        for gen in (split, whole):
+            gen.integers(0, 1000, dtype=np.uint32)
+        assert whole.bit_generator.state["has_uint32"]
+    words = uniform(Z64, n, split)
+    assert pool.tasks == (workers if n >= SPLIT else 0)
+    assert np.array_equal(words, whole.bit_generator.random_raw(n))
+    assert split.bit_generator.state == whole.bit_generator.state
+    assert split.integers(0, 1 << 32, 3, dtype=np.uint32).tolist() == \
+        whole.integers(0, 1 << 32, 3, dtype=np.uint32).tolist()
+
+
+def test_a_generator_that_cannot_advance_draws_in_one_call(thread_pool):
+    pool = thread_pool(2)
+    t0, t1 = Dealer(np.random.Generator(np.random.MT19937(5))).gen_bte(2, Z64, SPLIT)
+    ref = np.random.MT19937(5)
+    singles, s0 = ref.random_raw(2 * SPLIT).reshape(2, SPLIT), ref.random_raw(3 * SPLIT)
+    assert np.array_equal(t0.rows, s0.reshape(3, SPLIT))
+    assert np.array_equal(t0.rows[2] + t1.rows[2], singles[0] * singles[1])
+    # Only the table build took tasks: one per column block, none for a draw.
+    assert pool.tasks == len(threads.blocks(SPLIT))
+
+
+def test_cols_reads_an_unsigned_numpy_batch_as_an_int():
+    assert BOOL.cols(np.uint32(3)) == 1
+    assert BOOL.cols(np.uint64(65)) == 2
+    assert Z8.cols(np.uint16(5)) == 5
 
 
 @pytest.mark.parametrize("ring, size", [(BOOL, 64), (Z32, 2)])
