@@ -13,7 +13,7 @@ import time
 
 import numpy as np
 
-from .dealer import check_fan_in
+from .dealer import Need, check_fan_in
 from .editdist import (
     MAX_LENGTH,
     edit_distance,
@@ -84,7 +84,11 @@ def _msnzb_inputs(sess, rng, ring, batch):
 
 def _tlu_inputs(n_keys: int):
     def build(sess, rng, ring, batch):
-        keys = rng.permutation(ring.modulus if ring.modulus < 2**20 else 2**20)[:n_keys]
+        space = min(ring.modulus, 1 << 20)  # distinct keys are drawn below this
+        if n_keys > space:
+            raise DomainError(f"tlu{n_keys} needs {n_keys} distinct keys; over "
+                              f"Z_2^{ring.width_bits} the builder draws at most {space}")
+        keys = rng.permutation(space)[:n_keys]
         key_shares = [sess.share_input(np.full(batch, k, np.uint64), ring) for k in keys]
         val_shares = _rand_inputs(sess, rng, ring, batch, n_keys)
         idx = sess.share_input(np.full(batch, keys[0], np.uint64), ring)
@@ -169,6 +173,16 @@ class _ZeroSharer:
         return const_pair(0, ring, np.size(x))
 
 
+def manifest(protocol, build, ring: RingSpec, batch: int) -> list[Need]:
+    """The material ``protocol`` takes at ``batch`` over ``ring``, need for
+    need in take order. ``(protocol, build)`` is a registry pair, as
+    ``_protocol`` and ``_gate`` return: ``build`` makes batch-1 zero inputs,
+    and ``engine.derive_manifest`` records one run on them and scales it.
+    A data-oblivious protocol takes the same material on any inputs."""
+    zeros = build(_ZeroSharer(), np.random.default_rng(0), ring, 1)
+    return derive_manifest(protocol, *zeros, batch=batch)
+
+
 def run_bench(target: str, name: str = "", ring_width: int = 32, batch: int = 1,
               fanin_cap: int = DEFAULT_FANIN_CAP,
               bandwidth_bits_per_ms: float = CostModel.bandwidth_bits_per_ms,
@@ -208,8 +222,7 @@ def run_bench(target: str, name: str = "", ring_width: int = 32, batch: int = 1,
         else:
             raise DomainError(f"unknown target {target!r}")
         args = build(sess, rng, ring, batch)
-        zeros = build(_ZeroSharer(), np.random.default_rng(0), ring, 1)
-        needs = derive_manifest(proto, *zeros, batch=batch)
+        needs = manifest(proto, build, ring, batch)
 
     t0 = time.perf_counter()
     sess.provision(needs)

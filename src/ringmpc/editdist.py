@@ -20,7 +20,7 @@ import numpy as np
 from .dealer import Dealer, MaterialStore, Need
 from .engine import derive_manifest
 from .errors import DomainError, ShapeError
-from .protocols import b2a, equality, min3, min3_manifest
+from .protocols import b2a, equality, min3
 from .ring import SharePair, Z16, add, const_add, const_pair, neg, plaintext, trivial
 
 ALPHABET = 4  # characters encoded 0..3 (A, T, G, C)
@@ -121,7 +121,7 @@ def edit_distance_manifest(length: int, pairs: int = 1) -> list[Need]:
     of recording edit_distance itself; the 3-Min needs of one DP cell are
     recorded once and scaled to each diagonal."""
     needs = mismatch_manifest(length, pairs)
-    cell = min3_manifest(RING, 1)
+    cell = derive_manifest(min3, [const_pair(0, RING, 1) for _ in range(3)])
     for d in range(2, 2 * length + 1):
         cells = len(_diag_rows(length, d)) * pairs
         needs += [need.scaled(cells) for need in cell]

@@ -1,11 +1,10 @@
 """Round-efficient protocol suite built on multi-fan-in gates.
 
-Every protocol is a generator coroutine over the engine fabric and comes
-with a ``*_manifest`` companion listing exactly the correlated randomness
-it consumes, so a dealer can pre-provision the store and a test can assert
-the store drains to empty. The generator is the only source of truth: each
-manifest is read off a batch-1 run on zero inputs against a recording store
-(``engine.derive_manifest``) and scaled to the real batch.
+Every protocol is a generator coroutine over the engine fabric and the one
+source of truth for the correlated randomness it consumes: its manifest is
+read off a batch-1 run on zero inputs (``engine.derive_manifest``), which
+``bench.manifest`` makes with the protocol's registry input builder. Only
+``comparison_manifest`` is kept here, for the perfbench comparison workload.
 
 Width-specific gate plans are data, not code. The 16-bit plans follow the
 block layouts spelled out for that width; the 32/64-bit plans use wider
@@ -88,11 +87,6 @@ OVF1R_SPLITS = {8: (4, 4), 16: (8, 8)}
 MAXN_CAP = 8
 
 
-def _zeros(ring: RingSpec, count: int) -> list[SharePair]:
-    """Batch-1 zero sharings: the inputs of a manifest's recording run."""
-    return [const_pair(0, ring, 1) for _ in range(count)]
-
-
 def _check_arith(pair: SharePair):
     if pair.ring.is_boolean:
         raise DomainError("protocol needs arithmetic shares")
@@ -115,20 +109,12 @@ def equality(store: MaterialStore, x: SharePair, y: SharePair):
     return not_(top)
 
 
-def equality_manifest(ring: RingSpec, batch: int) -> list[Need]:
-    return derive_manifest(equality, *_zeros(ring, 2), batch=batch)
-
-
 def baseline_equality(store: MaterialStore, x: SharePair, y: SharePair):
     """Two-fan-in-only equality: a 2-OR tree over the difference bits."""
     _check_arith(x)
     planes = bit_decompose_local(sub_mirror(x, y))
     (top,) = yield from reduce_layers(store, or_n, planes, fanin_schedule(len(planes), 2))
     return not_(top)
-
-
-def baseline_equality_manifest(ring: RingSpec, batch: int) -> list[Need]:
-    return derive_manifest(baseline_equality, *_zeros(ring, 2), batch=batch)
 
 
 # ---------------------------------------------------------------------------
@@ -188,10 +174,6 @@ def msnzb(store: MaterialStore, planes: list[SharePair]):
     return [plane for parts in cut_each(blocks, [[planes[0].batch] * 4] * 4) for plane in parts]
 
 
-def msnzb_manifest(batch: int) -> list[Need]:
-    return derive_manifest(msnzb, _zeros(BOOL, 16), batch=batch)
-
-
 # ---------------------------------------------------------------------------
 # Overflow (two-round) and comparison
 
@@ -231,10 +213,6 @@ def overflow_2r(store: MaterialStore, x: SharePair, k: int):
     ends = list(accumulate(OVF_BLOCKS[n], lambda hi, width: hi - width, initial=n))
     blocks = yield from _block_scan(store, dplanes, list(zip(ends[1:], ends)), u_bits=True)
     return _overflow_out(fold_segments(blocks, x.batch), zero_flag)
-
-
-def overflow_manifest(ring: RingSpec, batch: int) -> list[Need]:
-    return derive_manifest(overflow_2r, *_zeros(ring, 1), ring.width_bits, batch=batch)
 
 
 def overflow_1r(store: MaterialStore, x: SharePair):
@@ -283,10 +261,6 @@ def overflow_1r(store: MaterialStore, x: SharePair):
     return fold_segments(banks, x.batch)
 
 
-def overflow_1r_manifest(ring: RingSpec, batch: int) -> list[Need]:
-    return derive_manifest(overflow_1r, *_zeros(ring, 1), batch=batch)
-
-
 def _comparison(store, x: SharePair, y: SharePair, overflow):
     """z = 1 iff x < y: the overflow bits of x, y and x - y, stacked, give
     their three MSBs, which one 2-AND round combines."""
@@ -307,7 +281,9 @@ def comparison(store: MaterialStore, x: SharePair, y: SharePair):
 
 
 def comparison_manifest(ring: RingSpec, batch: int) -> list[Need]:
-    return derive_manifest(comparison, *_zeros(ring, 2), batch=batch)
+    """Comparison's material at ``batch``, recorded on batch-1 zero inputs."""
+    return derive_manifest(comparison, const_pair(0, ring, 1), const_pair(0, ring, 1),
+                           batch=batch)
 
 
 def baseline_overflow(store: MaterialStore, x: SharePair, k: int):
@@ -325,18 +301,9 @@ def baseline_overflow(store: MaterialStore, x: SharePair, k: int):
     return _overflow_out(fold_segments([res], x.batch), zero_flag)
 
 
-def baseline_overflow_manifest(ring: RingSpec, batch: int) -> list[Need]:
-    return derive_manifest(baseline_overflow, *_zeros(ring, 1), ring.width_bits,
-                           batch=batch)
-
-
 def baseline_comparison(store: MaterialStore, x: SharePair, y: SharePair):
     result = yield from _comparison(store, x, y, baseline_overflow)
     return result
-
-
-def baseline_comparison_manifest(ring: RingSpec, batch: int) -> list[Need]:
-    return derive_manifest(baseline_comparison, *_zeros(ring, 2), batch=batch)
 
 
 # ---------------------------------------------------------------------------
@@ -357,10 +324,6 @@ def b2a(store: MaterialStore, x: SharePair, ring: RingSpec):
     z[0] -= 2 * (xp * xpp + xpp * mat.a + mat.c0)
     z[1] -= 2 * (xp * mat.b + mat.c1)
     return SharePair(ring, z, x.batch)
-
-
-def b2a_manifest(ring: RingSpec, batch: int) -> list[Need]:
-    return derive_manifest(b2a, *_zeros(BOOL, 1), ring, batch=batch)
 
 
 def _lifts(pair: SharePair, ring: RingSpec):
@@ -386,10 +349,6 @@ def bx2a(store: MaterialStore, b: SharePair, x: SharePair):
     return sub(s, const_mult(2, t))
 
 
-def bx2a_manifest(ring: RingSpec, batch: int) -> list[Need]:
-    return derive_manifest(bx2a, *_zeros(BOOL, 1), *_zeros(ring, 1), batch=batch)
-
-
 def _bc_gates(b: SharePair, c: SharePair, ring: RingSpec) -> list[list[SharePair]]:
     """The five products whose combination g1 + 2(g4 + g5 - g2 - g3) is b * c:
     three 2-MULTs and two 4-MULTs over the trivial-share lifts."""
@@ -413,10 +372,6 @@ def bc2a(store: MaterialStore, b: SharePair, c: SharePair, ring: RingSpec):
     return _bc_combine(*products)
 
 
-def bc2a_manifest(ring: RingSpec, batch: int) -> list[Need]:
-    return derive_manifest(bc2a, *_zeros(BOOL, 2), ring, batch=batch)
-
-
 def bcx2a(store: MaterialStore, b: SharePair, c: SharePair, x: SharePair):
     """b * c * x in one round (three stacked 3-MULTs, two stacked 5-MULTs):
     BC2A with x joined to every gate."""
@@ -424,10 +379,6 @@ def bcx2a(store: MaterialStore, b: SharePair, c: SharePair, x: SharePair):
     gates = [[*gate, x] for gate in _bc_gates(b, c, x.ring)]
     products = yield from bank(store, mult_n, gates)
     return _bc_combine(*products)
-
-
-def bcx2a_manifest(ring: RingSpec, batch: int) -> list[Need]:
-    return derive_manifest(bcx2a, *_zeros(BOOL, 2), *_zeros(ring, 1), batch=batch)
 
 
 # ---------------------------------------------------------------------------
@@ -481,13 +432,6 @@ def min3(store: MaterialStore, xs: list[SharePair]):
     return result
 
 
-def max3_manifest(ring: RingSpec, batch: int) -> list[Need]:
-    return derive_manifest(max3, _zeros(ring, 3), batch=batch)
-
-
-min3_manifest = max3_manifest  # same takes; only the comparison sides differ
-
-
 def _argextreme3(store, xs, smallest):
     """1 * sel_1 + 2 * sel_2: one BC2A over selectors 1 and 2 of both
     terms (elements ``[batch, 3 * batch)``); selector 0 weighs nothing."""
@@ -511,13 +455,6 @@ def argmin3(store: MaterialStore, xs: list[SharePair]):
     return result
 
 
-def argmax3_manifest(ring: RingSpec, batch: int) -> list[Need]:
-    return derive_manifest(argmax3, _zeros(ring, 3), batch=batch)
-
-
-argmin3_manifest = argmax3_manifest  # same takes; only the comparison sides differ
-
-
 def maxn(store: MaterialStore, xs: list[SharePair], fanin_cap: int = DEFAULT_FANIN_CAP,
          smallest: bool = False):
     """Max (or min) of N > 3 values: the selector terms of all N(N-1)/2
@@ -534,11 +471,6 @@ def maxn(store: MaterialStore, xs: list[SharePair], fanin_cap: int = DEFAULT_FAN
     (sel,) = yield from reduce_layers(store, and_n, terms, fanin_schedule(n_vals - 1, fanin_cap))
     prod = yield from bx2a(store, sel, concat_pairs(xs))
     return fold_segments([prod], xs[0].batch)
-
-
-def maxn_manifest(ring: RingSpec, n_vals: int, batch: int,
-                  fanin_cap: int = DEFAULT_FANIN_CAP) -> list[Need]:
-    return derive_manifest(maxn, _zeros(ring, n_vals), fanin_cap, batch=batch)
 
 
 # ---------------------------------------------------------------------------
@@ -569,11 +501,6 @@ def tlu(store: MaterialStore, table: LookupTable, idx: SharePair):
     return fold_segments([prods], idx.batch)
 
 
-def tlu_manifest(ring: RingSpec, n_keys: int, batch: int) -> list[Need]:
-    table = LookupTable(_zeros(ring, n_keys), _zeros(ring, n_keys))
-    return derive_manifest(tlu, table, *_zeros(ring, 1), batch=batch)
-
-
 # ---------------------------------------------------------------------------
 # Baseline 3-Max (tournament with 2-fan-in building blocks)
 
@@ -594,7 +521,3 @@ def baseline_max3(store: MaterialStore, xs: list[SharePair]):
         (prod,) = yield from bank(store, mult_n, [[c_arith, sub(challenger, best)]])
         best = add(best, prod)
     return best
-
-
-def baseline_max3_manifest(ring: RingSpec, batch: int) -> list[Need]:
-    return derive_manifest(baseline_max3, _zeros(ring, 3), batch=batch)

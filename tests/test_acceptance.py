@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from conftest import edit_distance_oracle
+from conftest import edit_distance_oracle, edit_distance_oracle_batch, manifest
 
 from ringmpc import editdist as E
 from ringmpc import protocols as P
@@ -33,9 +33,9 @@ def _report(criterion: int, ok: bool, detail: str = ""):
     assert ok, line
 
 
-def _run(seed, manifest, gen_factory):
+def _run(seed, needs, gen_factory):
     sess = Session(seed=seed)
-    sess.provision(manifest)
+    sess.provision(needs)
     result = sess.run(gen_factory(sess))
     return sess, result
 
@@ -51,26 +51,26 @@ def test_criterion_1_round_counts():
     triple = [_rand(rng, 1 << 31, 4) for _ in range(3)]
     rounds = {}
 
-    sess, _ = _run(1, P.equality_manifest(Z32, 4),
+    sess, _ = _run(1, manifest("equality", Z32, 4),
                    lambda s: P.equality(s.store, s.share_input(xv, Z32),
                                         s.share_input(yv, Z32)))
     rounds["equality"] = sess.rounds
-    sess, _ = _run(2, P.comparison_manifest(Z32, 4),
+    sess, _ = _run(2, manifest("comparison", Z32, 4),
                    lambda s: P.comparison(s.store, s.share_input(xv, Z32),
                                           s.share_input(yv, Z32)))
     rounds["comparison"] = sess.rounds
-    sess, _ = _run(3, P.max3_manifest(Z32, 4),
+    sess, _ = _run(3, manifest("max3", Z32, 4),
                    lambda s: P.max3(s.store, [s.share_input(v, Z32) for v in triple]))
     rounds["max3"] = sess.rounds
-    sess, _ = _run(4, P.baseline_equality_manifest(Z32, 4),
+    sess, _ = _run(4, manifest("equality", Z32, 4, baseline=True),
                    lambda s: P.baseline_equality(s.store, s.share_input(xv, Z32),
                                                  s.share_input(yv, Z32)))
     rounds["baseline equality"] = sess.rounds
-    sess, _ = _run(5, P.baseline_comparison_manifest(Z32, 4),
+    sess, _ = _run(5, manifest("comparison", Z32, 4, baseline=True),
                    lambda s: P.baseline_comparison(s.store, s.share_input(xv, Z32),
                                                    s.share_input(yv, Z32)))
     rounds["baseline comparison"] = sess.rounds
-    sess, _ = _run(6, P.baseline_max3_manifest(Z32, 4),
+    sess, _ = _run(6, manifest("max3", Z32, 4, baseline=True),
                    lambda s: P.baseline_max3(
                        s.store, [s.share_input(v, Z32) for v in triple]))
     rounds["baseline max3"] = sess.rounds
@@ -88,15 +88,15 @@ def test_criterion_2_bit_counts():
     for batch in (1, 1000):
         xv, yv = _rand(rng, 1 << 31, batch), _rand(rng, 1 << 31, batch)
         triple = [_rand(rng, 1 << 31, batch) for _ in range(3)]
-        sess, _ = _run(7, P.equality_manifest(Z32, batch),
+        sess, _ = _run(7, manifest("equality", Z32, batch),
                        lambda s: P.equality(s.store, s.share_input(xv, Z32),
                                             s.share_input(yv, Z32)))
         observed[("equality", batch)] = max(sess.bits)
-        sess, _ = _run(8, P.comparison_manifest(Z32, batch),
+        sess, _ = _run(8, manifest("comparison", Z32, batch),
                        lambda s: P.comparison(s.store, s.share_input(xv, Z32),
                                               s.share_input(yv, Z32)))
         observed[("comparison", batch)] = max(sess.bits)
-        sess, _ = _run(9, P.max3_manifest(Z32, batch),
+        sess, _ = _run(9, manifest("max3", Z32, batch),
                        lambda s: P.max3(s.store,
                                         [s.share_input(v, Z32) for v in triple]))
         observed[("max3", batch)] = max(sess.bits)
@@ -139,7 +139,7 @@ def test_criterion_4_correctness_oracles():
     batch = 1 << 16
     vals = np.arange(batch, dtype=np.uint64)
     sess = Session(seed=300)
-    sess.provision(P.msnzb_manifest(batch))
+    sess.provision(manifest("msnzb", Z16, batch))
     planes = [sess.share_input((vals >> np.uint64(j)) & np.uint64(1), BOOL)
               for j in range(16)]
     out = np.stack([reconst(*p) for p in sess.run(P.msnzb(sess.store, planes))])
@@ -157,14 +157,14 @@ def test_criterion_4_correctness_oracles():
     b = np.tile(np.arange(256, dtype=np.uint64), 256)
     x = SharePair.of(Share(0, Z8, a), Share(1, Z8, b))
     for k in range(1, 9):
-        sess, z = _run(301, P.overflow_manifest(Z8, 1 << 16),
+        sess, z = _run(301, manifest("overflow", Z8, 1 << 16),
                        lambda s: P.overflow_2r(s.store, x, k))
         expect = ((a % (1 << k)) + (b % (1 << k)) >= (1 << k)).astype(np.uint8)
         if not np.array_equal(reconst(*z), expect):
             mismatches.append(f"overflow_2r k={k}")
 
     # Overflow (1-round) exhaustive at n=8, split (4,4).
-    sess, z = _run(302, P.overflow_1r_manifest(Z8, 1 << 16),
+    sess, z = _run(302, manifest("overflow1r", Z8, 1 << 16),
                    lambda s: P.overflow_1r(s.store, x))
     if not np.array_equal(reconst(*z), ((a + b) >= 256).astype(np.uint8)):
         mismatches.append("overflow_1r")
@@ -189,7 +189,7 @@ def test_criterion_4_correctness_oracles():
     yv = xv.copy()
     flip = rng.random(total) < 0.5
     yv[flip] = _rand(rng, 1 << 32, int(flip.sum()))
-    sess, z = _run(305, P.equality_manifest(Z32, total),
+    sess, z = _run(305, manifest("equality", Z32, total),
                    lambda s: P.equality(s.store, s.share_input(xv, Z32),
                                         s.share_input(yv, Z32)))
     if not np.array_equal(reconst(*z), (xv == yv).astype(np.uint8)):
@@ -201,7 +201,7 @@ def test_criterion_4_correctness_oracles():
     yv[::100] = xv[::100]
     for lo in range(0, total, chunk):
         xs, ys = xv[lo:lo + chunk], yv[lo:lo + chunk]
-        sess, z = _run(306, P.comparison_manifest(Z32, chunk),
+        sess, z = _run(306, manifest("comparison", Z32, chunk),
                        lambda s: P.comparison(s.store, s.share_input(xs, Z32),
                                               s.share_input(ys, Z32)))
         if not np.array_equal(reconst(*z), (xs < ys).astype(np.uint8)):
@@ -229,21 +229,21 @@ def test_criterion_5_b2a_family():
     for width in (16, 32, 64):
         ring = RINGS[width]
         xv = _rand(rng, 1 << min(width, 63), trials)
-        sess, z = _run(401, P.b2a_manifest(ring, trials),
+        sess, z = _run(401, manifest("b2a", ring, trials),
                        lambda s: P.b2a(s.store, b, ring))
         if not np.array_equal(reconst(*z), bb.astype(ring.dtype)):
             bad.append(f"b2a n={width}")
         if sess.bits != [width * trials] * 2:
             bad.append(f"b2a bits n={width}: {sess.bits}")
-        sess, z = _run(402, P.bx2a_manifest(ring, trials),
+        sess, z = _run(402, manifest("bx2a", ring, trials),
                        lambda s: P.bx2a(s.store, b, s.share_input(xv, ring)))
         if not np.array_equal(reconst(*z), ring.wrap(bb * xv)):
             bad.append(f"bx2a n={width}")
-        sess, z = _run(403, P.bc2a_manifest(ring, trials),
+        sess, z = _run(403, manifest("bc2a", ring, trials),
                        lambda s: P.bc2a(s.store, b, c, ring))
         if not np.array_equal(reconst(*z), (bb & cc).astype(ring.dtype)):
             bad.append(f"bc2a n={width}")
-        sess, z = _run(404, P.bcx2a_manifest(ring, trials),
+        sess, z = _run(404, manifest("bcx2a", ring, trials),
                        lambda s: P.bcx2a(s.store, b, c, s.share_input(xv, ring)))
         if not np.array_equal(reconst(*z), ring.wrap((bb & cc) * xv)):
             bad.append(f"bcx2a n={width}")
@@ -271,8 +271,7 @@ def test_criterion_6_edit_distance():
         idx = np.array(list(itertools.product(range(len(combos)), repeat=2)))
         S, T = combos[idx[:, 0]], combos[idx[:, 1]]
         sess, d = _distance_batch(500 + length, S, T)
-        expect = np.array([edit_distance_oracle(S[i], T[i])
-                           for i in range(len(S))], dtype=np.uint16)
+        expect = edit_distance_oracle_batch(S, T)
         if not np.array_equal(d, expect):
             bad.append(f"exhaustive L={length}")
         if sess.rounds != 8 * length - 1:
@@ -286,8 +285,7 @@ def test_criterion_6_edit_distance():
             S = rng.integers(0, 4, (chunk, length), dtype=np.uint64)
             T = rng.integers(0, 4, (chunk, length), dtype=np.uint64)
             sess, d = _distance_batch(502, S, T)
-            expect = np.array([edit_distance_oracle(S[i], T[i])
-                               for i in range(chunk)], dtype=np.uint16)
+            expect = edit_distance_oracle_batch(S, T)
             if not np.array_equal(d, expect):
                 bad.append(f"random L={length} chunk@{done}")
                 break
@@ -351,7 +349,7 @@ def test_criterion_8_determinism():
         rng = np.random.default_rng(800)
         xv = _rand(rng, 1 << 31, 50)
         yv = _rand(rng, 1 << 31, 50)
-        sess, _ = _run(801, P.comparison_manifest(Z32, 50),
+        sess, _ = _run(801, manifest("comparison", Z32, 50),
                        lambda s: P.comparison(s.store, s.share_input(xv, Z32),
                                               s.share_input(yv, Z32)))
         return sess.transcript.to_bytes()

@@ -2,11 +2,14 @@ import json
 
 import pytest
 
+from conftest import manifest
+
 from ringmpc import protocols as P
 from ringmpc.bench import ROW_FIELDS, run_bench
 from ringmpc.cli import main, render
 from ringmpc.dealer import Dealer, RecordingStore
 from ringmpc.engine import Session
+from ringmpc.errors import DomainError
 from ringmpc.ring import Z16
 
 
@@ -48,7 +51,7 @@ def test_capped_maxn_row_matches_the_library_run(capsys):
     assert code == 0
     (row,) = json.loads(out)
     sess = Session()
-    sess.provision(P.maxn_manifest(Z16, 5, 1, fanin_cap=3))
+    sess.provision(manifest("max5", Z16, 1, fanin_cap=3))
     xs = [sess.share_input(v, Z16) for v in range(5)]
     sess.run(P.maxn(sess.store, xs, fanin_cap=3))
     assert sess.store.is_empty()
@@ -130,12 +133,24 @@ def test_error_is_machine_readable(capsys):
     ("--target", "protocol", "--name", "comparison", "--bandwidth-bits-per-ms", "-5"),
     ("--target", "protocol", "--name", "comparison", "--rtt-ms", "-5"),
     ("--target", "protocol", "--name", "comparison", "--rtt-ms", "nan"),
+    ("--target", "protocol", "--name", "tlu65537", "--ring", "16"),
 ])
 def test_invalid_input_is_a_json_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
     assert json.loads(err)["error"] == "DomainError"
+
+
+@pytest.mark.parametrize("ring_width, name, bound", [(8, "tlu257", 256), (16, "tlu65537", 65536)])
+def test_tlu_with_more_keys_than_it_can_draw_shares_nothing(monkeypatch, ring_width, name, bound):
+    """The builder draws distinct keys from the first min(2^n, 2^20) ring
+    values, so it refuses a larger key count before it shares an input."""
+    shared = []
+    monkeypatch.setattr(Dealer, "share_input", lambda *args: shared.append(args))
+    with pytest.raises(DomainError, match=f"at most {bound}$"):
+        run_bench("protocol", name, ring_width=ring_width)
+    assert shared == []
 
 
 def test_capability_error_path(capsys):

@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from conftest import edit_distance_oracle
+from conftest import edit_distance_oracle, edit_distance_oracle_batch
 
 from ringmpc import editdist as E
 from ringmpc.engine import Session
@@ -61,6 +61,23 @@ def test_random_dna_batch():
     expect = np.array([edit_distance_oracle(S[i], T[i]) for i in range(100)])
     assert np.array_equal(d, expect.astype(np.uint16))
     assert sess.rounds == 63
+
+
+@pytest.mark.parametrize("la, lb", itertools.product(range(5), repeat=2))
+def test_batched_oracle_matches_scalar_on_every_binary_pair(la, lb):
+    S = np.array(list(itertools.product(range(2), repeat=la)), dtype=np.uint64)
+    T = np.array(list(itertools.product(range(2), repeat=lb)), dtype=np.uint64)
+    i, j = (ix.ravel() for ix in np.meshgrid(np.arange(len(S)), np.arange(len(T))))
+    expect = [edit_distance_oracle(S[a], T[b]) for a, b in zip(i, j)]
+    assert edit_distance_oracle_batch(S[i], T[j]).tolist() == expect
+
+
+@pytest.mark.parametrize("length", [1, 7, 16, 64])
+def test_batched_oracle_matches_scalar_on_random_dna(length):
+    rng = np.random.default_rng(length)
+    S, T = rng.integers(0, 4, (2, 200, length), dtype=np.uint64)
+    expect = [edit_distance_oracle(a, b) for a, b in zip(S, T)]
+    assert edit_distance_oracle_batch(S, T).tolist() == expect
 
 
 def test_mismatch_matrix():

@@ -9,9 +9,13 @@ distance at Z_2^16).
 """
 import pytest
 
-from ringmpc import Z8, Z32
+from conftest import manifest
+
+from ringmpc import Z8, Z16, Z32, bench
 from ringmpc import editdist as E
 from ringmpc import protocols as P
+from ringmpc.engine import derive_manifest
+from ringmpc.ring import const_pair
 
 BUDGET = {
     "equality": {("bte", 1, 4): [2], ("bte", 1, 6): [4, 1]},
@@ -86,28 +90,35 @@ BUDGET = {
     },
 }
 
+# BUDGET row -> (registry name, ring, keyword arguments of conftest.manifest).
+REGISTRY_ROWS = {
+    "equality": ("equality", Z32, {}),
+    "baseline_equality": ("equality", Z32, {"baseline": True}),
+    "msnzb": ("msnzb", Z16, {}),
+    "overflow": ("overflow", Z32, {}),
+    "overflow_1r": ("overflow1r", Z8, {}),
+    "comparison": ("comparison", Z32, {}),
+    "baseline_comparison": ("comparison", Z32, {"baseline": True}),
+    "b2a": ("b2a", Z32, {}),
+    "bx2a": ("bx2a", Z32, {}),
+    "bc2a": ("bc2a", Z32, {}),
+    "bcx2a": ("bcx2a", Z32, {}),
+    "max3": ("max3", Z32, {}),
+    "min3": ("min3", Z32, {}),
+    "argmax3": ("argmax3", Z32, {}),
+    "argmin3": ("argmin3", Z32, {}),
+    "max5": ("max5", Z32, {}),
+    "max8": ("max8", Z32, {}),
+    "max8_cap3": ("max8", Z32, {"fanin_cap": 3}),
+    "tlu4": ("tlu4", Z32, {}),
+    "baseline_max3": ("max3", Z32, {"baseline": True}),
+}
+
 MANIFESTS = {
-    "equality": lambda: P.equality_manifest(Z32, 1),
-    "baseline_equality": lambda: P.baseline_equality_manifest(Z32, 1),
-    "msnzb": lambda: P.msnzb_manifest(1),
-    "overflow": lambda: P.overflow_manifest(Z32, 1),
-    "overflow_1r": lambda: P.overflow_1r_manifest(Z8, 1),
-    "comparison": lambda: P.comparison_manifest(Z32, 1),
-    "baseline_overflow": lambda: P.baseline_overflow_manifest(Z32, 1),
-    "baseline_comparison": lambda: P.baseline_comparison_manifest(Z32, 1),
-    "b2a": lambda: P.b2a_manifest(Z32, 1),
-    "bx2a": lambda: P.bx2a_manifest(Z32, 1),
-    "bc2a": lambda: P.bc2a_manifest(Z32, 1),
-    "bcx2a": lambda: P.bcx2a_manifest(Z32, 1),
-    "max3": lambda: P.max3_manifest(Z32, 1),
-    "min3": lambda: P.min3_manifest(Z32, 1),
-    "argmax3": lambda: P.argmax3_manifest(Z32, 1),
-    "argmin3": lambda: P.argmin3_manifest(Z32, 1),
-    "max5": lambda: P.maxn_manifest(Z32, 5, 1),
-    "max8": lambda: P.maxn_manifest(Z32, 8, 1),
-    "max8_cap3": lambda: P.maxn_manifest(Z32, 8, 1, fanin_cap=3),
-    "tlu4": lambda: P.tlu_manifest(Z32, 4, 1),
-    "baseline_max3": lambda: P.baseline_max3_manifest(Z32, 1),
+    **{row: lambda name=name, ring=ring, kw=kw: manifest(name, ring, 1, **kw)
+       for row, (name, ring, kw) in REGISTRY_ROWS.items()},
+    # Not a registry entry: the baseline comparison's overflow step alone.
+    "baseline_overflow": lambda: derive_manifest(P.baseline_overflow, const_pair(0, Z32, 1), 32),
     "mismatch_L3": lambda: E.mismatch_manifest(3),
     "edit_distance_L3": lambda: E.edit_distance_manifest(3),
 }
@@ -124,3 +135,13 @@ def pools(needs):
 @pytest.mark.parametrize("name", list(BUDGET))
 def test_material_budget(name):
     assert pools(MANIFESTS[name]()) == BUDGET[name]
+
+
+def test_every_registry_entry_is_budgeted():
+    """A protocol added to the registry, or a baseline added to an entry,
+    needs a BUDGET row before this passes."""
+    assert sorted(MANIFESTS) == sorted(BUDGET)
+    budgeted = {(name, kw.get("baseline", False)) for name, _, kw in REGISTRY_ROWS.values()}
+    entries = {(name, False) for name in bench.PROTOCOLS}
+    entries |= {(name, True) for name, (_, _, base) in bench.PROTOCOLS.items() if base is not None}
+    assert entries <= budgeted

@@ -9,6 +9,8 @@ the inputs and the parent must be bit-identical to before.
 import numpy as np
 import pytest
 
+from conftest import manifest
+
 from ringmpc import editdist as E
 from ringmpc import protocols as P
 from ringmpc.engine import Session
@@ -27,18 +29,18 @@ def _views(sess, ring, count, high, seed, batch=BATCH):
 
 def _comparison(sess):
     parent, (x, y) = _views(sess, Z32, 2, 1 << 31, 1)
-    return [parent, x, y], P.comparison_manifest(Z32, BATCH), P.comparison(sess.store, x, y)
+    return [parent, x, y], manifest("comparison", Z32, BATCH), P.comparison(sess.store, x, y)
 
 
 def _max3(sess):
     parent, xs = _views(sess, Z32, 3, 1 << 31, 2)
-    return [parent, *xs], P.max3_manifest(Z32, BATCH), P.max3(sess.store, xs)
+    return [parent, *xs], manifest("max3", Z32, BATCH), P.max3(sess.store, xs)
 
 
 def _bcx2a(sess):
     bits, (b, c) = _views(sess, BOOL, 2, 2, 3)
     parent, (x,) = _views(sess, Z32, 1, 1 << 32, 4)
-    return ([bits, b, c, parent, x], P.bcx2a_manifest(Z32, BATCH),
+    return ([bits, b, c, parent, x], manifest("bcx2a", Z32, BATCH),
             P.bcx2a(sess.store, b, c, x))
 
 
@@ -46,7 +48,7 @@ def _bcx2a_word_views(sess):
     bits, (b, c) = _views(sess, BOOL, 2, 2, 3, batch=64)
     assert np.shares_memory(b.v, bits.v) and np.shares_memory(c.v, bits.v)
     parent, (x,) = _views(sess, Z32, 1, 1 << 32, 4, batch=64)
-    return ([bits, b, c, parent, x], P.bcx2a_manifest(Z32, 64),
+    return ([bits, b, c, parent, x], manifest("bcx2a", Z32, 64),
             P.bcx2a(sess.store, b, c, x))
 
 
@@ -55,7 +57,7 @@ def _tlu(sess):
     keys = [sess.share_input(np.full(BATCH, k, np.uint64), Z32) for k in (4, 9, 2)]
     table = P.LookupTable(keys, pairs[:3])
     idx = concat_pairs([keys[1]])
-    return ([parent, *pairs, *keys, idx], P.tlu_manifest(Z32, 3, BATCH),
+    return ([parent, *pairs, *keys, idx], manifest("tlu3", Z32, BATCH),
             P.tlu(sess.store, table, idx))
 
 

@@ -15,7 +15,7 @@ import pytest
 
 from ringmpc import bench
 from ringmpc.editdist import edit_distance, edit_distance_manifest, share_strings
-from ringmpc.engine import Session, derive_manifest
+from ringmpc.engine import Session
 from ringmpc.ring import RingSpec
 
 BATCHES = [1, 63, 65, 130]
@@ -47,8 +47,7 @@ def _run(proto, build, ring, batch, seen=None) -> Session:
     arrays of each round as the protocol yielded them."""
     sess = Session(seed=batch)
     args = build(sess, np.random.default_rng(batch), ring, batch)
-    zeros = build(bench._ZeroSharer(), np.random.default_rng(0), ring, 1)
-    sess.provision(derive_manifest(proto, *zeros, batch=batch))
+    sess.provision(bench.manifest(proto, build, ring, batch))
     gen = proto(sess.store, *args)
     sess.run(gen if seen is None else _watch(gen, seen))
     assert sess.store.is_empty()

@@ -3,6 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
+from conftest import manifest
+
 from ringmpc import protocols as P
 from ringmpc.engine import Session
 from ringmpc.errors import CapabilityError, DomainError, ShapeError
@@ -21,9 +23,9 @@ def rand(rng, ring, batch, high=None):
                                   dtype=np.uint64))
 
 
-def run(seed, manifest, gen_factory):
+def run(seed, needs, gen_factory):
     sess = Session(seed=seed)
-    sess.provision(manifest)
+    sess.provision(needs)
     result = sess.run(gen_factory(sess))
     assert sess.store.is_empty(), "manifest over-provisioned"
     return sess, result
@@ -42,7 +44,7 @@ def test_equality_costs_and_correctness(width):
     yv[::3] = rand(rng, ring, (batch + 2) // 3)
     sess, z = run(
         width,
-        P.equality_manifest(ring, batch),
+        manifest("equality", ring, batch),
         lambda s: P.equality(s.store, s.share_input(xv, ring), s.share_input(yv, ring)),
     )
     assert np.array_equal(reconst(*z), (xv == yv).astype(np.uint8))
@@ -66,7 +68,7 @@ def test_baseline_equality():
     yv[::2] = rand(rng, ring, batch // 2)
     sess, z = run(
         1,
-        P.baseline_equality_manifest(ring, batch),
+        manifest("equality", ring, batch, baseline=True),
         lambda s: P.baseline_equality(
             s.store, s.share_input(xv, ring), s.share_input(yv, ring)
         ),
@@ -83,7 +85,7 @@ def test_msnzb_exhaustive_width16():
     batch = 1 << 16
     vals = np.arange(batch, dtype=np.uint64)
     sess = Session(seed=11)
-    sess.provision(P.msnzb_manifest(batch))
+    sess.provision(manifest("msnzb", Z16, batch))
     planes = [
         sess.share_input((vals >> np.uint64(j)) & np.uint64(1), BOOL)
         for j in range(16)
@@ -119,7 +121,7 @@ def test_overflow_2r_exhaustive_n8(k):
     a = np.repeat(np.arange(256, dtype=np.uint64), 256)
     b = np.tile(np.arange(256, dtype=np.uint64), 256)
     x = SharePair.of(Share(0, Z8, a), Share(1, Z8, b))
-    sess, z = run(k, P.overflow_manifest(Z8, batch),
+    sess, z = run(k, manifest("overflow", Z8, batch),
                   lambda s: P.overflow_2r(s.store, x, k))
     expect = ((a % (1 << k)) + (b % (1 << k)) >= (1 << k)).astype(np.uint8)
     assert np.array_equal(reconst(*z), expect)
@@ -135,7 +137,7 @@ def test_overflow_2r_random_wider(width):
     b = rand(rng, ring, batch)
     x = SharePair.of(Share(0, ring, a), Share(1, ring, b))
     for k in (1, width // 2, width - 1, width):
-        sess, z = run(width + k, P.overflow_manifest(ring, batch),
+        sess, z = run(width + k, manifest("overflow", ring, batch),
                       lambda s: P.overflow_2r(s.store, x, k))
         mod = 1 << k
         expect = ((a.astype(object) % mod) + (b.astype(object) % mod) >= mod)
@@ -147,7 +149,7 @@ def test_overflow_2r_random_wider(width):
 def test_overflow_2r_bit_counts(width, bits):
     ring = RINGS[width]
     x = SharePair.of(Share(0, ring, [1]), Share(1, ring, [2]))
-    sess, _ = run(width, P.overflow_manifest(ring, 1),
+    sess, _ = run(width, manifest("overflow", ring, 1),
                   lambda s: P.overflow_2r(s.store, x, width))
     assert sess.bits == [bits, bits]
 
@@ -163,7 +165,7 @@ def test_overflow_1r_exhaustive_n8():
     a = np.repeat(np.arange(256, dtype=np.uint64), 256)
     b = np.tile(np.arange(256, dtype=np.uint64), 256)
     x = SharePair.of(Share(0, Z8, a), Share(1, Z8, b))
-    sess, z = run(21, P.overflow_1r_manifest(Z8, 1 << 16),
+    sess, z = run(21, manifest("overflow1r", Z8, 1 << 16),
                   lambda s: P.overflow_1r(s.store, x))
     assert np.array_equal(reconst(*z), ((a + b) >= 256).astype(np.uint8))
     assert sess.rounds == 1
@@ -175,7 +177,7 @@ def test_overflow_1r_random_n16():
     a = rand(rng, Z16, batch)
     b = rand(rng, Z16, batch)
     x = SharePair.of(Share(0, Z16, a), Share(1, Z16, b))
-    sess, z = run(22, P.overflow_1r_manifest(Z16, batch),
+    sess, z = run(22, manifest("overflow1r", Z16, batch),
                   lambda s: P.overflow_1r(s.store, x))
     expect = (a.astype(np.uint64) + b.astype(np.uint64) >= (1 << 16)).astype(np.uint8)
     assert np.array_equal(reconst(*z), expect)
@@ -203,7 +205,7 @@ def test_comparison_costs_and_correctness(width):
     yv[:20] = xv[:20]  # exercise ties -> strictly-less is false
     sess, z = run(
         width,
-        P.comparison_manifest(ring, batch),
+        manifest("comparison", ring, batch),
         lambda s: P.comparison(
             s.store, s.share_input(xv, ring), s.share_input(yv, ring)
         ),
@@ -218,7 +220,7 @@ def test_comparison_exhaustive_small_domain():
     batch = len(vals)
     sess, z = run(
         31,
-        P.comparison_manifest(Z16, batch),
+        manifest("comparison", Z16, batch),
         lambda s: P.comparison(
             s.store, s.share_input(vals[:, 0], Z16), s.share_input(vals[:, 1], Z16)
         ),
@@ -233,7 +235,7 @@ def test_baseline_comparison():
     yv = rand(rng, Z32, batch, high=1 << 31)
     sess, z = run(
         32,
-        P.baseline_comparison_manifest(Z32, batch),
+        manifest("comparison", Z32, batch, baseline=True),
         lambda s: P.baseline_comparison(
             s.store, s.share_input(xv, Z32), s.share_input(yv, Z32)
         ),
@@ -262,7 +264,7 @@ def test_b2a(width):
     rng = np.random.default_rng(width + 2)
     batch = 2000
     b, bb = all_bit_patterns(batch, rng)
-    sess, z = run(width, P.b2a_manifest(ring, batch),
+    sess, z = run(width, manifest("b2a", ring, batch),
                   lambda s: P.b2a(s.store, b, ring))
     assert np.array_equal(reconst(*z), bb.astype(ring.dtype))
     assert sess.rounds == 1
@@ -282,7 +284,7 @@ def test_b2a_rejects_boolean_target_ring():
     with pytest.raises(DomainError):
         next(P.b2a(sess.store, x, BOOL))
     with pytest.raises(DomainError):
-        P.b2a_manifest(BOOL, 4)
+        manifest("b2a", BOOL, 4)
 
 
 @pytest.mark.parametrize("width", [16, 32, 64])
@@ -294,7 +296,7 @@ def test_bx2a(width):
     xv = rand(rng, ring, batch)
     sess, z = run(
         width,
-        P.bx2a_manifest(ring, batch),
+        manifest("bx2a", ring, batch),
         lambda s: P.bx2a(s.store, b, s.share_input(xv, ring)),
     )
     assert np.array_equal(reconst(*z), ring.wrap(bb * xv))
@@ -309,7 +311,7 @@ def test_bc2a(width):
     batch = 2000
     b, bb = all_bit_patterns(batch, rng)
     c, cc = all_bit_patterns(batch, np.random.default_rng(width + 5))
-    sess, z = run(width, P.bc2a_manifest(ring, batch),
+    sess, z = run(width, manifest("bc2a", ring, batch),
                   lambda s: P.bc2a(s.store, b, c, ring))
     assert np.array_equal(reconst(*z), (bb & cc).astype(ring.dtype))
     assert sess.rounds == 1
@@ -326,7 +328,7 @@ def test_bcx2a(width):
     xv = rand(rng, ring, batch)
     sess, z = run(
         width,
-        P.bcx2a_manifest(ring, batch),
+        manifest("bcx2a", ring, batch),
         lambda s: P.bcx2a(s.store, b, c, s.share_input(xv, ring)),
     )
     assert np.array_equal(reconst(*z), ring.wrap((bb & cc) * xv))
@@ -344,21 +346,27 @@ def exhaustive_triples(limit=8):
 
 
 # numpy argmax/argmin break ties at the lowest index, same as the protocols.
+# The ids are the ones these cases have always run under; their third part
+# names the manifest each took (min3 and argmin3 take max3's and argmax3's).
 EXTREMA3 = [
-    ("max3", P.max3, P.max3_manifest, lambda v: v.max(axis=1)),
-    ("min3", P.min3, P.min3_manifest, lambda v: v.min(axis=1)),
-    ("argmax3", P.argmax3, P.argmax3_manifest, lambda v: v.argmax(axis=1)),
-    ("argmin3", P.argmin3, P.argmin3_manifest, lambda v: v.argmin(axis=1)),
+    pytest.param("max3", P.max3, lambda v: v.max(axis=1),
+                 id="max3-max3-max3_manifest-<lambda>"),
+    pytest.param("min3", P.min3, lambda v: v.min(axis=1),
+                 id="min3-min3-max3_manifest-<lambda>"),
+    pytest.param("argmax3", P.argmax3, lambda v: v.argmax(axis=1),
+                 id="argmax3-argmax3-argmax3_manifest-<lambda>"),
+    pytest.param("argmin3", P.argmin3, lambda v: v.argmin(axis=1),
+                 id="argmin3-argmin3-argmax3_manifest-<lambda>"),
 ]
 
 
-@pytest.mark.parametrize("name,proto,manifest,oracle", EXTREMA3)
-def test_extremum3_exhaustive_with_ties(name, proto, manifest, oracle):
+@pytest.mark.parametrize("name,proto,oracle", EXTREMA3)
+def test_extremum3_exhaustive_with_ties(name, proto, oracle):
     vals = exhaustive_triples()
     batch = len(vals)
     sess, z = run(
         41,
-        manifest(Z16, batch),
+        manifest(name, Z16, batch),
         lambda s: proto(s.store, [s.share_input(vals[:, i], Z16) for i in range(3)]),
     )
     assert np.array_equal(reconst(*z), oracle(vals).astype(np.uint16))
@@ -366,8 +374,8 @@ def test_extremum3_exhaustive_with_ties(name, proto, manifest, oracle):
 
 
 @pytest.mark.parametrize("count", [2, 4])
-@pytest.mark.parametrize("name,proto,manifest,oracle", EXTREMA3)
-def test_extremum3_refuses_other_input_counts(name, proto, manifest, oracle, count):
+@pytest.mark.parametrize("name,proto,oracle", EXTREMA3)
+def test_extremum3_refuses_other_input_counts(name, proto, oracle, count):
     # Unchecked, argmax3 ignored a fourth value and raised a bare
     # IndexError on two.
     sess = Session(seed=0)
@@ -384,7 +392,7 @@ def test_max3_costs(width):
     vals = [rand(rng, ring, batch, high=1 << (width - 1)) for _ in range(3)]
     sess, z = run(
         width,
-        P.max3_manifest(ring, batch),
+        manifest("max3", ring, batch),
         lambda s: P.max3(s.store, [s.share_input(v, ring) for v in vals]),
     )
     assert np.array_equal(reconst(*z), np.max(vals, axis=0).astype(ring.dtype))
@@ -397,7 +405,7 @@ def test_max3_trivial_examples():
         arr = np.array(vals, dtype=np.uint64).reshape(3, 1)
         sess, z = run(
             43,
-            P.max3_manifest(Z16, 1),
+            manifest("max3", Z16, 1),
             lambda s: P.max3(s.store, [s.share_input(arr[i], Z16) for i in range(3)]),
         )
         assert reconst(*z)[0] == expect
@@ -409,7 +417,7 @@ def test_baseline_max3():
     vals = np.stack([rand(rng, Z32, batch, high=1 << 31) for _ in range(3)])
     sess, z = run(
         44,
-        P.baseline_max3_manifest(Z32, batch),
+        manifest("max3", Z32, batch, baseline=True),
         lambda s: P.baseline_max3(
             s.store, [s.share_input(vals[i], Z32) for i in range(3)]
         ),
@@ -426,7 +434,7 @@ def test_maxn(n_vals):
     vals = np.stack([rand(rng, Z16, batch, high=1 << 15) for _ in range(n_vals)])
     sess, z = run(
         50 + n_vals,
-        P.maxn_manifest(Z16, n_vals, batch),
+        manifest(f"max{n_vals}", Z16, batch),
         lambda s: P.maxn(s.store, [s.share_input(v, Z16) for v in vals]),
     )
     assert np.array_equal(reconst(*z), vals.max(axis=0).astype(np.uint16))
@@ -439,7 +447,7 @@ def test_maxn_smallest():
     vals = np.stack([rand(rng, Z16, batch, high=1 << 15) for _ in range(5)])
     sess, z = run(
         61,
-        P.maxn_manifest(Z16, 5, batch),
+        manifest("max5", Z16, batch),
         lambda s: P.maxn(s.store, [s.share_input(v, Z16) for v in vals],
                          smallest=True),
     )
@@ -447,7 +455,7 @@ def test_maxn_smallest():
 
 
 def test_maxn_comparison_count():
-    needs = P.maxn_manifest(Z16, 5, 1)
+    needs = manifest("max5", Z16, 1)
     # The stacked comparison runs at batch N(N-1)/2 = 10.
     assert needs[0].batch % 10 == 0
 
@@ -472,11 +480,11 @@ OFFSET_BATCHES = [1, 63, 65, 130]
 
 @pytest.mark.parametrize("batch", OFFSET_BATCHES)
 @pytest.mark.parametrize("width", [8, 16, 32, 64])
-@pytest.mark.parametrize("proto,manifest,rounds", [
-    (P.equality, P.equality_manifest, lambda width: 2),
-    (P.baseline_equality, P.baseline_equality_manifest, lambda width: width.bit_length() - 1),
+@pytest.mark.parametrize("proto,baseline,rounds", [
+    (P.equality, False, lambda width: 2),
+    (P.baseline_equality, True, lambda width: width.bit_length() - 1),
 ], ids=["equality", "baseline"])
-def test_equality_at_bit_offsets(proto, manifest, rounds, width, batch):
+def test_equality_at_bit_offsets(proto, baseline, rounds, width, batch):
     ring = RINGS[width]
     rng = np.random.default_rng([width, batch])
     xv = rand(rng, ring, batch)
@@ -485,22 +493,22 @@ def test_equality_at_bit_offsets(proto, manifest, rounds, width, batch):
     # Another third differs from x in one bit, so every plane decides.
     flips = rng.integers(0, width, len(yv[1::3])).astype(ring.dtype)
     yv[1::3] = xv[1::3] ^ (ring.dtype(1) << flips)
-    sess, z = run(batch, manifest(ring, batch),
+    sess, z = run(batch, manifest("equality", ring, batch, baseline=baseline),
                   lambda s: proto(s.store, s.share_input(xv, ring), s.share_input(yv, ring)))
     assert np.array_equal(reconst(*z), (xv == yv).astype(np.uint8))
     assert sess.rounds == rounds(width)
 
 
 @pytest.mark.parametrize("batch", OFFSET_BATCHES)
-@pytest.mark.parametrize("name,proto,manifest,oracle", EXTREMA3)
-def test_extremum3_at_bit_offsets(name, proto, manifest, oracle, batch):
+@pytest.mark.parametrize("name,proto,oracle", EXTREMA3)
+def test_extremum3_at_bit_offsets(name, proto, oracle, batch):
     # Argmax/Argmin cut their selectors at [batch, 3 * batch) of each term.
     rng = np.random.default_rng(batch)
     # Three draws from four values: ties in most elements.
     vals = rng.choice(rand(rng, Z16, 4, high=1 << 15), size=(batch, 3))
     sess, z = run(
         batch,
-        manifest(Z16, batch),
+        manifest(name, Z16, batch),
         lambda s: proto(s.store, [s.share_input(vals[:, i], Z16) for i in range(3)]),
     )
     assert np.array_equal(reconst(*z), oracle(vals).astype(np.uint16))
@@ -518,7 +526,7 @@ def test_overflow_1r_at_bit_offsets(ring, batch):
     near = slice(None, None, 2)
     b[near] = ring.wrap(-a[near].astype(np.int64) + rng.integers(-2, 3, len(a[near])))
     x = SharePair.of(Share(0, ring, a), Share(1, ring, b))
-    sess, z = run(batch, P.overflow_1r_manifest(ring, batch),
+    sess, z = run(batch, manifest("overflow1r", ring, batch),
                   lambda s: P.overflow_1r(s.store, x))
     expect = a.astype(np.uint64) + b.astype(np.uint64) >= ring.modulus
     assert np.array_equal(reconst(*z), expect.astype(np.uint8))
@@ -544,7 +552,7 @@ def test_maxn_at_bit_offsets(n_vals, cap, batch):
     vals[n_vals - 1, ::3] = vals[0, ::3]  # ties between the first and last value
     sess, z = run(
         batch,
-        P.maxn_manifest(Z16, n_vals, batch, fanin_cap=cap),
+        manifest(f"max{n_vals}", Z16, batch, fanin_cap=cap),
         lambda s: P.maxn(s.store, [s.share_input(v, Z16) for v in vals], fanin_cap=cap),
     )
     assert np.array_equal(reconst(*z), vals.max(axis=0).astype(np.uint16))
@@ -560,7 +568,7 @@ def test_msnzb_matches_its_one_hot_oracle_at_bit_offsets(batch):
     vals[0] = 0
     sess, out = run(
         batch,
-        P.msnzb_manifest(batch),
+        manifest("msnzb", Z16, batch),
         lambda s: P.msnzb(s.store, [
             s.share_input((vals >> np.uint64(j)) & np.uint64(1), BOOL) for j in range(16)]),
     )
@@ -576,7 +584,7 @@ def test_msnzb_matches_its_one_hot_oracle_at_bit_offsets(batch):
 def test_tlu_trivial_example():
     keys, values = [10, 20, 30], [7, 8, 9]
     sess = Session(seed=70)
-    sess.provision(P.tlu_manifest(Z16, 3, 1))
+    sess.provision(manifest("tlu3", Z16, 1))
     table = P.LookupTable(
         [sess.share_input([k], Z16) for k in keys],
         [sess.share_input([v], Z16) for v in values],
@@ -589,7 +597,7 @@ def test_tlu_trivial_example():
 
 def test_tlu_single_key():
     sess = Session(seed=71)
-    sess.provision(P.tlu_manifest(Z16, 1, 1))
+    sess.provision(manifest("tlu1", Z16, 1))
     table = P.LookupTable([sess.share_input([5], Z16)],
                           [sess.share_input([123], Z16)])
     z = sess.run(P.tlu(sess.store, table, sess.share_input([5], Z16)))
@@ -604,7 +612,7 @@ def test_tlu_random_tables(n_keys):
     vals = rng.integers(0, 1 << 16, (n_keys, trials), dtype=np.uint64)
     pick = rng.integers(0, n_keys, trials)
     sess = Session(seed=72)
-    sess.provision(P.tlu_manifest(Z16, n_keys, trials))
+    sess.provision(manifest(f"tlu{n_keys}", Z16, trials))
     table = P.LookupTable(
         [sess.share_input(np.full(trials, k, np.uint64), Z16) for k in keys],
         [sess.share_input(vals[i], Z16) for i in range(n_keys)],

@@ -21,7 +21,7 @@ from ringmpc import bench
 from ringmpc import protocols as P
 from ringmpc.dealer import Need
 from ringmpc.editdist import edit_distance, edit_distance_manifest, share_strings
-from ringmpc.engine import Session, derive_manifest
+from ringmpc.engine import Session
 from ringmpc.gates import and_n, mult_n
 from ringmpc.ring import BOOL, RingSpec, Share, Z64
 
@@ -62,8 +62,7 @@ def _digest(sess, needs, out) -> str:
 def _run_protocol(proto, build, ring):
     sess = Session(seed=SEED)
     args = build(sess, np.random.default_rng(SEED), ring, BATCH)
-    zeros = build(bench._ZeroSharer(), np.random.default_rng(0), ring, 1)
-    needs = derive_manifest(proto, *zeros, batch=BATCH)
+    needs = bench.manifest(proto, build, ring, BATCH)
     sess.provision(needs)
     return _digest(sess, needs, sess.run(proto(sess.store, *args)))
 
