@@ -4,6 +4,16 @@ The dealer runs before the online phase and hands each party its half of
 every multiplication table and conversion blind the protocols will consume.
 Neither computing party ever learns the other's half, so in the two-engine
 simulation both halves live side by side in one MaterialStore.
+
+The dealer knows a whole manifest before it draws anything, so
+``provision`` builds it in runs: consecutive records whose layout columns
+sum to at most ``threads.BLOCK_COLS``. A run takes the words of all its
+records' draws in one raw draw, in manifest order, and builds all its
+tables of one fan-in and width in one pass, their columns side by side.
+Each record then gets its own arrays, copied out of the run's, so the
+material is the same bits as one ``gen_bte`` or ``gen_b2a_material``
+call per record would give, and holds no other record's words. A wider
+record is a run of its own, built by those calls.
 """
 from __future__ import annotations
 
@@ -13,6 +23,7 @@ from collections import deque
 from collections.abc import Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,7 +34,18 @@ from .errors import (
     MaterialError,
     MaterialReuseError,
 )
-from .ring import RINGS, RingSpec, SharePair, from_layout, share, to_layout, uniform_rows
+from .ring import (
+    RINGS,
+    RingSpec,
+    SharePair,
+    elements,
+    from_layout,
+    raw_words,
+    row_draw,
+    share,
+    to_layout,
+    uniform_rows,
+)
 
 MAX_FANIN = 16  # a fan-in-N table holds 2**N - 1 entries per element
 
@@ -118,6 +140,12 @@ def check_b2a_ring(ring: RingSpec):
         raise DomainError("b2a material needs an arithmetic ring")
 
 
+def _integer(v) -> bool:
+    """An int or numpy integer, not a bool. A plain int is tested first, a
+    quarter of the cost, since ``provision`` checks every need."""
+    return type(v) is int or (isinstance(v, (int, np.integer)) and not isinstance(v, bool))
+
+
 def _party1_half(ring: RingSpec, singles: np.ndarray, s0: np.ndarray, out: np.ndarray):
     """Fill ``out`` with the subset products of the rows of ``singles``,
     less party 0's half ``s0``: row ``mask - 1`` is the product of the
@@ -130,11 +158,113 @@ def _party1_half(ring: RingSpec, singles: np.ndarray, s0: np.ndarray, out: np.nd
     ring.sub(out, s0, out=out)
 
 
+def _draw_rows(kind: str, fan_in: int) -> tuple[int, ...]:
+    """The rows of each ``uniform_rows`` draw of one record, in order: a
+    table's N singleton masks, then party 0's 2^N - 1 rows; B2A's a, b and
+    c0, one row each."""
+    return (fan_in, (1 << fan_in) - 1) if kind == "bte" else (1, 1, 1)
+
+
+class _Record(NamedTuple):
+    """How ``provision`` draws and builds the record of one need. Its
+    draws, one ``(start, size, rows)`` per ``_draw_rows`` entry, are the
+    first ``size`` elements of ring ``of`` from element ``start`` of the
+    record's words on (``row_draw``), ``per`` elements to a word. ``keep``
+    is, at width 1 when the batch is not a multiple of 64, the last word's
+    real lanes, which ``uniform_rows`` keeps while it clears the rest;
+    None otherwise."""
+
+    kind: str
+    ring: RingSpec
+    batch: int
+    fan_in: int
+    cols: int
+    words: int
+    of: RingSpec
+    per: int
+    draws: tuple
+    keep: np.uint64 | None
+
+
+def _record(need: Need) -> _Record:
+    ring, batch, fan_in = RINGS[need.width], int(need.batch), int(need.fan_in)
+    draws, words = [], 0
+    for rows in _draw_rows(need.kind, fan_in):
+        of, size, n = row_draw(ring, rows, batch)
+        per = 64 // of.width_bits
+        draws.append((words * per, size, rows))
+        words += n
+    keep = np.uint64((1 << batch % 64) - 1) if ring.is_boolean and batch % 64 else None
+    return _Record(need.kind, ring, batch, fan_in, ring.cols(batch), words, of, per,
+                   tuple(draws), keep)
+
+
+def _runs(needs: list[Need]):
+    """Checked ``needs`` as runs, in order: ``(words, records)``, where
+    ``words`` is the raw generator words the run draws at once, or None
+    for a record of more than ``threads.BLOCK_COLS`` layout columns, which
+    is a run of its own. A run closes before the record that would take
+    it past that many columns. Its records are ``(record, offset)``, the
+    offset being the record's first word in the run's words."""
+    records: dict[tuple, _Record] = {}
+    run, words, cols_left = [], 0, threads.BLOCK_COLS
+    for need in needs:
+        key = (need.kind, need.width, need.batch, need.fan_in)
+        rec = records.get(key)
+        if rec is None:
+            rec = records[key] = _record(need)
+        if rec.cols > cols_left and run:
+            yield words, run
+            run, words, cols_left = [], 0, threads.BLOCK_COLS
+        if rec.cols > cols_left:
+            yield None, [(rec, 0)]
+            continue
+        run.append((rec, words))
+        words += rec.words
+        cols_left -= rec.cols
+    if run:
+        yield words, run
+
+
+def _build_tables(group: list) -> list:
+    """The ``(t0, t1)`` tables of ``group``'s ``(record, singles, s0)``
+    entries, all of one fan-in and ring, from one ``_party1_half`` over
+    their draws side by side, each record's padding lanes cleared first.
+    A record's rows are then copied out, C-contiguous and its own; a group
+    of one record keeps the side-by-side arrays, which are its alone."""
+    rec0 = group[0][0]
+    ring, fan_in = rec0.ring, rec0.fan_in
+    singles, s0 = (np.concatenate([entry[i] for entry in group], axis=1) for i in (1, 2))
+    if ring.is_boolean:
+        keep, lo = np.full(s0.shape[1], ring.one), 0
+        for rec, _, _ in group:
+            lo += rec.cols
+            if rec.keep is not None:
+                keep[lo - 1] = rec.keep
+        singles &= keep
+        s0 &= keep
+    plain = np.empty_like(s0)
+    _party1_half(ring, singles, s0, plain)
+    if len(group) == 1:
+        return [(BteTable(0, fan_in, ring, rec0.batch, s0),
+                 BteTable(1, fan_in, ring, rec0.batch, plain))]
+    tables, lo = [], 0
+    for rec, _, _ in group:
+        hi = lo + rec.cols
+        tables.append((BteTable(0, fan_in, ring, rec.batch, s0[:, lo:hi].copy()),
+                       BteTable(1, fan_in, ring, rec.batch, plain[:, lo:hi].copy())))
+        lo = hi
+    return tables
+
+
 class Dealer:
     """Generates BTE tables, B2A material, and input shares from one seeded
-    generator. ``draw_count`` counts uniform-vector draws, which lets tests
-    pin the per-instance randomness budget. It refuses only tables of a
-    fan-in outside [2, MAX_FANIN]; a plan's lower cap is the plan's to keep."""
+    generator. ``draw_count`` counts uniform-vector draws, two per table
+    and three per B2A record, whether ``provision`` took a record's words
+    in a run's one raw draw or in the record's own ``uniform_rows`` calls;
+    it lets tests pin the per-instance randomness budget. It refuses only
+    tables of a fan-in outside [2, MAX_FANIN]; a plan's lower cap is the
+    plan's to keep."""
 
     def __init__(self, rng: np.random.Generator):
         self.rng = rng
@@ -160,10 +290,11 @@ class Dealer:
         the doubling and then the subtraction while the block is in cache;
         blocks share no column, so the tables are the same bits at any
         thread count. A narrower table is built whole in this thread.
+        ``provision`` builds only such wide tables here; it builds narrower
+        ones in runs, to the same bits.
         """
         check_fan_in(fan_in)
-        singles = self._draw(ring, fan_in, batch)
-        s0 = self._draw(ring, (1 << fan_in) - 1, batch)
+        singles, s0 = (self._draw(ring, rows, batch) for rows in _draw_rows("bte", fan_in))
         plain = np.empty_like(s0)
         cols = s0.shape[1]
         if threads.POOL is not None and cols > threads.BLOCK_COLS:
@@ -175,34 +306,68 @@ class Dealer:
 
     def gen_b2a_material(self, ring: RingSpec, batch: int) -> B2aMaterial:
         check_b2a_ring(ring)
-        a, b, r = (self._draw(ring, 1, batch)[0] for _ in range(3))
+        a, b, r = (self._draw(ring, rows, batch)[0] for rows in _draw_rows("b2a", 0))
         return B2aMaterial(ring, batch, a=a, b=b, c0=r, c1=a * b - r)
 
     def share_input(self, x, ring: RingSpec) -> SharePair:
         return share(x, ring, self.rng)
 
     def provision(self, store: "MaterialStore", needs: list[Need]):
-        """Generate one record per need, in order, once every need has been
-        checked: a manifest with a need this dealer cannot meet is refused
-        before anything is drawn or stored."""
+        """Generate one record per need, once every need has been checked:
+        a manifest with a need this dealer cannot meet is refused before
+        anything is drawn or stored.
+
+        The records are built in runs (``_runs``): the words of a run of
+        narrow records come from one raw draw and its tables of one fan-in
+        and width from one ``_party1_half``, and a record wider than
+        ``threads.BLOCK_COLS`` columns is one ``gen_bte`` or
+        ``gen_b2a_material`` call, threaded as those are. Every record is
+        the same bits, and the generator is left in the same state, as one
+        such call per need in order would give; each record's arrays are
+        its own, C-contiguous, and each pool gets its records in order."""
         for need in needs:
             self._check(need)
-        for need in needs:
-            ring, batch = RINGS[need.width], int(need.batch)  # a numpy batch may be unsigned
-            if need.kind == "bte":
-                store.put_bte(*self.gen_bte(int(need.fan_in), ring, batch))
+        for words, run in _runs(needs):
+            if words is None:
+                ((rec, _),) = run
+                if rec.kind == "bte":
+                    store.put_bte(*self.gen_bte(rec.fan_in, rec.ring, rec.batch))
+                else:
+                    store.put_b2a(self.gen_b2a_material(rec.ring, rec.batch))
             else:
-                store.put_b2a(self.gen_b2a_material(ring, batch))
+                self._provision_run(store, words, run)
+
+    def _provision_run(self, store: "MaterialStore", words: int, run: list):
+        """Build a narrow run of ``_runs`` from one raw draw of its words."""
+        raw, values, groups = raw_words(self.rng, words), {}, {}
+        for rec, offset in run:
+            self.draw_count += len(rec.draws)
+            vals = values.get(rec.per)
+            if vals is None:
+                vals = values[rec.per] = elements(rec.of, raw)
+            at = offset * rec.per
+            pieces = [vals[at + start:at + start + size].reshape(rows, -1)
+                      for start, size, rows in rec.draws]
+            if rec.kind == "bte":
+                groups.setdefault((rec.fan_in, rec.ring.width_bits), []).append((rec, *pieces))
+            else:
+                a, b, r = (piece[0].copy() for piece in pieces)
+                store.put_b2a(B2aMaterial(rec.ring, rec.batch, a=a, b=b, c0=r, c1=a * b - r))
+        for group in groups.values():
+            for tables in _build_tables(group):
+                store.put_bte(*tables)
 
     def _check(self, need: Need):
         """Raise what generating ``need`` would raise, without drawing; a
-        batch and fan-in must be integers (not bools), the batch at least 1."""
+        width, batch and fan-in must be integers (not bools, which would
+        read as width 1, nor integral floats), the batch at least 1."""
+        if not (_integer(need.width) and _integer(need.batch) and _integer(need.fan_in)):
+            raise DomainError(f"width {need.width!r}, batch {need.batch!r} and fan-in "
+                              f"{need.fan_in!r} must be integers")
         if need.width not in RINGS:
             raise DomainError(f"unsupported ring width {need.width}")
-        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-                   for v in (need.batch, need.fan_in)) or need.batch < 1:
-            raise DomainError(f"batch {need.batch!r} and fan-in {need.fan_in!r} must be "
-                              "integers, the batch at least 1")
+        if need.batch < 1:
+            raise DomainError(f"batch {need.batch} must be at least 1")
         if need.kind == "bte":
             check_fan_in(need.fan_in)
         elif need.kind == "b2a":

@@ -37,7 +37,7 @@ SUPPORTED_WIDTHS = (1, 8, 16, 32, 64)
 # shifts, a few numpy calls per piece, which then costs less than a byte
 # per lane.
 _SHIFT_LANES = 8192
-# ``uniform`` hands a raw draw of this many 64-bit words or more to
+# ``raw_words`` hands a draw of this many 64-bit words or more to
 # ``_split_raw``, whose workers draw ``_CHUNK_WORDS`` words at a time, so a
 # chunk's copy stays in cache. Only the ``_SEEKABLE`` generators' ``advance``
 # skips one step per raw word (Philox's skips blocks of four words).
@@ -358,20 +358,39 @@ def _rechop_words(pairs: list, sizes: list) -> list[np.ndarray]:
 def uniform(ring: RingSpec, size: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform vector of ring elements, cut from raw 64-bit generator words.
 
-    ``ceil(size * n / 64)`` words are drawn, read as little-endian bytes on
-    any host, and cut into consecutive n-bit elements: at width 1 each bit
-    is one element, low bit first. At width 64 the words are the elements,
-    so a Z_2^64 draw equals ``rng.integers(0, 2**64, size, dtype=np.uint64)``
+    ``ceil(size * n / 64)`` words are drawn (``raw_words``) and cut into
+    consecutive n-bit elements (``elements``): at width 1 each bit is one
+    element, low bit first. At width 64 the words are the elements, so a
+    Z_2^64 draw equals ``rng.integers(0, 2**64, size, dtype=np.uint64)``
     and leaves the generator in the same state. Fixed-seed draws at widths
     below 64 differ from versions that drew one ``integers`` value per
-    element. A draw of ``_SPLIT_WORDS`` words or more runs on up to one
-    thread per CPU the process may use (``_split_raw``), with the same
-    words at any thread count.
+    element.
     """
-    n, bit_generator = -(-size * ring.width_bits // 64), rng.bit_generator
-    words = bit_generator.random_raw(n) if n < _SPLIT_WORDS else _split_raw(bit_generator, n)
+    return elements(ring, raw_words(rng, _words(ring, size)), size)
+
+
+def _words(ring: RingSpec, size: int) -> int:
+    """Raw 64-bit words that ``size`` elements of ``ring`` are cut from."""
+    return -(-size * ring.width_bits // 64)
+
+
+def raw_words(rng: np.random.Generator, n: int) -> np.ndarray:
+    """``n`` raw 64-bit words of ``rng``'s bit generator: the words that
+    consecutive smaller draws of the same total would give, in order. A
+    draw of ``_SPLIT_WORDS`` words or more runs on up to one thread per
+    CPU the process may use (``_split_raw``), with the same words at any
+    thread count."""
+    bit_generator = rng.bit_generator
+    return bit_generator.random_raw(n) if n < _SPLIT_WORDS else _split_raw(bit_generator, n)
+
+
+def elements(ring: RingSpec, words: np.ndarray, size: int | None = None) -> np.ndarray:
+    """The first ``size`` ring elements (all, when ``size`` is None) in the
+    little-endian bits of raw generator ``words``, on any host: the words
+    themselves at width 64, a view of their bytes at widths 8 to 32 on a
+    little-endian host, one uint8 per bit at width 1."""
     if ring.width_bits == 64:
-        return words
+        return words[:size]
     raw = words.astype("<u8", copy=False).view(np.uint8)
     if ring.is_boolean:
         return np.unpackbits(raw, count=size, bitorder="little")
@@ -413,13 +432,27 @@ def _split_raw(bit_generator: np.random.BitGenerator, n: int) -> np.ndarray:
     return out
 
 
+def row_draw(ring: RingSpec, rows: int, batch: int) -> tuple[RingSpec, int, int]:
+    """How a uniform ``(rows, ring.cols(batch))`` layout array is drawn:
+    ``(of, size, words)``, the array being the first ``size`` elements of
+    ring ``of`` (``elements``) in ``words`` raw generator words, row after
+    row. ``of`` is the ring whose elements are the layout's values: the
+    ring itself above width 1, Z_2^64 words at width 1. ``uniform_rows``
+    draws exactly these words, so the same words cut from a longer draw at
+    the array's word offset give the same array, once its padding lanes
+    are cleared."""
+    of = Z64 if ring.is_boolean else ring
+    size = rows * ring.cols(batch)
+    return of, size, _words(of, size)
+
+
 def uniform_rows(ring: RingSpec, rows: int, batch: int, rng: np.random.Generator) -> np.ndarray:
     """A uniform ``(rows, ring.cols(batch))`` array in the share layout,
-    ``batch`` elements per row, from one draw: ``uniform(ring, rows *
-    batch)`` above width 1; at width 1 raw Z_2^64 generator words, 64 lanes
-    each, with the padding lanes cleared."""
-    cols = ring.cols(batch)
-    out = uniform(Z64 if ring.is_boolean else ring, rows * cols, rng).reshape(rows, cols)
+    ``batch`` elements per row, from one ``uniform`` draw (``row_draw``):
+    of ring elements above width 1; at width 1 of raw Z_2^64 generator
+    words, 64 lanes each, with the padding lanes cleared."""
+    of, size, _ = row_draw(ring, rows, batch)
+    out = uniform(of, size, rng).reshape(rows, -1)
     if ring.is_boolean:
         clear_padding(out, batch)
     return out

@@ -2,9 +2,9 @@
 
 Three kernels cut wide work into independent pieces: the gate fold
 (``gates._fold_blocks``) and the dealer's table build (``Dealer.gen_bte``)
-take a table in column blocks of ``BLOCK_COLS``, and ``ring.uniform`` cuts
-a long raw draw into one contiguous range per worker. NumPy's ufuncs and a
-bit generator's ``random_raw`` release the interpreter lock, so ``POOL``
+take a table in column blocks of ``BLOCK_COLS``, and ``ring.raw_words``
+cuts a long raw draw into one contiguous range per worker. NumPy's ufuncs
+and a bit generator's ``random_raw`` release the interpreter lock, so ``POOL``
 runs the pieces on up to as many threads as the process has CPUs (its
 affinity set). Each piece writes only its own columns or words, so
 material, transcripts and outputs are the same bits at any thread count.

@@ -1,17 +1,22 @@
 import hashlib
 import struct
+import tracemalloc
+from itertools import product
 
 import numpy as np
 import pytest
 
+from ringmpc import editdist, threads
 from ringmpc.dealer import (
     MAX_FANIN,
     Dealer,
     MaterialStore,
     Need,
     RecordingStore,
+    _runs,
     dump_material,
     load_material,
+    table_layout,
 )
 from ringmpc.errors import (
     CapabilityError,
@@ -19,7 +24,18 @@ from ringmpc.errors import (
     MaterialError,
     MaterialReuseError,
 )
-from ringmpc.ring import BOOL, Z8, Z16, Z32, Z64, RingSpec, pack_lanes, uniform, unpack_lanes
+from ringmpc.ring import (
+    BOOL,
+    RINGS,
+    Z8,
+    Z16,
+    Z32,
+    Z64,
+    RingSpec,
+    pack_lanes,
+    uniform,
+    unpack_lanes,
+)
 
 
 @pytest.fixture
@@ -267,6 +283,10 @@ REFUSED_NEEDS = {
     "batch-bool": (Need("b2a", 16, True), DomainError),
     "fan-in-float": (Need("bte", 8, 4, fan_in=2.0), DomainError),
     "fan-in-bool": (Need("bte", 8, 4, fan_in=True), DomainError),
+    # True == 1 and 16.0 == 16 as keys of RINGS: unchecked, these would
+    # provision a Boolean and a Z_2^16 record.
+    "width-bool": (Need("bte", True, 4, fan_in=2), DomainError),
+    "width-float": (Need("b2a", 16.0, 4), DomainError),
 }
 
 
@@ -411,3 +431,131 @@ def test_dump_bytes_are_pinned(tmp_path):
     path = tmp_path / "material.bin"
     dump_material(str(path), _pinned_store())
     assert hashlib.sha256(path.read_bytes()).hexdigest() == DUMP_PIN
+
+
+# -- provisioning in runs -----------------------------------------------------
+
+BLOCK = threads.BLOCK_COLS
+
+# BTE and B2A records at every width, at batches on either side of a word
+# of 64 lanes, with fan-ins 2 to 9.
+MIXED = [need for i, (width, batch) in enumerate(product((1, 8, 16, 32, 64), (1, 63, 64, 65, 130)))
+         for need in [Need("bte", width, batch, fan_in=2 + i % 8)]
+         + ([Need("b2a", width, batch)] if width > 1 else [])]
+# Each fan-in from 2 to 9 several times in one run, interleaved, and the
+# largest fan-in at batch 1.
+FAN_INS = [Need("bte", width, batch, fan_in=fan_in) for batch in (1, 65, 130)
+           for fan_in in range(2, 10) for width in (1, 16)] + [
+    Need("bte", 1, 1, fan_in=MAX_FANIN), Need("bte", 64, 1, fan_in=MAX_FANIN)]
+# A run whose columns sum to exactly BLOCK, a table and a B2A record wider
+# than BLOCK between narrow records, and a run of one narrow record.
+EDGES = [
+    Need("bte", 64, BLOCK - 100, fan_in=2), Need("bte", 16, 99, fan_in=3), Need("b2a", 8, 1),
+    Need("bte", 1, 65, fan_in=2), Need("b2a", 32, 63),
+    Need("bte", 32, BLOCK + 1, fan_in=2),
+    Need("bte", 1, 130, fan_in=2), Need("bte", 16, 64, fan_in=3),
+    Need("b2a", 16, BLOCK + 5),
+    Need("bte", 8, 64, fan_in=3),
+]
+RUN_MANIFESTS = {"mixed": MIXED, "fan-ins": FAN_INS, "edges": EDGES}
+
+
+def _per_record(dealer: Dealer, needs: list[Need]) -> list:
+    """The reference: one ``gen_bte`` or ``gen_b2a_material`` call per need,
+    in manifest order."""
+    return [dealer.gen_bte(need.fan_in, RINGS[need.width], need.batch) if need.kind == "bte"
+            else dealer.gen_b2a_material(RINGS[need.width], need.batch) for need in needs]
+
+
+def test_edges_manifest_covers_the_run_boundaries():
+    runs = [(words, [rec.cols for rec, _ in run]) for words, run in _runs(EDGES)]
+    assert runs[0][1] == [BLOCK - 100, 99, 1]
+    assert [cols for words, cols in runs if words is None] == [[BLOCK + 1], [BLOCK + 5]]
+    assert runs[-1] == (runs[-1][0], [64])  # one narrow record after a wide one
+
+
+@pytest.mark.parametrize("name", RUN_MANIFESTS)
+def test_provision_in_runs_equals_per_record_generation(name):
+    needs = RUN_MANIFESTS[name]
+    ref, dealer = Dealer(np.random.default_rng(11)), Dealer(np.random.default_rng(11))
+    expected = _per_record(ref, needs)
+    store = MaterialStore()
+    dealer.provision(store, needs)
+    assert dealer.draw_count == ref.draw_count
+    assert dealer.rng.bit_generator.state == ref.rng.bit_generator.state
+    for need, want in zip(needs, expected):
+        ring = RINGS[need.width]
+        if need.kind == "bte":
+            for got, table in zip(store.take_bte(need.fan_in, ring, need.batch), want):
+                assert (got.party_id, got.fan_in, got.ring, got.batch) == (
+                    table.party_id, table.fan_in, table.ring, table.batch)
+                assert got.rows.dtype == table.rows.dtype
+                assert np.array_equal(got.rows, table.rows)
+        else:
+            got = store.take_b2a(ring, need.batch)
+            for field in ("a", "b", "c0", "c1"):
+                assert getattr(got, field).dtype == getattr(want, field).dtype
+                assert np.array_equal(getattr(got, field), getattr(want, field))
+    assert store.is_empty()
+    for ring in (BOOL, Z16):
+        x = np.arange(70) % ring.modulus
+        assert np.array_equal(dealer.share_input(x, ring).v, ref.share_input(x, ring).v)
+
+
+def _held_bytes(arr: np.ndarray) -> int:
+    """Bytes of the buffer that ``arr`` keeps alive: its own, or its
+    outermost base's."""
+    while isinstance(arr.base, np.ndarray):
+        arr = arr.base
+    return arr.nbytes
+
+
+def _material_bytes(needs: list[Need]) -> int:
+    """Bytes of both parties' material: each table's ``table_layout``
+    rows, and each B2A record's a, b, c0 and c1."""
+    total = 0
+    for need in needs:
+        ring = RINGS[need.width]
+        if need.kind == "bte":
+            (rows, cols), word = table_layout(need.fan_in, ring, need.batch)
+            total += 2 * rows * cols * np.dtype(word).itemsize
+        else:
+            total += 4 * need.batch * np.dtype(ring.dtype).itemsize
+    return total
+
+
+@pytest.mark.parametrize("name", RUN_MANIFESTS)
+def test_provisioned_arrays_are_contiguous_and_their_own(name):
+    store = MaterialStore()
+    Dealer(np.random.default_rng(5)).provision(store, RUN_MANIFESTS[name])
+    arrays = [t.rows for pool in store._bte.values() for pair in pool for t in pair]
+    arrays += [getattr(mat, field) for pool in store._b2a.values() for mat in pool
+               for field in ("a", "b", "c0", "c1")]
+    assert len({id(arr) for arr in arrays}) == len(arrays)
+    for arr in arrays:
+        assert arr.flags.c_contiguous and arr.flags.writeable
+        # Its own words, and at most the unused rest of its last draw's
+        # last word: no other record's.
+        assert _held_bytes(arr) < arr.nbytes + 8
+
+
+# Allocations that stay with the store beside its arrays: the table, B2A,
+# array and deque objects, under 1 KiB per record (about 660 B per record
+# on the L=128 edit-distance manifest, 6 % of its material). A pinned run
+# buffer would add the run's words, as much as 60 % more.
+OBJECT_SLACK = 0.10
+
+
+def test_provision_holds_only_its_material():
+    needs = editdist.edit_distance_manifest(128, 1)
+    dealer = Dealer(np.random.default_rng(3))
+    tracemalloc.start()
+    try:
+        store = MaterialStore()
+        before = tracemalloc.get_traced_memory()[0]
+        dealer.provision(store, needs)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    material = _material_bytes(needs)
+    assert material <= held <= material * (1 + OBJECT_SLACK)

@@ -487,6 +487,21 @@ def test_uniform_draws_whole_words(ring, size):
     assert ours.bit_generator.state == ref.bit_generator.state
 
 
+# Two draws of rows each: whole words, a part word and a padded word.
+@pytest.mark.parametrize("ring", [BOOL, Z8, Z16, Z32, Z64])
+@pytest.mark.parametrize("rows, batch", [(1, 1), (3, 63), (2, 65)])
+def test_row_draw_cuts_uniform_rows_from_one_longer_draw(ring, rows, batch):
+    of, size, words = ring_module.row_draw(ring, rows, batch)
+    ours, ref = np.random.default_rng(9), np.random.default_rng(9)
+    raw = ring_module.raw_words(ours, 2 * words)
+    for k in range(2):
+        got = ring_module.elements(of, raw[k * words:(k + 1) * words], size).reshape(rows, -1)
+        if ring.is_boolean:
+            ring_module.clear_padding(got, batch)
+        assert np.array_equal(got, ring_module.uniform_rows(ring, rows, batch, ref))
+    assert ours.bit_generator.state == ref.bit_generator.state
+
+
 @pytest.mark.parametrize("ring, shift", [
     (BOOL, 0), (Z8, 0), (Z16, 0), (Z16, 8), (Z32, 0), (Z32, 24),
 ])
