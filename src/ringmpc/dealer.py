@@ -6,14 +6,14 @@ Neither computing party ever learns the other's half, so in the two-engine
 simulation both halves live side by side in one MaterialStore.
 
 The dealer knows a whole manifest before it draws anything, so
-``provision`` builds it in runs: consecutive records whose layout columns
-sum to at most ``threads.BLOCK_COLS``. A run takes the words of all its
-records' draws in one raw draw, in manifest order, and builds all its
-tables of one fan-in and width in one pass, their columns side by side.
-Each record then gets its own arrays, copied out of the run's, so the
-material is the same bits as one ``gen_bte`` or ``gen_b2a_material``
-call per record would give, and holds no other record's words. A wider
-record is a run of its own, built by those calls.
+``provision`` builds its tables in runs: consecutive tables whose layout
+columns sum to at most ``threads.BLOCK_COLS``. A run takes all its
+tables' words in one raw draw, in manifest order, builds its tables of
+one fan-in and width in one pass, side by side, and copies each table's
+rows out: the same bits as one ``gen_bte`` call per table. A wider table
+is one ``gen_bte`` call, and every B2A record one ``gen_b2a_material``
+call. ``_check`` is the one rule for a valid record, for ``provision``,
+both generators and ``load_material``, which also checks correlations.
 """
 from __future__ import annotations
 
@@ -33,6 +33,7 @@ from .errors import (
     DomainError,
     MaterialError,
     MaterialReuseError,
+    RingmpcError,
 )
 from .ring import (
     RINGS,
@@ -134,12 +135,6 @@ def check_fan_in(fan_in: int, cap: int = MAX_FANIN):
             f"fan-in {fan_in} outside [2, {cap}]; table size grows as 2**fan_in")
 
 
-def check_b2a_ring(ring: RingSpec):
-    """Refuse B2A material over the boolean ring: it blinds arithmetic shares."""
-    if ring.is_boolean:
-        raise DomainError("b2a material needs an arithmetic ring")
-
-
 def _integer(v) -> bool:
     """An int or numpy integer, not a bool. A plain int is tested first, a
     quarter of the cost, since ``provision`` checks every need."""
@@ -158,23 +153,45 @@ def _party1_half(ring: RingSpec, singles: np.ndarray, s0: np.ndarray, out: np.nd
     ring.sub(out, s0, out=out)
 
 
-def _draw_rows(kind: str, fan_in: int) -> tuple[int, ...]:
-    """The rows of each ``uniform_rows`` draw of one record, in order: a
-    table's N singleton masks, then party 0's 2^N - 1 rows; B2A's a, b and
-    c0, one row each."""
-    return (fan_in, (1 << fan_in) - 1) if kind == "bte" else (1, 1, 1)
+def _check(need: Need):
+    """The one rule for a valid record: raise what generating ``need``
+    would raise, without drawing. A width, batch and fan-in must be
+    integers (not bools, which would read as width 1, nor integral
+    floats), the batch at least 1; a table's fan-in in [2, MAX_FANIN]; a
+    B2A record over an arithmetic ring, which it blinds, with no fan-in."""
+    if not (_integer(need.width) and _integer(need.batch) and _integer(need.fan_in)):
+        raise DomainError(f"width {need.width!r}, batch {need.batch!r} and fan-in "
+                          f"{need.fan_in!r} must be integers")
+    if need.width not in RINGS:
+        raise DomainError(f"unsupported ring width {need.width}")
+    if need.batch < 1:
+        raise DomainError(f"batch {need.batch} must be at least 1")
+    if need.kind == "bte":
+        check_fan_in(need.fan_in)
+    elif need.kind == "b2a":
+        if RINGS[need.width].is_boolean:
+            raise DomainError("b2a material needs an arithmetic ring")
+        if need.fan_in:
+            raise DomainError(f"b2a material has no fan-in, not {need.fan_in}")
+    else:
+        raise DomainError(f"unknown material kind {need.kind!r}")
+
+
+def _draw_rows(fan_in: int) -> tuple[int, int]:
+    """The rows of each ``uniform_rows`` draw of one table, in order: its
+    N singleton masks, then party 0's 2^N - 1 rows."""
+    return fan_in, (1 << fan_in) - 1
 
 
 class _Record(NamedTuple):
-    """How ``provision`` draws and builds the record of one need. Its
+    """How ``provision`` draws and builds the table of one need. Its
     draws, one ``(start, size, rows)`` per ``_draw_rows`` entry, are the
     first ``size`` elements of ring ``of`` from element ``start`` of the
-    record's words on (``row_draw``), ``per`` elements to a word. ``keep``
+    table's words on (``row_draw``), ``per`` elements to a word. ``keep``
     is, at width 1 when the batch is not a multiple of 64, the last word's
     real lanes, which ``uniform_rows`` keeps while it clears the rest;
     None otherwise."""
 
-    kind: str
     ring: RingSpec
     batch: int
     fan_in: int
@@ -189,35 +206,34 @@ class _Record(NamedTuple):
 def _record(need: Need) -> _Record:
     ring, batch, fan_in = RINGS[need.width], int(need.batch), int(need.fan_in)
     draws, words = [], 0
-    for rows in _draw_rows(need.kind, fan_in):
+    for rows in _draw_rows(fan_in):
         of, size, n = row_draw(ring, rows, batch)
         per = 64 // of.width_bits
         draws.append((words * per, size, rows))
         words += n
     keep = np.uint64((1 << batch % 64) - 1) if ring.is_boolean and batch % 64 else None
-    return _Record(need.kind, ring, batch, fan_in, ring.cols(batch), words, of, per,
-                   tuple(draws), keep)
+    return _Record(ring, batch, fan_in, ring.cols(batch), words, of, per, tuple(draws), keep)
 
 
 def _runs(needs: list[Need]):
-    """Checked ``needs`` as runs, in order: ``(words, records)``, where
-    ``words`` is the raw generator words the run draws at once, or None
-    for a record of more than ``threads.BLOCK_COLS`` layout columns, which
-    is a run of its own. A run closes before the record that would take
-    it past that many columns. Its records are ``(record, offset)``, the
-    offset being the record's first word in the run's words."""
-    records: dict[tuple, _Record] = {}
+    """Checked ``needs`` in order: ``(words, records)`` for a run of tables,
+    ``words`` being the raw generator words it draws at once and each
+    record ``(record, offset)``, the table's first word in them; ``(None,
+    need)`` for a record built alone, that is every B2A record and every
+    table of more than ``threads.BLOCK_COLS`` layout columns. A run closes
+    before such a record and before a table that would take it past that
+    many columns."""
+    records: dict[Need, _Record] = {}
     run, words, cols_left = [], 0, threads.BLOCK_COLS
     for need in needs:
-        key = (need.kind, need.width, need.batch, need.fan_in)
-        rec = records.get(key)
-        if rec is None:
-            rec = records[key] = _record(need)
-        if rec.cols > cols_left and run:
+        rec = records.get(need)
+        if rec is None and need.kind == "bte":
+            rec = records[need] = _record(need)
+        if run and (rec is None or rec.cols > cols_left):
             yield words, run
             run, words, cols_left = [], 0, threads.BLOCK_COLS
-        if rec.cols > cols_left:
-            yield None, [(rec, 0)]
+        if rec is None or rec.cols > cols_left:
+            yield None, need
             continue
         run.append((rec, words))
         words += rec.words
@@ -260,11 +276,11 @@ def _build_tables(group: list) -> list:
 class Dealer:
     """Generates BTE tables, B2A material, and input shares from one seeded
     generator. ``draw_count`` counts uniform-vector draws, two per table
-    and three per B2A record, whether ``provision`` took a record's words
-    in a run's one raw draw or in the record's own ``uniform_rows`` calls;
+    and three per B2A record, whether ``provision`` took a table's words
+    in a run's one raw draw or in the table's own ``uniform_rows`` calls;
     it lets tests pin the per-instance randomness budget. It refuses only
-    tables of a fan-in outside [2, MAX_FANIN]; a plan's lower cap is the
-    plan's to keep."""
+    what ``_check`` refuses, so tables of any fan-in in [2, MAX_FANIN]; a
+    plan's lower cap is the plan's to keep."""
 
     def __init__(self, rng: np.random.Generator):
         self.rng = rng
@@ -291,10 +307,11 @@ class Dealer:
         blocks share no column, so the tables are the same bits at any
         thread count. A narrower table is built whole in this thread.
         ``provision`` builds only such wide tables here; it builds narrower
-        ones in runs, to the same bits.
+        ones in runs, to the same bits. A table ``_check`` refuses raises
+        before any draw.
         """
-        check_fan_in(fan_in)
-        singles, s0 = (self._draw(ring, rows, batch) for rows in _draw_rows("bte", fan_in))
+        _check(Need("bte", ring.width_bits, batch, fan_in))
+        singles, s0 = (self._draw(ring, rows, batch) for rows in _draw_rows(fan_in))
         plain = np.empty_like(s0)
         cols = s0.shape[1]
         if threads.POOL is not None and cols > threads.BLOCK_COLS:
@@ -305,8 +322,10 @@ class Dealer:
         return BteTable(0, fan_in, ring, batch, s0), BteTable(1, fan_in, ring, batch, plain)
 
     def gen_b2a_material(self, ring: RingSpec, batch: int) -> B2aMaterial:
-        check_b2a_ring(ring)
-        a, b, r = (self._draw(ring, rows, batch)[0] for rows in _draw_rows("b2a", 0))
+        """Three one-row draws, a, b and c0, with c1 = a*b - c0. A record
+        ``_check`` refuses raises before any draw."""
+        _check(Need("b2a", ring.width_bits, batch))
+        a, b, r = (self._draw(ring, 1, batch)[0] for _ in range(3))
         return B2aMaterial(ring, batch, a=a, b=b, c0=r, c1=a * b - r)
 
     def share_input(self, x, ring: RingSpec) -> SharePair:
@@ -317,28 +336,27 @@ class Dealer:
         a manifest with a need this dealer cannot meet is refused before
         anything is drawn or stored.
 
-        The records are built in runs (``_runs``): the words of a run of
-        narrow records come from one raw draw and its tables of one fan-in
-        and width from one ``_party1_half``, and a record wider than
-        ``threads.BLOCK_COLS`` columns is one ``gen_bte`` or
-        ``gen_b2a_material`` call, threaded as those are. Every record is
-        the same bits, and the generator is left in the same state, as one
-        such call per need in order would give; each record's arrays are
-        its own, C-contiguous, and each pool gets its records in order."""
+        Tables are built in runs (``_runs``): the words of a run of narrow
+        tables come from one raw draw and its tables of one fan-in and
+        width from one ``_party1_half``. A table wider than
+        ``threads.BLOCK_COLS`` columns is one ``gen_bte`` call, threaded as
+        that is, and every B2A record one ``gen_b2a_material`` call. Every
+        record is the same bits, and the generator is left in the same
+        state, as one such call per need in order would give; each
+        record's arrays are its own, C-contiguous, and each pool gets its
+        records in order."""
         for need in needs:
-            self._check(need)
+            _check(need)
         for words, run in _runs(needs):
-            if words is None:
-                ((rec, _),) = run
-                if rec.kind == "bte":
-                    store.put_bte(*self.gen_bte(rec.fan_in, rec.ring, rec.batch))
-                else:
-                    store.put_b2a(self.gen_b2a_material(rec.ring, rec.batch))
-            else:
+            if words is not None:
                 self._provision_run(store, words, run)
+            elif run.kind == "bte":
+                store.put_bte(*self.gen_bte(run.fan_in, RINGS[run.width], run.batch))
+            else:
+                store.put_b2a(self.gen_b2a_material(RINGS[run.width], run.batch))
 
     def _provision_run(self, store: "MaterialStore", words: int, run: list):
-        """Build a narrow run of ``_runs`` from one raw draw of its words."""
+        """Build a run of narrow tables from one raw draw of its words."""
         raw, values, groups = raw_words(self.rng, words), {}, {}
         for rec, offset in run:
             self.draw_count += len(rec.draws)
@@ -346,34 +364,12 @@ class Dealer:
             if vals is None:
                 vals = values[rec.per] = elements(rec.of, raw)
             at = offset * rec.per
-            pieces = [vals[at + start:at + start + size].reshape(rows, -1)
-                      for start, size, rows in rec.draws]
-            if rec.kind == "bte":
-                groups.setdefault((rec.fan_in, rec.ring.width_bits), []).append((rec, *pieces))
-            else:
-                a, b, r = (piece[0].copy() for piece in pieces)
-                store.put_b2a(B2aMaterial(rec.ring, rec.batch, a=a, b=b, c0=r, c1=a * b - r))
+            groups.setdefault((rec.fan_in, rec.ring.width_bits), []).append(
+                (rec, *(vals[at + start:at + start + size].reshape(rows, -1)
+                        for start, size, rows in rec.draws)))
         for group in groups.values():
             for tables in _build_tables(group):
                 store.put_bte(*tables)
-
-    def _check(self, need: Need):
-        """Raise what generating ``need`` would raise, without drawing; a
-        width, batch and fan-in must be integers (not bools, which would
-        read as width 1, nor integral floats), the batch at least 1."""
-        if not (_integer(need.width) and _integer(need.batch) and _integer(need.fan_in)):
-            raise DomainError(f"width {need.width!r}, batch {need.batch!r} and fan-in "
-                              f"{need.fan_in!r} must be integers")
-        if need.width not in RINGS:
-            raise DomainError(f"unsupported ring width {need.width}")
-        if need.batch < 1:
-            raise DomainError(f"batch {need.batch} must be at least 1")
-        if need.kind == "bte":
-            check_fan_in(need.fan_in)
-        elif need.kind == "b2a":
-            check_b2a_ring(RINGS[need.width])
-        else:
-            raise DomainError(f"unknown material kind {need.kind!r}")
 
 
 class MaterialStore:
@@ -484,10 +480,10 @@ def dump_material(path: str, store: MaterialStore):
 
 
 def load_material(path: str) -> MaterialStore:
-    """Read a dump written by ``dump_material``. A malformed dump (unknown
-    kind, bad width, fan-in or batch, a record larger than the rest of the
-    file, trailing bytes) raises MaterialError before its arrays are read;
-    a boolean table entry outside {0, 1} raises it before the record is
+    """Read a dump written by ``dump_material``. A malformed dump (a record
+    header ``_check`` refuses, a record larger than the rest of the file,
+    trailing bytes) raises MaterialError before its arrays are read; a
+    boolean table entry outside {0, 1} raises it before the record is
     stored."""
     store = MaterialStore()
     with open(path, "rb") as fh:
@@ -503,20 +499,17 @@ def load_material(path: str) -> MaterialStore:
             if left() < 16:
                 raise MaterialError(f"{path}: truncated record header")
             kind, width, fan_in, batch = struct.unpack("<4sIII", fh.read(16))
-            kind = kind.rstrip(b"\x00")
-            ring = RINGS.get(width)
-            if ring is None or batch < 1:
-                raise MaterialError(f"{path}: bad record width {width} or batch {batch}")
+            need = Need(kind.rstrip(b"\x00").decode("latin-1"), width, batch, fan_in)
+            try:
+                _check(need)
+            except RingmpcError as exc:
+                raise MaterialError(f"{path}: bad record {need}: {exc}") from exc
+            ring = RINGS[width]
             nbytes = batch * _le_dtype(ring).itemsize
-            if kind == b"bte" and 2 <= fan_in <= MAX_FANIN:
-                arrays = 2 * ((1 << fan_in) - 1)
-            elif kind == b"b2a" and fan_in == 0 and not ring.is_boolean:
-                arrays = 4
-            else:
-                raise MaterialError(f"{path}: bad {kind!r} record with fan-in {fan_in}")
+            arrays = 2 * ((1 << fan_in) - 1) if need.kind == "bte" else 4
             if arrays * nbytes > left():
                 raise MaterialError(f"{path}: record larger than the rest of the file")
-            if kind == b"bte":
+            if need.kind == "bte":
                 rows = arrays // 2
                 halves = [_arr_from(fh.read(rows * nbytes), ring, rows * batch)
                           .reshape(rows, batch) for _ in (0, 1)]

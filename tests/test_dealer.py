@@ -287,6 +287,7 @@ REFUSED_NEEDS = {
     # provision a Boolean and a Z_2^16 record.
     "width-bool": (Need("bte", True, 4, fan_in=2), DomainError),
     "width-float": (Need("b2a", 16.0, 4), DomainError),
+    "b2a-fan-in": (Need("b2a", 16, 4, fan_in=3), DomainError),
 }
 
 
@@ -298,6 +299,26 @@ def test_provision_refuses_a_bad_manifest_before_any_draw(dealer, bad):
     with pytest.raises(error):
         dealer.provision(store, [Need("bte", 8, 4, fan_in=2), need])
     assert store.is_empty() and dealer.draw_count == 0
+    assert dealer.rng.bit_generator.state == state
+
+
+# The refused needs a generator's arguments can express: a table or a B2A
+# record without a fan-in, over a ring it is given.
+GENERATOR_REFUSALS = [bad for bad, (need, _) in REFUSED_NEEDS.items()
+                      if type(need.width) is int and need.width in RINGS
+                      and (need.kind == "bte" or need.kind == "b2a" and not need.fan_in)]
+
+
+@pytest.mark.parametrize("bad", GENERATOR_REFUSALS)
+def test_generators_refuse_what_provision_refuses_before_any_draw(dealer, bad):
+    need, error = REFUSED_NEEDS[bad]
+    state = dealer.rng.bit_generator.state
+    with pytest.raises(error):
+        if need.kind == "bte":
+            dealer.gen_bte(need.fan_in, RINGS[need.width], need.batch)
+        else:
+            dealer.gen_b2a_material(RINGS[need.width], need.batch)
+    assert dealer.draw_count == 0
     assert dealer.rng.bit_generator.state == state
 
 
@@ -448,9 +469,11 @@ FAN_INS = [Need("bte", width, batch, fan_in=fan_in) for batch in (1, 65, 130)
            for fan_in in range(2, 10) for width in (1, 16)] + [
     Need("bte", 1, 1, fan_in=MAX_FANIN), Need("bte", 64, 1, fan_in=MAX_FANIN)]
 # A run whose columns sum to exactly BLOCK, a table and a B2A record wider
-# than BLOCK between narrow records, and a run of one narrow record.
+# than BLOCK between narrow records, a narrow B2A record, and a run of one
+# narrow record.
 EDGES = [
-    Need("bte", 64, BLOCK - 100, fan_in=2), Need("bte", 16, 99, fan_in=3), Need("b2a", 8, 1),
+    Need("bte", 64, BLOCK - 100, fan_in=2), Need("bte", 16, 99, fan_in=3),
+    Need("bte", 8, 1, fan_in=2),
     Need("bte", 1, 65, fan_in=2), Need("b2a", 32, 63),
     Need("bte", 32, BLOCK + 1, fan_in=2),
     Need("bte", 1, 130, fan_in=2), Need("bte", 16, 64, fan_in=3),
@@ -468,10 +491,13 @@ def _per_record(dealer: Dealer, needs: list[Need]) -> list:
 
 
 def test_edges_manifest_covers_the_run_boundaries():
-    runs = [(words, [rec.cols for rec, _ in run]) for words, run in _runs(EDGES)]
-    assert runs[0][1] == [BLOCK - 100, 99, 1]
-    assert [cols for words, cols in runs if words is None] == [[BLOCK + 1], [BLOCK + 5]]
-    assert runs[-1] == (runs[-1][0], [64])  # one narrow record after a wide one
+    runs = list(_runs(EDGES))
+    assert [rec.cols for rec, _ in runs[0][1]] == [BLOCK - 100, 99, 1]
+    # Every B2A record and every wider table is built alone.
+    assert [need for words, need in runs if words is None] == [
+        Need("b2a", 32, 63), Need("bte", 32, BLOCK + 1, fan_in=2), Need("b2a", 16, BLOCK + 5)]
+    words, last = runs[-1]
+    assert words is not None and [rec.cols for rec, _ in last] == [64]  # after a lone record
 
 
 @pytest.mark.parametrize("name", RUN_MANIFESTS)
