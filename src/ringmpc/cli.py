@@ -87,9 +87,10 @@ def main(argv=None) -> int:
             length=args.length,
             measure=args.measure,
         )
-    except RingmpcError as exc:
-        err = {"error": type(exc).__name__, "message": str(exc)}
-        print(json.dumps(err, sort_keys=True), file=sys.stderr)
+    except (RingmpcError, MemoryError) as exc:
+        # numpy reports a failed allocation as a private MemoryError subclass
+        name = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
+        print(json.dumps({"error": name, "message": str(exc)}, sort_keys=True), file=sys.stderr)
         return 2
     text = render(row, args.format)
     if args.out:

@@ -479,12 +479,22 @@ def dump_material(path: str, store: MaterialStore):
                     fh.write(_arr_bytes(arr, ring))
 
 
+def _check_correlated(path: str, index: int, need: Need, got: np.ndarray, want: np.ndarray):
+    """Refuse loaded record ``index`` unless ``got``, its reconstructed
+    values, equal ``want``, what they must be: a B2A record's c0 + c1 must
+    be a*b, and a table's rows the subset products of its singleton rows.
+    A flip of a singleton entry whose product partners are all zero leaves
+    a valid table, which is stored."""
+    if not np.array_equal(got, want):
+        raise MaterialError(f"{path}: record {index}, {need}, is not correlated material")
+
+
 def load_material(path: str) -> MaterialStore:
     """Read a dump written by ``dump_material``. A malformed dump (a record
     header ``_check`` refuses, a record larger than the rest of the file,
-    trailing bytes) raises MaterialError before its arrays are read; a
-    boolean table entry outside {0, 1} raises it before the record is
-    stored."""
+    trailing bytes) raises MaterialError before its arrays are read. A
+    boolean table entry outside {0, 1}, or a record that is not correlated
+    (``_check_correlated``), raises it before the record is stored."""
     store = MaterialStore()
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -495,7 +505,7 @@ def load_material(path: str) -> MaterialStore:
         if fh.read(8) != _MAGIC or left() < 4:
             raise MaterialError(f"{path} is not a material dump")
         (count,) = struct.unpack("<I", fh.read(4))
-        for _ in range(count):
+        for index in range(count):
             if left() < 16:
                 raise MaterialError(f"{path}: truncated record header")
             kind, width, fan_in, batch = struct.unpack("<4sIII", fh.read(16))
@@ -515,10 +525,16 @@ def load_material(path: str) -> MaterialStore:
                           .reshape(rows, batch) for _ in (0, 1)]
                 if ring.is_boolean and any(half.max() > 1 for half in halves):
                     raise MaterialError(f"{path}: boolean table entry outside {{0, 1}}")
-                store.put_bte(*(BteTable(party, fan_in, ring, batch, to_layout(ring, half))
-                                for party, half in enumerate(halves)))
+                t0, t1 = (BteTable(party, fan_in, ring, batch, to_layout(ring, half))
+                          for party, half in enumerate(halves))
+                plain, products = ring.add(t0.rows, t1.rows), np.empty_like(t0.rows)
+                _party1_half(ring, plain[[(1 << l) - 1 for l in range(fan_in)]],
+                             np.zeros_like(plain), products)
+                _check_correlated(path, index, need, plain, products)
+                store.put_bte(t0, t1)
             else:
                 a, c0, b, c1 = (_arr_from(fh.read(nbytes), ring, batch) for _ in range(4))
+                _check_correlated(path, index, need, ring.add(c0, c1), ring.mul(a, b))
                 store.put_b2a(B2aMaterial(ring, batch, a=a, b=b, c0=c0, c1=c1))
         if left():
             raise MaterialError(f"{path}: {left()} trailing bytes")

@@ -120,6 +120,23 @@ def test_error_is_machine_readable(capsys):
     assert obj["error"] == "DomainError"
 
 
+class _ArrayMemoryError(MemoryError):
+    """Stands in for the MemoryError subclass numpy raises."""
+
+
+@pytest.mark.parametrize("error", [MemoryError, _ArrayMemoryError])
+def test_failed_allocation_is_a_json_error(capsys, monkeypatch, error):
+    def run_bench(**_):
+        raise error("Unable to allocate 1.14 PiB for an array")
+
+    monkeypatch.setattr("ringmpc.cli.run_bench", run_bench)
+    code, out, err = run_cli(capsys, "--target", "protocol", "--name", "comparison",
+                             "--batch", "100000000000000")
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "MemoryError",
+                               "message": "Unable to allocate 1.14 PiB for an array"}
+
+
 @pytest.mark.parametrize("argv", [
     ("--target", "protocol", "--name", "equality", "--batch", "-1"),
     ("--target", "protocol", "--name", "equality", "--batch", "0"),

@@ -232,25 +232,39 @@ def test_boolean_dump_is_one_byte_per_entry_element(dealer, tmp_path):
         assert not _padding_lanes(back[party]).any()
 
 
+def _table_dump(bits: np.ndarray) -> bytes:
+    """A dump of one 2-fan-in boolean table whose halves are ``bits``, one
+    byte per entry element, ``(2, 3, batch)``."""
+    return (b"RMPCMAT1" + struct.pack("<I", 1)
+            + struct.pack("<4sIII", b"bte", 1, 2, bits.shape[2]) + bits.tobytes())
+
+
 def test_load_packs_a_byte_per_bit_dump(tmp_path):
     """A dump holding one byte per boolean entry element, as every dump of
     this format does, loads as packed rows whatever the bytes' origin."""
     bits = np.random.default_rng(4).integers(0, 2, (2, 3, 70), dtype=np.uint8)
+    # Party 1's product row makes the reconstructed product row the AND of
+    # the reconstructed singleton rows.
+    single = bits[0, :2] ^ bits[1, :2]
+    uncorrelated, bits[1, 2] = bits.copy(), single[0] & single[1] ^ bits[0, 2]
     path = tmp_path / "material.bin"
-    path.write_bytes(b"RMPCMAT1" + struct.pack("<I", 1)
-                     + struct.pack("<4sIII", b"bte", 1, 2, 70) + bits.tobytes())
+    path.write_bytes(_table_dump(bits))
     t0, t1 = load_material(str(path)).take_bte(2, BOOL, 70)
     for party, table in enumerate((t0, t1)):
         assert np.array_equal(table.rows, pack_lanes(bits[party]))
         assert np.array_equal(unpack_lanes(table.rows, 70), bits[party])
+    # The same bits with party 1's product row uniform are not a table.
+    assert not np.array_equal(uncorrelated, bits)
+    path.write_bytes(_table_dump(uncorrelated))
+    with pytest.raises(MaterialError, match="record 0, .* not correlated"):
+        load_material(str(path))
 
 
 def test_load_rejects_boolean_entry_above_one(tmp_path):
     bits = np.zeros((2, 3, 5), dtype=np.uint8)
     bits[1, 2, 4] = 2
     path = tmp_path / "material.bin"
-    path.write_bytes(b"RMPCMAT1" + struct.pack("<I", 1)
-                     + struct.pack("<4sIII", b"bte", 1, 2, 5) + bits.tobytes())
+    path.write_bytes(_table_dump(bits))
     with pytest.raises(MaterialError):
         load_material(str(path))
 
@@ -394,11 +408,15 @@ def test_load_rejects_malformed_dumps(dealer, tmp_path):
     dump_material(str(path), store)
     good = path.read_bytes()
     # Record headers (kind, width, fan-in, batch) follow the 12-byte file
-    # header; the 2-fan-in table holds 2 * 3 arrays of 3 bytes.
+    # header; the 2-fan-in table holds 2 * 3 arrays of 3 bytes, each
+    # party's product row last, and the B2A record a, c0, b and c1.
     bte, b2a = 12, 12 + 16 + 2 * 3 * 3
 
     def patched(offset, value):
         return good[:offset] + value + good[offset + len(value):]
+
+    def flipped(offset, bit):
+        return patched(offset, bytes([good[offset] ^ bit]))
 
     def u32(value):
         return struct.pack("<I", value)
@@ -416,6 +434,11 @@ def test_load_rejects_malformed_dumps(dealer, tmp_path):
         patched(bte + 12, u32(2**32 - 1)),
         patched(b2a + 4, u32(1)),
         patched(b2a + 8, u32(2)),
+        # Material that is not correlated: a flipped product-row entry in
+        # either party's half, and a flipped c0.
+        flipped(bte + 16 + 2 * 3 + 1, 0x80),
+        flipped(bte + 16 + 3 * 3 + 2 * 3 + 2, 0x01),
+        flipped(b2a + 16 + 2 * 2 + 1, 0x10),
     ]
     for blob in bad:
         path.write_bytes(blob)
