@@ -33,7 +33,6 @@ from .errors import (
     DomainError,
     MaterialError,
     MaterialReuseError,
-    RingmpcError,
 )
 from .ring import (
     RINGS,
@@ -322,8 +321,9 @@ class Dealer:
         return BteTable(0, fan_in, ring, batch, s0), BteTable(1, fan_in, ring, batch, plain)
 
     def gen_b2a_material(self, ring: RingSpec, batch: int) -> B2aMaterial:
-        """Three one-row draws, a, b and c0, with c1 = a*b - c0. A record
-        ``_check`` refuses raises before any draw."""
+        """Three one-row draws, a, b and c0, with c1 = a*b - c0; ``provision``
+        builds every B2A record here. A record ``_check`` refuses raises
+        before any draw."""
         _check(Need("b2a", ring.width_bits, batch))
         a, b, r = (self._draw(ring, 1, batch)[0] for _ in range(3))
         return B2aMaterial(ring, batch, a=a, b=b, c0=r, c1=a * b - r)
@@ -512,7 +512,7 @@ def load_material(path: str) -> MaterialStore:
             need = Need(kind.rstrip(b"\x00").decode("latin-1"), width, batch, fan_in)
             try:
                 _check(need)
-            except RingmpcError as exc:
+            except (CapabilityError, DomainError) as exc:
                 raise MaterialError(f"{path}: bad record {need}: {exc}") from exc
             ring = RINGS[width]
             nbytes = batch * _le_dtype(ring).itemsize

@@ -245,8 +245,9 @@ def test_load_packs_a_byte_per_bit_dump(tmp_path):
     bits = np.random.default_rng(4).integers(0, 2, (2, 3, 70), dtype=np.uint8)
     # Party 1's product row makes the reconstructed product row the AND of
     # the reconstructed singleton rows.
+    uncorrelated = bits.copy()
     single = bits[0, :2] ^ bits[1, :2]
-    uncorrelated, bits[1, 2] = bits.copy(), single[0] & single[1] ^ bits[0, 2]
+    bits[1, 2] = single[0] & single[1] ^ bits[0, 2]
     path = tmp_path / "material.bin"
     path.write_bytes(_table_dump(bits))
     t0, t1 = load_material(str(path)).take_bte(2, BOOL, 70)
