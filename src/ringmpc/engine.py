@@ -152,9 +152,25 @@ class Session:
     # -- offline phase ------------------------------------------------------
 
     def provision(self, needs: list[Need]):
+        """Provision ``needs`` into the store. A manifest the dealer refuses
+        raises before any draw and leaves the session as it was. A failure
+        after the dealer's checks, such as a failed allocation, may leave
+        part of the manifest in the store (``Dealer.unfinished``): the
+        session is then marked failed and refuses further provisions and
+        runs."""
+        self._refuse_if_failed()
         if self.online_started:
             raise MaterialError("cannot provision material after the online phase began")
-        self.dealer.provision(self.store, needs)
+        try:
+            self.dealer.provision(self.store, needs)
+        except BaseException:
+            self.failed = self.dealer.unfinished
+            raise
+
+    def _refuse_if_failed(self):
+        if self.failed:
+            raise MaterialError("session failed in an earlier provision or run; "
+                                "start a new one")
 
     def share_input(self, x, ring: RingSpec):
         return self.dealer.share_input(x, ring)
@@ -176,9 +192,8 @@ class Session:
 
         A protocol that raises leaves material half-consumed and the ledgers
         partly charged: the session is marked failed and refuses further
-        runs, while its ledgers and transcript stay readable."""
-        if self.failed:
-            raise MaterialError("session failed in an earlier run; start a new one")
+        provisions and runs, while its ledgers and transcript stay readable."""
+        self._refuse_if_failed()
         self.online_started = True
         try:
             items = gen.send(None)
