@@ -18,8 +18,21 @@ from .errors import RingmpcError
 from .gates import DEFAULT_FANIN_CAP
 
 
+class UsageError(Exception):
+    """A command line argparse refuses, with argparse's message."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ``ArgumentParser`` that raises ``UsageError`` where argparse would
+    print usage text and exit, so ``main`` reports it as JSON. ``--help``
+    still prints its text and exits 0."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="ringmpc-bench",
         description="Round/bit/latency benchmarks for the ringmpc protocol suite",
     )
@@ -71,8 +84,16 @@ def render(row: dict, fmt: str) -> str:
     return head + "\n" + body + "\n"
 
 
+def _error(name: str, exc: BaseException) -> int:
+    print(json.dumps({"error": name, "message": str(exc)}, sort_keys=True), file=sys.stderr)
+    return 2
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except UsageError as exc:
+        return _error("UsageError", exc)
     try:
         row = run_bench(
             target=args.target,
@@ -89,13 +110,14 @@ def main(argv=None) -> int:
         )
     except (RingmpcError, MemoryError) as exc:
         # numpy reports a failed allocation as a private MemoryError subclass
-        name = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
-        print(json.dumps({"error": name, "message": str(exc)}, sort_keys=True), file=sys.stderr)
-        return 2
+        return _error("MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__, exc)
     text = render(row, args.format)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            return _error(type(exc).__name__, exc)
     else:
         sys.stdout.write(text)
     return 0

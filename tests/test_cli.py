@@ -137,6 +137,41 @@ def test_failed_allocation_is_a_json_error(capsys, monkeypatch, error):
                                "message": "Unable to allocate 1.14 PiB for an array"}
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("--target", "protocol", "--name", "equality", "--batch", "abc"),
+     "argument --batch: invalid int value: 'abc'"),
+    (("--target", "foo"), "argument --target: invalid choice: 'foo'"),
+    (("--name", "equality"), "the following arguments are required: --target"),
+    (("--target", "gate", "--bogus"), "unrecognized arguments: --bogus"),
+])
+def test_usage_error_is_a_json_error(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    obj = json.loads(err)
+    assert obj["error"] == "UsageError"
+    assert obj["message"].startswith(message)
+
+
+def test_help_still_prints_usage_text(capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(["--help"])
+    assert stop.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: ringmpc-bench") and "--target" in out
+
+
+@pytest.mark.parametrize("where, error", [
+    ("missing/row.csv", "FileNotFoundError"), (".", "IsADirectoryError"),
+])
+def test_unwritable_out_is_a_json_error(capsys, tmp_path, where, error):
+    path = tmp_path / where
+    code, out, err = run_cli(capsys, "--target", "protocol", "--name", "equality",
+                             "--format", "csv", "--out", str(path))
+    assert code == 2 and out == ""
+    obj = json.loads(err)
+    assert obj["error"] == error and str(path) in obj["message"]
+
+
 @pytest.mark.parametrize("argv", [
     ("--target", "protocol", "--name", "equality", "--batch", "-1"),
     ("--target", "protocol", "--name", "equality", "--batch", "0"),

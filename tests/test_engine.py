@@ -2,11 +2,14 @@ import struct
 
 import numpy as np
 import pytest
+from conftest import manifest
 
-from ringmpc.dealer import Need
+from ringmpc import dealer, threads
+from ringmpc import protocols as P
+from ringmpc.dealer import Dealer, Need
 from ringmpc.engine import CostModel, ExchangeItem, Session, Transcript, parallel
-from ringmpc.errors import MaterialError, ProtocolDesyncError, ShapeError
-from ringmpc.ring import RINGS, pack_lanes, unpack_lanes
+from ringmpc.errors import DomainError, MaterialError, ProtocolDesyncError, ShapeError
+from ringmpc.ring import RINGS, Z32, pack_lanes, reconst, unpack_lanes
 
 
 def _row(values, width=8):
@@ -118,6 +121,73 @@ def test_failed_run_poisons_session():
         sess.run(simple_protocol(1))
     assert sess.rounds == 1
     assert sess.cost_report()["bits_per_party"] == 32
+
+
+CMP_BATCH = 5000
+
+
+def _comparison(sess: Session, seed: int = 1):
+    """Share two random comparison inputs, run comparison, and return the
+    output bits and the plaintext answer."""
+    rng = np.random.default_rng(seed)
+    xv, yv = (rng.integers(0, 1 << 31, CMP_BATCH, dtype=np.uint64) for _ in range(2))
+    x, y = (sess.share_input(v, Z32) for v in (xv, yv))
+    return reconst(*sess.run(P.comparison(sess.store, x, y))), (xv < yv).astype(np.uint8)
+
+
+def _fail_on_call(monkeypatch, owner, name, call):
+    """Make ``owner.name`` raise MemoryError on its ``call``-th call."""
+    method, calls = getattr(owner, name), []
+
+    def planted(*args):
+        calls.append(None)
+        if len(calls) == call:
+            raise MemoryError("planted allocation failure")
+        return method(*args)
+    monkeypatch.setattr(owner, name, planted)
+
+
+@pytest.mark.parametrize("path", ["runs", "gen_bte"])
+def test_provision_failing_after_its_checks_fails_the_session(monkeypatch, path):
+    """A MemoryError in the middle of the Z_2^32 comparison manifest, while
+    building a run's tables or in the 5th ``gen_bte`` call (every table
+    made wide by a small ``BLOCK_COLS``), leaves part of the manifest
+    stored: the session is failed and refuses provision and run."""
+    if path == "runs":
+        _fail_on_call(monkeypatch, dealer, "_build_tables", 3)
+    else:
+        monkeypatch.setattr(threads, "BLOCK_COLS", 64)
+        _fail_on_call(monkeypatch, Dealer, "gen_bte", 5)
+    needs = manifest("comparison", Z32, CMP_BATCH)
+    sess = Session(seed=0)
+    with pytest.raises(MemoryError, match="planted"):
+        sess.provision(needs)
+    assert sess.failed and sess.dealer.unfinished
+    assert not sess.store.is_empty()
+    with pytest.raises(MaterialError, match="session failed"):
+        sess.provision(needs)
+    with pytest.raises(MaterialError, match="session failed"):
+        sess.run(simple_protocol(1))
+    assert sess.rounds == 0
+
+
+def test_refused_manifest_leaves_the_session_usable():
+    """A manifest refused by the dealer's checks draws and stores nothing:
+    the session then provisions and runs as a fresh one does."""
+    needs = manifest("comparison", Z32, CMP_BATCH)
+    sess = Session(seed=0)
+    with pytest.raises(DomainError):
+        sess.provision(needs + [Need("bte", 32, 0, fan_in=2)])
+    assert not sess.failed and not sess.dealer.unfinished
+    assert sess.store.is_empty() and sess.dealer.draw_count == 0
+    sess.provision(needs)
+    got, want = _comparison(sess)
+    assert np.array_equal(got, want)
+    assert sess.store.is_empty()
+    fresh = Session(seed=0)
+    fresh.provision(needs)
+    _comparison(fresh)
+    assert sess.transcript.to_bytes() == fresh.transcript.to_bytes()
 
 
 def test_cost_report_model():
