@@ -1,8 +1,9 @@
 """Command-line benchmark front end (`ringmpc-bench`).
 
-Emits one report row per invocation in table, CSV, or JSON form. Errors
-come back as a machine-readable JSON object on stderr with a nonzero exit
-code.
+Emits one report row per invocation in table, CSV, or JSON form. Errors,
+a command line argparse refuses and an unwritable ``--out`` included, come
+back as one machine-readable JSON object on stderr with exit code 2.
+``--help`` prints its usage text and exits 0.
 """
 from __future__ import annotations
 

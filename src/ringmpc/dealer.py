@@ -414,11 +414,11 @@ class MaterialStore:
         self._b2a: dict[int, deque] = {}
 
     def put_bte(self, t0: BteTable, t1: BteTable):
-        self._bte.setdefault((t0.fan_in, t0.ring.width_bits), deque()).append((t0, t1))
+        self.put_btes([(t0, t1)])
 
     def put_btes(self, tables: list):
-        """``put_bte`` of each ``(t0, t1)`` of ``tables``, in order, all of
-        one fan-in and width."""
+        """Queue each ``(t0, t1)`` of ``tables``, in order, all of one
+        fan-in and width."""
         t0 = tables[0][0]
         self._bte.setdefault((t0.fan_in, t0.ring.width_bits), deque()).extend(tables)
 

@@ -127,6 +127,8 @@ def edit_distance_manifest(length: int, pairs: int = 1) -> list[Need]:
     return list(_edit_distance_needs(length, pairs))
 
 
+# typed, so a float length still raises as it would uncached rather than
+# hitting the cache entry of its equal integer
 @functools.lru_cache(maxsize=SHAPES_KEPT, typed=True)
 def _edit_distance_needs(length: int, pairs: int) -> tuple[Need, ...]:
     needs = mismatch_manifest(length, pairs)

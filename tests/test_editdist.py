@@ -166,3 +166,9 @@ def test_manifest_cache_is_bounded():
     info = E._edit_distance_needs.cache_info()
     assert info.maxsize == E.SHAPES_KEPT
     assert info.currsize == E.SHAPES_KEPT
+
+
+def test_manifest_cache_keeps_a_float_length_refused():
+    E.edit_distance_manifest(2, 1)
+    with pytest.raises(TypeError):
+        E.edit_distance_manifest(2.0, 1)
