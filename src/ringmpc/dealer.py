@@ -13,14 +13,11 @@ one fan-in and width in one pass, side by side, copies each table's rows
 out, and stores that group's tables in one ``MaterialStore.put_btes``
 call: the same bits as one ``gen_bte`` call per table. A wider table is
 one ``gen_bte`` call, and every B2A record one ``gen_b2a_material`` call.
-How a need is drawn (``_record``) is planned once per distinct need in a
-process, from a bounded cache, so a shape provisioned again is planned by
-lookup. ``_check`` is the one rule for a valid record, for ``provision``,
+``_check`` is the one rule for a valid record, for ``provision``,
 both generators and ``load_material``, which also checks correlations.
 """
 from __future__ import annotations
 
-import functools
 import os
 import struct
 from collections import deque
@@ -52,9 +49,6 @@ from .ring import (
 )
 
 MAX_FANIN = 16  # a fan-in-N table holds 2**N - 1 entries per element
-# Distinct needs whose draw plans (``_record``) a process keeps: the L=128
-# edit-distance manifest has 878, and a plan is a few hundred bytes.
-PLANS_KEPT = 2048
 
 
 @dataclass
@@ -196,8 +190,10 @@ class _Record(NamedTuple):
     table's words on (``row_draw``), ``per`` elements to a word. ``keep``
     is, at width 1 when the batch is not a multiple of 64, the last word's
     real lanes, which ``uniform_rows`` keeps while it clears the rest;
-    None otherwise. ``pool`` is the store pool, ``(fan_in, width)``, and
-    the group a run builds the table in."""
+    None otherwise. ``span``, when each draw starts where the one before
+    ends, as at widths 1 and 64, is the number of elements from the
+    table's first word that hold all its rows, singles first; None when a
+    draw ends inside a word."""
 
     ring: RingSpec
     batch: int
@@ -208,24 +204,22 @@ class _Record(NamedTuple):
     per: int
     draws: tuple
     keep: np.uint64 | None
-    pool: tuple[int, int]
+    span: int | None
 
 
-@functools.lru_cache(maxsize=PLANS_KEPT)
 def _record(need: Need) -> _Record:
-    """The draw plan of a checked table ``need``, built once per distinct
-    need while it stays among the last ``PLANS_KEPT`` planned. It holds
-    the need's numbers and rings only, no array."""
     ring, batch, fan_in = RINGS[need.width], int(need.batch), int(need.fan_in)
-    draws, words = [], 0
+    draws, words, sizes = [], 0, 0
     for rows in _draw_rows(fan_in):
         of, size, n = row_draw(ring, rows, batch)
         per = 64 // of.width_bits
         draws.append((words * per, size, rows))
         words += n
+        sizes += size
     keep = np.uint64((1 << batch % 64) - 1) if ring.is_boolean and batch % 64 else None
+    span = draws[-1][0] + draws[-1][1]
     return _Record(ring, batch, fan_in, ring.cols(batch), words, of, per, tuple(draws), keep,
-                   (fan_in, ring.width_bits))
+                   span if span == sizes else None)
 
 
 def _runs(needs: list[Need]):
@@ -235,11 +229,18 @@ def _runs(needs: list[Need]):
     need)`` for a record built alone, that is every B2A record and every
     table of more than ``threads.BLOCK_COLS`` layout columns. A run closes
     before such a record and before a table that would take it past that
-    many columns. Each table's record comes from ``_record``'s cache, so a
-    manifest planned before in this process is planned by lookup."""
+    many columns."""
+    # keyed by numbers, whose tuple hashes and compares in C, not by the
+    # Need, whose dataclass hash and equality run in Python
+    records: dict[tuple, _Record] = {}
     run, words, cols_left = [], 0, threads.BLOCK_COLS
     for need in needs:
-        rec = _record(need) if need.kind == "bte" else None
+        rec = None
+        if need.kind == "bte":
+            key = need.width, need.batch, need.fan_in
+            rec = records.get(key)
+            if rec is None:
+                rec = records[key] = _record(need)
         if run and (rec is None or rec.cols > cols_left):
             yield words, run
             run, words, cols_left = [], 0, threads.BLOCK_COLS
@@ -254,37 +255,26 @@ def _runs(needs: list[Need]):
 
 
 def _build_tables(group: list) -> list:
-    """The ``(t0, t1)`` tables of ``group``'s ``(record, singles, s0)``
-    entries, all of one fan-in and ring, from one ``_party1_half`` over
-    their draws side by side, each record's padding lanes cleared first.
-    A record's rows are then copied out, C-contiguous and its own. A group
-    of one record is built on its draws in place, and only its party-0
-    rows are copied, out of the run's raw draw."""
+    """The ``(t0, t1)`` tables of ``group``'s ``(record, rows)`` entries,
+    all of one fan-in and ring, from one ``_party1_half`` over their drawn
+    rows (singles, then party 0's) side by side, each record's padding
+    lanes cleared first. A record's rows are then copied out, C-contiguous
+    and its own."""
     rec0 = group[0][0]
     ring, fan_in = rec0.ring, rec0.fan_in
-    if len(group) == 1:
-        _, singles, s0 = group[0]
-        s0 = s0.copy()
-        if rec0.keep is not None:
-            singles[:, -1] &= rec0.keep
-            s0[:, -1] &= rec0.keep
-    else:
-        singles, s0 = (np.concatenate([entry[i] for entry in group], axis=1) for i in (1, 2))
-        if ring.is_boolean:
-            keep, lo = np.full(s0.shape[1], ring.one), 0
-            for rec, _, _ in group:
-                lo += rec.cols
-                if rec.keep is not None:
-                    keep[lo - 1] = rec.keep
-            singles &= keep
-            s0 &= keep
+    rows = np.concatenate([entry[1] for entry in group], axis=1)
+    if ring.is_boolean:
+        keep, lo = np.full(rows.shape[1], ring.one), 0
+        for rec, _ in group:
+            lo += rec.cols
+            if rec.keep is not None:
+                keep[lo - 1] = rec.keep
+        rows &= keep
+    singles, s0 = rows[:fan_in], rows[fan_in:]
     plain = np.empty_like(s0)
     _party1_half(ring, singles, s0, plain)
-    if len(group) == 1:
-        return [(BteTable(0, fan_in, ring, rec0.batch, s0),
-                 BteTable(1, fan_in, ring, rec0.batch, plain))]
     tables, lo = [], 0
-    for rec, _, _ in group:
+    for rec, _ in group:
         hi = lo + rec.cols
         tables.append((BteTable(0, fan_in, ring, rec.batch, s0[:, lo:hi].copy()),
                        BteTable(1, fan_in, ring, rec.batch, plain[:, lo:hi].copy())))
@@ -304,7 +294,6 @@ class Dealer:
     def __init__(self, rng: np.random.Generator):
         self.rng = rng
         self.draw_count = 0
-        self.unfinished = False
 
     def _draw(self, ring: RingSpec, rows: int, batch: int) -> np.ndarray:
         self.draw_count += 1
@@ -355,25 +344,20 @@ class Dealer:
     def provision(self, store: "MaterialStore", needs: list[Need]):
         """Generate one record per need, once every need has been checked:
         a manifest with a need this dealer cannot meet is refused before
-        anything is drawn or stored. ``unfinished`` is True from the end
-        of the checks until the last record is stored, so after a raise
-        it says whether part of the manifest may be in ``store``.
+        anything is drawn or stored.
 
         Tables are built in runs (``_runs``): the words of a run of narrow
         tables come from one raw draw, its tables of one fan-in and width
         from one ``_party1_half``, and they go to the store in one call
         per such group. A table wider than ``threads.BLOCK_COLS`` columns
         is one ``gen_bte`` call, threaded as that is, and every B2A record
-        one ``gen_b2a_material`` call. Each distinct need is planned once
-        per process (``_record``), so a shape provisioned again, such as a
-        benchmark's manifest in every iteration after the first, is
-        planned by lookup. Every record is the same bits, and the
-        generator is left in the same state, as one such call per need in
-        order would give; each record's arrays are its own, C-contiguous,
-        and each pool gets its records in order."""
+        one ``gen_b2a_material`` call. Every
+        record is the same bits, and the generator is left in the same
+        state, as one such call per need in order would give; each
+        record's arrays are its own, C-contiguous, and each pool gets its
+        records in order."""
         for need in needs:
             _check(need)
-        self.unfinished = True
         for words, run in _runs(needs):
             if words is not None:
                 self._provision_run(store, words, run)
@@ -381,27 +365,24 @@ class Dealer:
                 store.put_bte(*self.gen_bte(run.fan_in, RINGS[run.width], run.batch))
             else:
                 store.put_b2a(self.gen_b2a_material(RINGS[run.width], run.batch))
-        self.unfinished = False
 
     def _provision_run(self, store: "MaterialStore", words: int, run: list):
-        """Build a run of narrow tables from one raw draw of its words, two
-        draws per table, and store each group of one fan-in and width with
-        one ``put_btes`` call."""
+        """Build a run of narrow tables from one raw draw of its words, and
+        store each group of one fan-in and width with one ``put_btes``
+        call."""
         raw, values, groups = raw_words(self.rng, words), {}, {}
-        self.draw_count += 2 * len(run)
         for rec, offset in run:
+            self.draw_count += len(rec.draws)
             vals = values.get(rec.per)
             if vals is None:
                 vals = values[rec.per] = elements(rec.of, raw)
             at = offset * rec.per
-            (lo0, n0, rows0), (lo1, n1, rows1) = rec.draws
-            entry = (rec, vals[at + lo0:at + lo0 + n0].reshape(rows0, -1),
-                     vals[at + lo1:at + lo1 + n1].reshape(rows1, -1))
-            group = groups.get(rec.pool)
-            if group is None:
-                groups[rec.pool] = [entry]
+            if rec.span is not None:
+                rows = vals[at:at + rec.span].reshape(-1, rec.cols)
             else:
-                group.append(entry)
+                rows = np.concatenate([vals[at + start:at + start + size].reshape(-1, rec.cols)
+                                       for start, size, _ in rec.draws])
+            groups.setdefault((rec.fan_in, rec.ring.width_bits), []).append((rec, rows))
         for group in groups.values():
             store.put_btes(_build_tables(group))
 

@@ -13,7 +13,6 @@ and diagonal neighbours by one index vector and scatters its 3-Min back.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +26,6 @@ from .ring import SharePair, Z16, add, const_add, const_pair, neg, plaintext, tr
 ALPHABET = 4  # characters encoded 0..3 (A, T, G, C)
 RING = Z16
 MAX_LENGTH = 1 << 13  # distances stay far below the comparison domain
-SHAPES_KEPT = 4  # edit-distance manifests a process keeps (2 553 needs at L=128)
 
 
 @dataclass
@@ -121,19 +119,13 @@ def edit_distance_manifest(length: int, pairs: int = 1) -> list[Need]:
     """Mismatch matrix plus one batched 3-Min per anti-diagonal. Material is
     not linear in the length, so this composes per-phase manifests instead
     of recording edit_distance itself; the 3-Min needs of one DP cell are
-    recorded once and scaled to each diagonal. A shape is derived once per
-    process while it stays among the last ``SHAPES_KEPT`` derived, and
-    each call returns a new list of the same needs."""
-    return list(_edit_distance_needs(length, pairs))
-
-
-# typed, so a float length still raises as it would uncached rather than
-# hitting the cache entry of its equal integer
-@functools.lru_cache(maxsize=SHAPES_KEPT, typed=True)
-def _edit_distance_needs(length: int, pairs: int) -> tuple[Need, ...]:
+    recorded once and scaled to each diagonal."""
     needs = mismatch_manifest(length, pairs)
     cell = derive_manifest(min3, [const_pair(0, RING, 1) for _ in range(3)])
+    scaled = {}
     for d in range(2, 2 * length + 1):
-        cells = len(_diag_rows(length, d)) * pairs
-        needs += [need.scaled(cells) for need in cell]
-    return tuple(needs)
+        cells = min(d - 1, 2 * length + 1 - d) * pairs
+        if cells not in scaled:
+            scaled[cells] = [need.scaled(cells) for need in cell]
+        needs += scaled[cells]
+    return needs

@@ -154,17 +154,17 @@ class Session:
     def provision(self, needs: list[Need]):
         """Provision ``needs`` into the store. A manifest the dealer refuses
         raises before any draw and leaves the session as it was. A failure
-        after the dealer's checks, such as a failed allocation, may leave
-        part of the manifest in the store (``Dealer.unfinished``): the
-        session is then marked failed and refuses further provisions and
-        runs."""
+        once the dealer has drawn, such as a failed allocation, may leave
+        part of the manifest in the store: the session is then marked
+        failed and refuses further provisions and runs."""
         self._refuse_if_failed()
         if self.online_started:
             raise MaterialError("cannot provision material after the online phase began")
+        drawn = self.dealer.draw_count
         try:
             self.dealer.provision(self.store, needs)
         except BaseException:
-            self.failed = self.dealer.unfinished
+            self.failed = self.dealer.draw_count != drawn
             raise
 
     def _refuse_if_failed(self):

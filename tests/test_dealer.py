@@ -9,7 +9,6 @@ import pytest
 from ringmpc import editdist, threads
 from ringmpc.dealer import (
     MAX_FANIN,
-    PLANS_KEPT,
     Dealer,
     MaterialStore,
     Need,
@@ -526,16 +525,19 @@ def test_edges_manifest_covers_the_run_boundaries():
     assert words is not None and [rec.cols for rec, _ in last] == [64]  # after a lone record
 
 
+def test_run_manifests_cover_joined_and_split_draws():
+    """Every run manifest has tables whose two draws lie back to back in
+    the words, taken as one view of all rows (``_Record.span``), and tables
+    whose first draw ends inside a word; widths 1 and 64 are always joined."""
+    for needs in RUN_MANIFESTS.values():
+        recs = [_record(need) for need in needs if need.kind == "bte"]
+        assert {rec.span is None for rec in recs} == {True, False}
+        assert all(rec.span is not None for rec in recs if rec.ring.width_bits in (1, 64))
+
+
 @pytest.mark.parametrize("name", RUN_MANIFESTS)
 def test_provision_in_runs_equals_per_record_generation(name):
-    """From a cold plan cache, and again in the same process from a warm one."""
-    _record.cache_clear()
-    for _ in range(2):
-        _check_runs_equal_per_record_generation(RUN_MANIFESTS[name])
-    assert _record.cache_info().hits > 0
-
-
-def _check_runs_equal_per_record_generation(needs: list[Need]):
+    needs = RUN_MANIFESTS[name]
     ref, dealer = Dealer(np.random.default_rng(11)), Dealer(np.random.default_rng(11))
     expected = _per_record(ref, needs)
     store = MaterialStore()
@@ -605,47 +607,16 @@ def test_provisioned_arrays_are_contiguous_and_their_own(name):
 OBJECT_SLACK = 0.10
 
 
-def _held_by_provision(warm: bool) -> tuple[int, int, int]:
-    """``(material, held, left)`` for the L=128 edit-distance manifest: its
-    material bytes, the bytes a provision from a cold plan cache (or, when
-    ``warm``, a second provision) leaves held, and the bytes that the first
-    provision leaves behind once its store is dropped (0 when cold)."""
+def test_provision_holds_only_its_material():
     needs = editdist.edit_distance_manifest(128, 1)
     dealer = Dealer(np.random.default_rng(3))
-    _record.cache_clear()
-    left = 0
     tracemalloc.start()
     try:
-        if warm:
-            start = tracemalloc.get_traced_memory()[0]
-            dealer.provision(MaterialStore(), needs)
-            left = tracemalloc.get_traced_memory()[0] - start
         store = MaterialStore()
         before = tracemalloc.get_traced_memory()[0]
         dealer.provision(store, needs)
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    return _material_bytes(needs), held, left
-
-
-def test_provision_holds_only_its_material():
-    material, held, _ = _held_by_provision(warm=False)
+    material = _material_bytes(needs)
     assert material <= held <= material * (1 + OBJECT_SLACK)
-
-
-def test_provision_from_warm_caches_holds_only_its_material():
-    """What a first provision leaves behind, its store dropped, is draw
-    plans and no array, and the second provision, planned by lookup, holds
-    only its own material."""
-    material, held, left = _held_by_provision(warm=True)
-    assert material <= held <= material * (1 + OBJECT_SLACK)
-    assert left < material * OBJECT_SLACK
-
-
-def test_plan_cache_is_bounded():
-    _record.cache_clear()
-    list(_runs([Need("bte", 8, batch, fan_in=2) for batch in range(1, PLANS_KEPT + 10)]))
-    info = _record.cache_info()
-    assert info.maxsize == PLANS_KEPT
-    assert info.currsize == PLANS_KEPT

@@ -5,7 +5,6 @@ import pytest
 from conftest import edit_distance_oracle, edit_distance_oracle_batch
 
 from ringmpc import editdist as E
-from ringmpc.dealer import Need
 from ringmpc.engine import Session, derive_manifest
 from ringmpc.errors import DomainError, ShapeError
 from ringmpc.protocols import min3
@@ -130,45 +129,22 @@ def test_encode_strings_accepts_bools_and_codes():
     assert E.encode_strings(np.array([[0, 1, 2, 3]], np.int8)).dtype == np.uint64
 
 
-# -- the manifest, derived once per shape -------------------------------------
+# -- the manifest ---------------------------------------------------------------
 
-def _uncached_manifest(length, pairs):
+def _composed_manifest(length, pairs):
     """The mismatch matrix's needs, then one DP cell's 3-Min needs scaled to
-    each anti-diagonal d in [2, 2L], which holds min(d - 1, 2L + 1 - d)
+    each anti-diagonal d in [2, 2L], which holds len(_diag_rows(L, d))
     cells of each string pair."""
     needs = E.mismatch_manifest(length, pairs)
     cell = derive_manifest(min3, [const_pair(0, E.RING, 1) for _ in range(3)])
     for d in range(2, 2 * length + 1):
-        needs += [need.scaled(min(d - 1, 2 * length + 1 - d) * pairs) for need in cell]
+        needs += [need.scaled(len(E._diag_rows(length, d)) * pairs) for need in cell]
     return needs
 
 
 @pytest.mark.parametrize("length, pairs",
                          list(itertools.product(range(1, 9), (1, 3))) + [(128, 1)])
-def test_manifest_equals_the_uncached_composition(length, pairs):
-    want = _uncached_manifest(length, pairs)
-    assert E.edit_distance_manifest(length, pairs) == want
-    assert E.edit_distance_manifest(length, pairs) == want  # from the cache
-
-
-def test_each_manifest_call_returns_a_new_list():
-    first = E.edit_distance_manifest(3, 2)
-    first.append(Need("bte", 8, 1, fan_in=2))
-    first[0] = Need("b2a", 16, 1)
-    second = E.edit_distance_manifest(3, 2)
-    assert second is not first
-    assert second == _uncached_manifest(3, 2)
-
-
-def test_manifest_cache_is_bounded():
-    for length in range(1, E.SHAPES_KEPT + 4):
-        E.edit_distance_manifest(length, 1)
-    info = E._edit_distance_needs.cache_info()
-    assert info.maxsize == E.SHAPES_KEPT
-    assert info.currsize == E.SHAPES_KEPT
-
-
-def test_manifest_cache_keeps_a_float_length_refused():
-    E.edit_distance_manifest(2, 1)
-    with pytest.raises(TypeError):
-        E.edit_distance_manifest(2.0, 1)
+def test_manifest_equals_the_per_diagonal_composition(length, pairs):
+    """Each anti-diagonal's needs are scaled once per cell count and shared
+    with the diagonal of the same count: the same needs, in order."""
+    assert E.edit_distance_manifest(length, pairs) == _composed_manifest(length, pairs)

@@ -162,7 +162,7 @@ def test_provision_failing_after_its_checks_fails_the_session(monkeypatch, path)
     sess = Session(seed=0)
     with pytest.raises(MemoryError, match="planted"):
         sess.provision(needs)
-    assert sess.failed and sess.dealer.unfinished
+    assert sess.failed
     assert not sess.store.is_empty()
     with pytest.raises(MaterialError, match="session failed"):
         sess.provision(needs)
@@ -178,8 +178,26 @@ def test_refused_manifest_leaves_the_session_usable():
     sess = Session(seed=0)
     with pytest.raises(DomainError):
         sess.provision(needs + [Need("bte", 32, 0, fan_in=2)])
-    assert not sess.failed and not sess.dealer.unfinished
+    assert not sess.failed
     assert sess.store.is_empty() and sess.dealer.draw_count == 0
+    _provisions_and_runs_as_a_fresh_session(sess, needs)
+
+
+def test_provision_failing_before_its_first_draw_leaves_the_session_usable(monkeypatch):
+    """A MemoryError in the first run's raw draw, before any draw is
+    counted or any table stored, leaves nothing of the manifest behind:
+    the session is not failed and provisions again as a fresh one does."""
+    _fail_on_call(monkeypatch, dealer, "raw_words", 1)
+    needs = manifest("comparison", Z32, CMP_BATCH)
+    sess = Session(seed=0)
+    with pytest.raises(MemoryError, match="planted"):
+        sess.provision(needs)
+    assert not sess.failed
+    assert sess.store.is_empty() and sess.dealer.draw_count == 0
+    _provisions_and_runs_as_a_fresh_session(sess, needs)
+
+
+def _provisions_and_runs_as_a_fresh_session(sess: Session, needs: list[Need]):
     sess.provision(needs)
     got, want = _comparison(sess)
     assert np.array_equal(got, want)
