@@ -119,12 +119,13 @@ def edit_distance_manifest(length: int, pairs: int = 1) -> list[Need]:
     """Mismatch matrix plus one batched 3-Min per anti-diagonal. Material is
     not linear in the length, so this composes per-phase manifests instead
     of recording edit_distance itself; the 3-Min needs of one DP cell are
-    recorded once and scaled to each diagonal."""
+    recorded once and scaled once per cell count, and the two diagonals
+    of each count share those needs."""
     needs = mismatch_manifest(length, pairs)
     cell = derive_manifest(min3, [const_pair(0, RING, 1) for _ in range(3)])
     scaled = {}
     for d in range(2, 2 * length + 1):
-        cells = min(d - 1, 2 * length + 1 - d) * pairs
+        cells = len(_diag_rows(length, d)) * pairs
         if cells not in scaled:
             scaled[cells] = [need.scaled(cells) for need in cell]
         needs += scaled[cells]
