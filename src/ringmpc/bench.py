@@ -16,6 +16,7 @@ import numpy as np
 from .dealer import Need, check_fan_in
 from .editdist import (
     MAX_LENGTH,
+    RING,
     edit_distance,
     edit_distance_manifest,
     share_strings,
@@ -188,7 +189,8 @@ def run_bench(target: str, name: str = "", ring_width: int = 32, batch: int = 1,
               bandwidth_bits_per_ms: float = CostModel.bandwidth_bits_per_ms,
               rtt_ms: float = CostModel.rtt_ms, seed: int = 0, baseline: bool = False,
               length: int = 4, measure: bool = False) -> dict:
-    """Execute one benchmark configuration and return its report row."""
+    """Execute one benchmark configuration and return its report row. The
+    keywords and defaults are ``ringmpc-bench``'s run options too."""
     if batch < 1:
         raise DomainError(f"batch {batch} must be at least 1")
     if seed < 0:
@@ -211,7 +213,7 @@ def run_bench(target: str, name: str = "", ring_width: int = 32, batch: int = 1,
         args = [share_strings(c, sess.dealer) for c in codes]
         needs = edit_distance_manifest(length, batch)
         name = name or f"L{length}"
-        ring_width = 16  # the app is fixed to Z_2^16
+        ring_width = RING.width_bits  # the app's one ring
     else:
         if target == "gate":
             if baseline:

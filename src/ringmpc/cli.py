@@ -14,9 +14,7 @@ import json
 import sys
 
 from .bench import ROW_FIELDS, run_bench
-from .engine import CostModel
 from .errors import RingmpcError
-from .gates import DEFAULT_FANIN_CAP
 
 
 class UsageError(Exception):
@@ -33,25 +31,26 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Each run flag sets a ``run_bench`` keyword, and one left out sets
+    nothing, so ``run_bench``'s default holds. ``main`` keeps ``--format``
+    and ``--out``, whose defaults are here."""
     p = _Parser(
         prog="ringmpc-bench",
         description="Round/bit/latency benchmarks for the ringmpc protocol suite",
+        argument_default=argparse.SUPPRESS,
     )
     p.add_argument("--target", required=True, choices=["gate", "protocol", "editdist"])
-    p.add_argument("--name", default="",
-                   help="gate (e.g. 2-AND, 3-MULT) or protocol name")
-    p.add_argument("--ring", type=int, default=32, choices=[16, 32, 64])
-    p.add_argument("--batch", type=int, default=1)
-    p.add_argument("--fanin-cap", type=int, default=DEFAULT_FANIN_CAP,
+    p.add_argument("--name", help="gate (e.g. 2-AND, 3-MULT) or protocol name")
+    p.add_argument("--ring", dest="ring_width", type=int, choices=[16, 32, 64])
+    p.add_argument("--batch", type=int)
+    p.add_argument("--fanin-cap", type=int,
                    help="widest gate of a maxN protocol's AND layers, and of a "
                         "gate name; at least 2 and at most the dealer's 16")
-    p.add_argument("--bandwidth-bits-per-ms", type=float,
-                   default=CostModel.bandwidth_bits_per_ms)
-    p.add_argument("--rtt-ms", type=float, default=CostModel.rtt_ms)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--bandwidth-bits-per-ms", type=float)
+    p.add_argument("--rtt-ms", type=float)
+    p.add_argument("--seed", type=int)
     p.add_argument("--baseline", action="store_true")
-    p.add_argument("--length", type=int, default=4,
-                   help="string length for the editdist target")
+    p.add_argument("--length", type=int, help="string length for the editdist target")
     p.add_argument("--measure", action="store_true",
                    help="fill the informational wall-clock columns "
                         "(breaks byte-identical output across runs)")
@@ -95,27 +94,17 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     except UsageError as exc:
         return _error("UsageError", exc)
+    options = vars(args)
+    fmt, out = options.pop("format"), options.pop("out")
     try:
-        row = run_bench(
-            target=args.target,
-            name=args.name,
-            ring_width=args.ring,
-            batch=args.batch,
-            fanin_cap=args.fanin_cap,
-            bandwidth_bits_per_ms=args.bandwidth_bits_per_ms,
-            rtt_ms=args.rtt_ms,
-            seed=args.seed,
-            baseline=args.baseline,
-            length=args.length,
-            measure=args.measure,
-        )
+        row = run_bench(**options)
     except (RingmpcError, MemoryError) as exc:
         # numpy reports a failed allocation as a private MemoryError subclass
         return _error("MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__, exc)
-    text = render(row, args.format)
-    if args.out:
+    text = render(row, fmt)
+    if out:
         try:
-            with open(args.out, "w") as fh:
+            with open(out, "w") as fh:
                 fh.write(text)
         except OSError as exc:
             return _error(type(exc).__name__, exc)

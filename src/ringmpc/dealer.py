@@ -21,7 +21,7 @@ from __future__ import annotations
 import os
 import struct
 from collections import deque
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import NamedTuple
@@ -310,11 +310,11 @@ class Dealer:
         are ``ring.uniform_rows`` arrays in that layout; at width 1 their
         padding lanes are zero, and AND and XOR keep them zero.
 
-        With a thread pool (``threads.POOL``), a table wider than
-        ``threads.BLOCK_COLS`` columns is built one column block per task,
-        the doubling and then the subtraction while the block is in cache;
-        blocks share no column, so the tables are the same bits at any
-        thread count. A narrower table is built whole in this thread.
+        A table wider than ``threads.BLOCK_COLS`` columns is built one
+        column block per ``threads.run`` task, the doubling and then the
+        subtraction while the block is in cache; blocks share no column,
+        so the tables are the same bits at any thread count, or with no
+        pool. A narrower table is built whole in this thread.
         ``provision`` builds only such wide tables here; it builds narrower
         ones in runs, to the same bits. A table ``_check`` refuses raises
         before any draw.
@@ -323,7 +323,7 @@ class Dealer:
         singles, s0 = (self._draw(ring, rows, batch) for rows in _draw_rows(fan_in))
         plain = np.empty_like(s0)
         cols = s0.shape[1]
-        if threads.POOL is not None and cols > threads.BLOCK_COLS:
+        if cols > threads.BLOCK_COLS:
             threads.run(lambda block: _party1_half(ring, singles[:, block], s0[:, block],
                                                    plain[:, block]), threads.blocks(cols))
         else:
@@ -341,7 +341,7 @@ class Dealer:
     def share_input(self, x, ring: RingSpec) -> SharePair:
         return share(x, ring, self.rng)
 
-    def provision(self, store: "MaterialStore", needs: list[Need]):
+    def provision(self, store: "MaterialStore", needs: Iterable[Need]):
         """Generate one record per need, once every need has been checked:
         a manifest with a need this dealer cannot meet is refused before
         anything is drawn or stored.
@@ -355,14 +355,15 @@ class Dealer:
         record is the same bits, and the generator is left in the same
         state, as one such call per need in order would give; each
         record's arrays are its own, C-contiguous, and each pool gets its
-        records in order."""
+        records in order. ``needs`` is read once, so it may be any iterable."""
+        needs = list(needs)
         for need in needs:
             _check(need)
         for words, run in _runs(needs):
             if words is not None:
                 self._provision_run(store, words, run)
             elif run.kind == "bte":
-                store.put_bte(*self.gen_bte(run.fan_in, RINGS[run.width], run.batch))
+                store.put_btes([self.gen_bte(run.fan_in, RINGS[run.width], run.batch)])
             else:
                 store.put_b2a(self.gen_b2a_material(RINGS[run.width], run.batch))
 
@@ -393,9 +394,6 @@ class MaterialStore:
     def __init__(self):
         self._bte: dict[tuple[int, int], deque] = {}
         self._b2a: dict[int, deque] = {}
-
-    def put_bte(self, t0: BteTable, t1: BteTable):
-        self.put_btes([(t0, t1)])
 
     def put_btes(self, tables: list):
         """Queue each ``(t0, t1)`` of ``tables``, in order, all of one
@@ -466,16 +464,12 @@ class RecordingStore:
 _MAGIC = b"RMPCMAT1"
 
 
-def _le_dtype(ring: RingSpec) -> np.dtype:
-    return np.dtype(ring.dtype).newbyteorder("<")
-
-
 def _arr_bytes(arr: np.ndarray, ring: RingSpec) -> bytes:
-    return np.ascontiguousarray(arr).astype(_le_dtype(ring)).tobytes()
+    return np.ascontiguousarray(arr).astype(ring.le).tobytes()
 
 
 def _arr_from(buf: bytes, ring: RingSpec, count: int) -> np.ndarray:
-    return np.frombuffer(buf, dtype=_le_dtype(ring), count=count).astype(ring.dtype)
+    return np.frombuffer(buf, dtype=ring.le, count=count).astype(ring.dtype)
 
 
 def dump_material(path: str, store: MaterialStore):
@@ -536,7 +530,7 @@ def load_material(path: str) -> MaterialStore:
             except (CapabilityError, DomainError) as exc:
                 raise MaterialError(f"{path}: bad record {need}: {exc}") from exc
             ring = RINGS[width]
-            nbytes = batch * _le_dtype(ring).itemsize
+            nbytes = batch * ring.le.itemsize
             arrays = 2 * ((1 << fan_in) - 1) if need.kind == "bte" else 4
             if arrays * nbytes > left():
                 raise MaterialError(f"{path}: record larger than the rest of the file")
@@ -552,7 +546,7 @@ def load_material(path: str) -> MaterialStore:
                 _party1_half(ring, plain[[(1 << l) - 1 for l in range(fan_in)]],
                              np.zeros_like(plain), products)
                 _check_correlated(path, index, need, plain, products)
-                store.put_bte(t0, t1)
+                store.put_btes([(t0, t1)])
             else:
                 a, c0, b, c1 = (_arr_from(fh.read(nbytes), ring, batch) for _ in range(4))
                 _check_correlated(path, index, need, ring.add(c0, c1), ring.mul(a, b))

@@ -47,7 +47,7 @@ class GenomeShareString:
 
 def encode_strings(strings) -> np.ndarray:
     """Validate and stack plaintext code sequences into a (P, L) array."""
-    return np.atleast_2d(plaintext(strings, ALPHABET))
+    return np.atleast_2d(plaintext(strings, ALPHABET, dims=2))
 
 
 def share_strings(strings, dealer: Dealer) -> GenomeShareString:

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 import struct
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,9 +126,8 @@ class Transcript:
             out.append(struct.pack("<II", r, len(items)))
             for item in items:
                 ring = RINGS[item.width]
-                dt = np.dtype(ring.dtype).newbyteorder("<")
                 for party, arr in ((0, item.p0), (1, item.p1)):
-                    payload = from_layout(ring, arr, item.count).astype(dt).tobytes()
+                    payload = from_layout(ring, arr, item.count).astype(ring.le).tobytes()
                     out.append(
                         struct.pack("<BBI", party, item.width, len(payload))
                     )
@@ -151,7 +151,7 @@ class Session:
 
     # -- offline phase ------------------------------------------------------
 
-    def provision(self, needs: list[Need]):
+    def provision(self, needs: Iterable[Need]):
         """Provision ``needs`` into the store. A manifest the dealer refuses
         raises before any draw and leaves the session as it was. A failure
         once the dealer has drawn, such as a failed allocation, may leave

@@ -50,16 +50,16 @@ _BIT_WEIGHTS = np.uint8(1) << np.arange(8, dtype=np.uint8)
 _PAD = np.zeros((2, 63), dtype=np.uint8)
 _PAD.flags.writeable = False
 
-# ``RingSpec``'s fields by width: its element ``dtype``, its share layout
-# (``lanes`` elements per value of dtype ``word``) and its ``mul``, ``add``,
-# ``sub`` and ``one`` over that layout. The gates, the dealer and the local
-# algebra read them on every call, so each ring holds them as fields.
+# ``RingSpec``'s fields by width: its element ``dtype`` (``le`` little-endian),
+# its share layout (``lanes`` elements per value of dtype ``word``) and its
+# ``mul``, ``add``, ``sub`` and ``one`` over that layout. The gates, the dealer
+# and the local algebra read them on every call, so each ring holds them.
 _LAYOUTS = {
-    width: dict(dtype=dtype, word=dtype, lanes=1, mul=np.multiply, add=np.add,
-                sub=np.subtract, one=dtype(1))
+    width: dict(dtype=dtype, le=np.dtype(dtype).newbyteorder("<"), word=dtype, lanes=1,
+                mul=np.multiply, add=np.add, sub=np.subtract, one=dtype(1))
     for width, dtype in ((8, np.uint8), (16, np.uint16), (32, np.uint32), (64, np.uint64))
-} | {1: dict(dtype=np.uint8, word=np.uint64, lanes=64, mul=np.bitwise_and,
-             add=np.bitwise_xor, sub=np.bitwise_xor, one=~np.uint64(0))}
+} | {1: dict(dtype=np.uint8, le=np.dtype(np.uint8), word=np.uint64, lanes=64,
+             mul=np.bitwise_and, add=np.bitwise_xor, sub=np.bitwise_xor, one=~np.uint64(0))}
 
 _LE64 = np.dtype("<u8")
 # On a little-endian host the bytes of a uint64 word are its lanes in order.
@@ -71,10 +71,10 @@ class RingSpec:
     """The ring Z_2^n for n in {1, 8, 16, 32, 64}, and the one layout that
     its shares, BTE tables and gate payloads share.
 
-    Elements are ``dtype`` values. In the layout a row of ``batch``
-    elements is ``cols(batch)`` values of dtype ``word``, ``lanes`` elements
-    each: the elements themselves above width 1, uint64 words of 64 packed
-    lanes (``pack_lanes``) at width 1. ``mul``, ``add`` and ``sub`` are the
+    Elements are ``dtype`` values, written as bytes in ``le``. In the
+    layout a row of ``batch`` elements is ``cols(batch)`` values of dtype
+    ``word``, ``lanes`` elements each: the elements themselves above width
+    1, uint64 words of 64 packed lanes (``pack_lanes``) at width 1. ``mul``, ``add`` and ``sub`` are the
     ring's ops over that layout, as numpy ufuncs, and ``one`` is the unit
     of ``mul``: over the dtype, which wraps natively, above width 1; over
     the words at width 1, where multiplication is AND, addition and
@@ -83,6 +83,7 @@ class RingSpec:
 
     width_bits: int
     dtype: type = field(init=False, repr=False, compare=False)
+    le: np.dtype = field(init=False, repr=False, compare=False)
     word: type = field(init=False, repr=False, compare=False)
     lanes: int = field(init=False, repr=False, compare=False)
     mul: np.ufunc = field(init=False, repr=False, compare=False)
@@ -391,10 +392,10 @@ def elements(ring: RingSpec, words: np.ndarray, size: int | None = None) -> np.n
     little-endian host, one uint8 per bit at width 1."""
     if ring.width_bits == 64:
         return words[:size]
-    raw = words.astype("<u8", copy=False).view(np.uint8)
+    raw = words.astype(_LE64, copy=False).view(np.uint8)
     if ring.is_boolean:
         return np.unpackbits(raw, count=size, bitorder="little")
-    elems = raw.view(np.dtype(ring.dtype).newbyteorder("<"))[:size]
+    elems = raw.view(ring.le)[:size]
     return elems.astype(ring.dtype, copy=False)
 
 
@@ -402,17 +403,17 @@ def _split_raw(bit_generator: np.random.BitGenerator, n: int) -> np.ndarray:
     """``bit_generator.random_raw(n)``: the same words, and the generator
     left in the same state, its buffered 32-bit half included.
 
-    A PCG64 draw in a process with a thread pool (``threads.POOL``) is cut
-    into one contiguous range per worker. Each worker fills its range in
-    chunks of ``_CHUNK_WORDS`` words from a copy of the generator's state
-    ``advance``d to the range's offset; the generator itself is then
-    advanced past all ``n`` words. Any other draw is one ``random_raw``
+    A PCG64 draw in a process with a thread pool is cut into one
+    contiguous range per pool thread (``threads.workers``). Each fills its
+    range in chunks of ``_CHUNK_WORDS`` words from a copy of the
+    generator's state ``advance``d to the range's offset; the generator
+    itself is then advanced past all ``n`` words. Any other draw is one ``random_raw``
     call in this thread.
     """
-    if threads.POOL is None or type(bit_generator) not in _SEEKABLE:
+    parts = threads.workers()
+    if not parts or type(bit_generator) not in _SEEKABLE:
         return bit_generator.random_raw(n)
     state = bit_generator.state
-    parts = threads.POOL._max_workers
     ends = [n * k // parts for k in range(parts + 1)]
     out = np.empty(n, np.uint64)
 
@@ -498,12 +499,14 @@ def _integers(x, ring: RingSpec) -> np.ndarray:
     return arr
 
 
-def plaintext(x, bound: int) -> np.ndarray:
+def plaintext(x, bound: int, dims: int = 1) -> np.ndarray:
     """``x`` as a uint64 array after checking that every value is a bool or
-    an integer in ``[0, bound)``."""
+    an integer in ``[0, bound)``, and that it has at most ``dims`` dimensions."""
     arr = _integer_array(x)
     if arr.size and not 0 <= int(arr.min()) <= int(arr.max()) < bound:
         raise DomainError(f"plaintext value outside [0, {bound})")
+    if arr.ndim > dims:
+        raise ShapeError(f"plaintext of shape {arr.shape} has more than {dims} dimensions")
     return arr.astype(np.uint64, copy=False)
 
 

@@ -54,6 +54,11 @@ if hasattr(os, "register_at_fork"):  # POSIX only, like fork itself
     os.register_at_fork(after_in_child=_after_fork_in_child)
 
 
+def workers() -> int:
+    """The number of threads of ``POOL``, or 0 when there is none."""
+    return 0 if POOL is None else POOL._max_workers
+
+
 def blocks(cols: int) -> list[slice]:
     """The column blocks of a ``cols``-column table, ``BLOCK_COLS`` each
     but the last."""

@@ -1,9 +1,11 @@
+import inspect
 import json
 
 import pytest
 
 from conftest import manifest
 
+from ringmpc import cli
 from ringmpc import protocols as P
 from ringmpc.bench import ROW_FIELDS, run_bench
 from ringmpc.cli import main, render
@@ -158,6 +160,37 @@ def test_help_still_prints_usage_text(capsys):
     assert stop.value.code == 0
     out = capsys.readouterr().out
     assert out.startswith("usage: ringmpc-bench") and "--target" in out
+
+
+def _calls(monkeypatch) -> list[dict]:
+    """Make ``cli.run_bench`` record the keywords of each call and return
+    an empty row."""
+    calls = []
+
+    def record(**options):
+        calls.append(options)
+        return dict.fromkeys(ROW_FIELDS)
+    monkeypatch.setattr(cli, "run_bench", record)
+    return calls
+
+
+def test_every_run_option_has_a_flag(monkeypatch, capsys):
+    calls = _calls(monkeypatch)
+    argv = ["--target", "gate", "--name", "3-AND", "--ring", "16", "--batch", "3",
+            "--fanin-cap", "4", "--bandwidth-bits-per-ms", "2.5", "--rtt-ms", "7",
+            "--seed", "5", "--baseline", "--length", "6", "--measure", "--format", "csv"]
+    assert main(argv) == 0
+    assert calls == [dict(target="gate", name="3-AND", ring_width=16, batch=3, fanin_cap=4,
+                          bandwidth_bits_per_ms=2.5, rtt_ms=7.0, seed=5, baseline=True,
+                          length=6, measure=True)]
+    assert set(calls[0]) == set(inspect.signature(run_bench).parameters)
+    assert capsys.readouterr().out.startswith("target,name,")
+
+
+def test_a_flag_left_out_leaves_run_bench_its_default(monkeypatch, capsys):
+    calls = _calls(monkeypatch)
+    assert main(["--target", "gate"]) == 0
+    assert calls == [{"target": "gate"}]
 
 
 @pytest.mark.parametrize("where, error", [

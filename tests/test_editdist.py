@@ -115,6 +115,16 @@ def test_alphabet_and_shape_validation():
         E.GenomeShareString(0, 1, s.shares)
 
 
+def test_strings_of_more_than_two_dimensions_are_refused_before_any_draw():
+    sess, fresh = Session(seed=2), Session(seed=2)
+    state = sess.dealer.rng.bit_generator.state
+    with pytest.raises(ShapeError):
+        E.share_strings(np.zeros((2, 2, 3), np.uint64), sess.dealer)
+    assert sess.dealer.rng.bit_generator.state == state
+    s, t = (E.share_strings([[0, 1, 2]], one.dealer) for one in (sess, fresh))
+    assert np.array_equal(s.shares.v, t.shares.v)
+
+
 @pytest.mark.parametrize("bad", [
     [[0.5, 1]], np.array([[1.0, 2.0]]), [["1", "2"]], "12", [[None, 1]],
     [[0, -1]], np.array([[-1, 0]]), [[2**64, 0]], [[0, 4]], np.array([[4]], np.uint8),

@@ -106,6 +106,22 @@ def test_provision_refused_after_online():
         sess.provision([Need("bte", 8, 1, fan_in=2)])
 
 
+@pytest.mark.parametrize("wrap", [lambda needs: (need for need in needs), iter],
+                         ids=["generator", "iterator"])
+def test_a_manifest_given_as_an_iterator_provisions_as_its_list(tmp_path, wrap):
+    needs = manifest("comparison", Z32, 4)
+    listed, streamed = Session(seed=3), Session(seed=3)
+    listed.provision(needs)
+    streamed.provision(wrap(needs))
+    assert streamed.dealer.draw_count == listed.dealer.draw_count > 0
+    assert streamed.dealer.rng.bit_generator.state == listed.dealer.rng.bit_generator.state
+    dumps = []
+    for name, sess in (("listed", listed), ("streamed", streamed)):
+        dealer.dump_material(str(tmp_path / name), sess.store)
+        dumps.append((tmp_path / name).read_bytes())
+    assert dumps[0] == dumps[1]
+
+
 def test_failed_run_poisons_session():
     def broken():
         yield _noise_round()

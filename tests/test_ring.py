@@ -473,6 +473,32 @@ def test_a_generator_that_cannot_advance_draws_in_one_call(thread_pool):
     assert pool.tasks == len(threads.blocks(SPLIT))
 
 
+@pytest.mark.parametrize("workers", [0, 1, 3])
+def test_workers_counts_the_pool_threads(thread_pool, workers):
+    thread_pool(workers)
+    assert threads.workers() == workers
+
+
+# Each makes a share pair from a plaintext of more than one dimension.
+NOT_VECTORS = {
+    "session-share-input": lambda sess: sess.share_input([[1, 2, 3]], Z32),
+    "dealer-share-input": lambda sess: sess.dealer.share_input(np.ones((2, 2), np.uint8), BOOL),
+    "share": lambda sess: share([[1], [2]], Z16, sess.dealer.rng),
+    "trivial": lambda sess: trivial(1, [[1, 0, 1]], BOOL),
+    "const-pair": lambda sess: const_pair(1, Z32, (2, 3)),
+}
+
+
+@pytest.mark.parametrize("case", NOT_VECTORS)
+def test_a_plaintext_that_is_not_a_vector_is_refused_before_any_draw(case):
+    sess, fresh = Session(seed=4), Session(seed=4)
+    state = sess.dealer.rng.bit_generator.state
+    with pytest.raises(ShapeError):
+        NOT_VECTORS[case](sess)
+    assert sess.dealer.rng.bit_generator.state == state
+    assert np.array_equal(sess.share_input([1, 2, 3], Z32).v, fresh.share_input([1, 2, 3], Z32).v)
+
+
 def test_cols_reads_an_unsigned_numpy_batch_as_an_int():
     assert BOOL.cols(np.uint32(3)) == 1
     assert BOOL.cols(np.uint64(65)) == 2
